@@ -9,10 +9,10 @@ defining operator identities on band-limited functions.
 from .geometry import DIRECTIONS, KType, Signature, bochner_eigenvalue, \
     laplacian_eigenvalue, n_difference, neighbors, scalar_curvature
 from .spectrum import SpectralOrder, SpectrumTable, ZeroDenominator, \
-    PathInconsistency, recursion_spectrum, transition_ratio, loop_consistency
+    PathInconsistency, recursion_spectrum, transition_ratio, max_loop_deviation
 from .closedform import PoleAtGamma, PoleAtKType, NoProbeAvailable, \
-    SignedLogValue, signed_log_gamma, z_spectral, factorized_eigenvalue, \
-    parity_constant, conformal_laplacian_eigenvalue, inversion_check
+    SignedLogValue, signed_log_gamma, z_spectral, z_spectral_grid, \
+    factorized_eigenvalue_exact, parity_constant, conformal_laplacian_eigenvalue_exact
 from .zonal import GridTooCoarse, QuadratureGrid, ZonalFunction, \
     apply_N, apply_T_numeric, apply_T_via_lemma, basis_element, evaluate, \
     mult_by_cos, multiply_by_varpi, project, quadrature_grid

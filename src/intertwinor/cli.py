@@ -14,7 +14,13 @@ import argparse
 import json
 import sys
 
-from .closedform import PoleAtKType, factorized_eigenvalue, z_gamma_ratio, z_spectral
+from .closedform import (
+    PoleAtKType,
+    factorized_grid,
+    z_gamma_ratio,  # unused here; perfbench/tracing.py rebinds this name
+    z_spectral,  # unused here; perfbench/tracing.py rebinds this name
+    z_spectral_grid,
+)
 from .geometry import KType, Signature, doubled_shifts
 from .spectrum import SpectralOrder, base_ktype, recursion_spectrum
 from .verify import DEFAULT_CHECKS, run_suite
@@ -63,63 +69,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser, args) -> Signature:
+def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
     if args.p < 1 or args.q < 1:
         parser.error(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({args.p}, {args.q})")
     if args.jmax < 1 or args.kmax < 1:
         parser.error(f"truncation must satisfy jmax >= 1 and kmax >= 1, got ({args.jmax}, {args.kmax})")
-    return Signature(args.p, args.q)
+    try:
+        order = SpectralOrder(args.r)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return Signature(args.p, args.q), order
 
 
 def _spectrum_rows(sig: Signature, order: SpectralOrder, jmax: int, kmax: int):
-    tables = {
-        parity: recursion_spectrum(sig, order, jmax, kmax, parity, on_singular="skip")
+    tables = [
+        recursion_spectrum(sig, order, jmax, kmax, parity, on_singular="skip")
         for parity in (0, 1)
-    }
-    zbase = {}
-    for parity in (0, 1):
-        try:
-            zbase[parity] = z_gamma_ratio(sig, order, base_ktype(parity))
-        except PoleAtKType:
-            zbase[parity] = None
-    integer_r = order.is_positive_integer
+    ]
+    recursion = [table.values.tolist() for table in tables]
+    reached = [table.reached.tolist() for table in tables]
+    closed, poles = (a.tolist() for a in z_spectral_grid(sig, order, jmax, kmax))
+    factorized = None
+    if order.is_positive_integer:
+        factorized = factorized_grid(sig, order.as_integer, jmax, kmax).tolist()
+    zbase = [None if poles[b.j][b.k] else closed[b.j][b.k] for b in map(base_ktype, (0, 1))]
+    half_j = [doubled_shifts(sig, KType(j, 0))[0] / 2.0 for j in range(jmax + 1)]
+    half_k = [doubled_shifts(sig, KType(0, k))[1] / 2.0 for k in range(kmax + 1)]
     rows = []
     for j in range(jmax + 1):
         for k in range(kmax + 1):
-            v = KType(j, k)
-            tj, tk = doubled_shifts(sig, v)
-            mu_rec = tables[v.parity].entries.get(v)
-            try:
-                mu_closed = z_spectral(sig, order, v)
-            except PoleAtKType:
-                mu_closed = None
-            mu_fact = factorized_eigenvalue(sig, order.as_integer, v) if integer_r else ""
+            parity = (j + k) % 2
+            mu_rec = recursion[parity][j][k] if reached[parity][j][k] else None
+            mu_closed = None if poles[j][k] else closed[j][k]
             disagreement = ""
-            if mu_rec is not None and mu_closed is not None:
-                normalized = None
-                if integer_r:
-                    base_val = z_spectral(sig, order, base_ktype(v.parity))
-                    normalized = mu_closed / base_val if base_val else None
-                elif zbase[v.parity]:
-                    normalized = mu_closed / zbase[v.parity]
-                if normalized is not None:
-                    scale = max(abs(normalized), abs(mu_rec), 1e-300)
-                    disagreement = abs(normalized - mu_rec) / scale
+            if mu_rec is not None and mu_closed is not None and zbase[parity]:
+                normalized = mu_closed / zbase[parity]
+                scale = max(abs(normalized), abs(mu_rec), 1e-300)
+                disagreement = abs(normalized - mu_rec) / scale
             rows.append({
                 "j": j, "k": k,
-                "J": tj / 2.0, "K": tk / 2.0,
-                "parity": v.parity,
+                "J": half_j[j], "K": half_k[k],
+                "parity": parity,
                 "mu_recursion": "zero-denominator" if mu_rec is None else mu_rec,
                 "mu_closed_form": "pole" if mu_closed is None else mu_closed,
-                "mu_factorized_or_blank": mu_fact,
+                "mu_factorized_or_blank": "" if factorized is None else factorized[j][k],
                 "max_rel_disagreement": disagreement,
             })
     return rows
 
 
 def cmd_spectrum(args, parser) -> int:
-    sig = _validate(parser, args)
-    order = SpectralOrder(args.r)
+    sig, order = _validate(parser, args)
     rows = _spectrum_rows(sig, order, args.jmax, args.kmax)
     if args.format == "csv":
         lines = [",".join(CSV_COLUMNS)]
@@ -147,12 +147,12 @@ def cmd_spectrum(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    sig = _validate(parser, args)
+    sig, order = _validate(parser, args)
     checks = tuple(args.check) if args.check else ()
     if args.all or not checks:
         checks = DEFAULT_CHECKS
     try:
-        reports = run_suite(sig, args.r, jmax=args.jmax, kmax=args.kmax,
+        reports = run_suite(sig, order, jmax=args.jmax, kmax=args.kmax,
                             seed=args.seed, checks=checks)
     except PoleAtKType as exc:
         print(f"error: check cannot be evaluated: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ matched pole/zero pairs, so integer orders dispatch to it.
 
 All Gamma arguments are half-integer lattice translates of +/- r/2; they are
 formed in exact doubled-integer arithmetic whenever 2r is an integer, making
-pole detection exact in the common cases.
+pole detection exact in the common cases.  Both routes are evaluated over
+whole windows; the scalar functions are the same kernels at one K-type.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import gammaln, gammasgn
 
 from .geometry import KType, Signature, doubled_shifts
-from .spectrum import POLE_TOL, SpectralOrder
+from .spectrum import POLE_TOL, SpectralOrder, window
 
 #: Step used for the limit convention when the parity constant is singular.
 LIMIT_STEP = 1e-6
@@ -67,92 +69,115 @@ class SignedLogValue:
         return self.sign * math.exp(self.log_magnitude)
 
 
+def _pole_mask(x, four_x=None):
+    """Where Gamma(x) sits on a pole; scalars or arrays.
+
+    ``four_x`` is 4x as exact integers, known when 2r is an integer; without
+    it x within POLE_TOL of a nonpositive integer counts as a pole.
+    """
+    if four_x is not None:
+        return (four_x <= 0) & (four_x % 4 == 0)
+    rounded = np.round(x)
+    return (x <= 0.5) & (np.abs(x - rounded) <= POLE_TOL) & (rounded <= 0)
+
+
 def signed_log_gamma(x: float) -> SignedLogValue:
     """log |Gamma(x)| and the sign of Gamma(x) for real non-pole x."""
-    if x <= 0.5 and abs(x - round(x)) <= POLE_TOL and round(x) <= 0:
+    if _pole_mask(x):
         raise PoleAtGamma(f"Gamma pole at x = {x}")
     return SignedLogValue(float(gammaln(x)), int(gammasgn(x)))
 
 
-def _theorem_args(sig: Signature, v: KType) -> tuple[tuple[int, int], ...]:
-    """Numerator Gamma arguments as (fourx, sigma): argument = (fourx + sigma*2r)/4.
+def _gamma_arguments(sig: Signature, order: SpectralOrder, tj, tk, eps):
+    """The eight Gamma arguments as (side, fourx, sign, x, pole), numerator then denominator.
 
-    The denominator arguments are the same with sigma negated.
+    Pair i is Gamma((fourx + sigma*2r)/4) over Gamma((fourx - sigma*2r)/4); the
+    doubled shifts ``tj``, ``tk`` and parity ``eps`` are integers or integer arrays.
     """
-    tj, tk = doubled_shifts(sig, v)
-    eps = v.parity
-    return (
+    pairs = (
         (tk + tj + 2, +1),
         (tk - tj + 2, +1),
         (2 * eps - (sig.p - sig.q) + 2, -1),
         (2 * eps + (sig.p + sig.q), -1),
     )
+    for fourx, sigma in pairs:
+        for side, s in (("numerator", sigma), ("denominator", -sigma)):
+            x = (fourx + s * 2.0 * order.r) / 4.0
+            exact = None if order.two_r is None else fourx + s * order.two_r
+            yield side, fourx, s, x, _pole_mask(x, exact)
 
 
-def _is_pole(fourx: int, sigma: int, order: SpectralOrder) -> bool:
-    """Exact pole test for the argument (fourx + sigma*2r)/4."""
-    if order.two_r is not None:
-        total = fourx + sigma * order.two_r
-        return total <= 0 and total % 4 == 0
-    a = (fourx + sigma * 2.0 * order.r) / 4.0
-    return a <= 0.5 and abs(a - round(a)) <= POLE_TOL and round(a) <= 0
+def _exp(x) -> np.ndarray:
+    """math.exp elementwise; numpy's exp differs from it in the last bit on some inputs."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.exp, x.ravel()), float, x.size).reshape(x.shape)
+
+
+def _gamma_ratio(sig: Signature, order: SpectralOrder, tj, tk, eps):
+    """(values, poles) of the eight-Gamma ratio; values are nan at poles."""
+    log_total = 0.0
+    sign = 1.0
+    poles = False
+    args = iter(_gamma_arguments(sig, order, tj, tk, eps))
+    with np.errstate(invalid="ignore"):  # inf - inf at poles; masked below
+        for (*_, num, num_pole), (*_, den, den_pole) in zip(args, args):  # consecutive pairs
+            log_total = log_total + (gammaln(num) - gammaln(den))
+            sign = sign * gammasgn(num) * gammasgn(den)
+            poles = poles | num_pole | den_pole
+    return np.where(poles, np.nan, sign * _exp(log_total)), np.asarray(poles)
+
+
+def z_gamma_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eight-Gamma ratio over [0, jmax] x [0, kmax] as (values, poles); nan at poles."""
+    j, k, tj, tk = window(sig, jmax, kmax)
+    return _gamma_ratio(sig, SpectralOrder.coerce(r), tj, tk, (j + k) % 2)
 
 
 def z_gamma_ratio(sig: Signature, r, v: KType) -> float:
     """The raw eight-Gamma route; raises PoleAtKType on any argument pole."""
     order = SpectralOrder.coerce(r)
-    log_total = 0.0
-    sign = 1
-    for fourx, sigma in _theorem_args(sig, v):
-        for side, s in (("numerator", sigma), ("denominator", -sigma)):
-            if _is_pole(fourx, s, order):
-                raise PoleAtKType(
-                    f"Gamma pole in {side} at K-type {v}: argument "
-                    f"({fourx} {'+' if s > 0 else '-'} 2r)/4 with r = {order.r}",
-                    ktype=v,
-                    argument=(fourx + s * 2.0 * order.r) / 4.0,
-                )
-        num = signed_log_gamma((fourx + sigma * 2.0 * order.r) / 4.0)
-        den = signed_log_gamma((fourx - sigma * 2.0 * order.r) / 4.0)
-        log_total += num.log_magnitude - den.log_magnitude
-        sign *= num.sign * den.sign
-    return sign * math.exp(log_total)
+    tj, tk = doubled_shifts(sig, v)
+    value, pole = _gamma_ratio(sig, order, tj, tk, v.parity)
+    if pole:
+        side, fourx, s, x, _ = next(a for a in _gamma_arguments(sig, order, tj, tk, v.parity) if a[-1])
+        raise PoleAtKType(f"Gamma pole in {side} at K-type {v}: argument "
+                          f"({fourx} {'+' if s > 0 else '-'} 2r)/4 with r = {order.r}",
+                          ktype=v, argument=x)
+    return float(value)
 
 
 def singular_ktypes(sig: Signature, r, parity: int, jmax: int, kmax: int) -> set[KType]:
     """K-types of the parity class where the raw Gamma ratio has an argument pole."""
-    order = SpectralOrder.coerce(r)
-    out = set()
-    for j in range(jmax + 1):
-        for k in range(kmax + 1):
-            if (j + k) % 2 != parity:
-                continue
-            v = KType(j, k)
-            if any(
-                _is_pole(fourx, s, order)
-                for fourx, sigma in _theorem_args(sig, v)
-                for s in (sigma, -sigma)
-            ):
-                out.add(v)
+    _, poles = z_gamma_grid(sig, r, jmax, kmax)
+    return {KType(j, k) for j, k in np.argwhere(poles).tolist() if (j + k) % 2 == parity}
+
+
+def _factorized_numerator(tj, tk, r: int):
+    """4**r times the factorized polynomial, exactly: ints or object arrays."""
+    if r < 1:
+        raise ValueError(f"factorized eigenvalue requires a positive integer r, got {r}")
+    out = 1
+    for m in range(r):
+        out = out * (tk + tj + 2 - 2 * r + 4 * m) * (tk - tj + 2 - 2 * r + 4 * m)
     return out
+
+
+def _factorized_float(tj, tk, r: int) -> np.ndarray:
+    """The polynomial rounded once from its exact value; ints or integer arrays."""
+    exact = _factorized_numerator(np.asarray(tj, dtype=object), np.asarray(tk, dtype=object), r)
+    return np.asarray(exact / 4**r, dtype=float)
 
 
 def factorized_eigenvalue_exact(sig: Signature, r: int, v: KType) -> Fraction:
     """Exact polynomial eigenvalue prod_m (K+J+1-r+2m)(K-J+1-r+2m), m < r."""
     r = int(r)
-    if r < 1:
-        raise ValueError(f"factorized eigenvalue requires a positive integer r, got {r}")
-    tj, tk = doubled_shifts(sig, v)
-    plus = Fraction(tk + tj, 2) + 1 - r
-    minus = Fraction(tk - tj, 2) + 1 - r
-    out = Fraction(1)
-    for m in range(r):
-        out *= (plus + 2 * m) * (minus + 2 * m)
-    return out
+    return Fraction(_factorized_numerator(*doubled_shifts(sig, v), r), 4**r)
 
 
-def factorized_eigenvalue(sig: Signature, r: int, v: KType) -> float:
-    return float(factorized_eigenvalue_exact(sig, r, v))
+def factorized_grid(sig: Signature, r: int, jmax: int, kmax: int) -> np.ndarray:
+    """float(factorized_eigenvalue_exact) over [0, jmax] x [0, kmax]."""
+    _, _, tj, tk = window(sig, jmax, kmax)
+    return _factorized_float(tj, tk, int(r))
 
 
 @lru_cache(maxsize=None)
@@ -160,15 +185,10 @@ def _parity_constant_cached(p: int, q: int, r: int, parity: int) -> float:
     sig = Signature(p, q)
     probe_max = 2 * r + 8
     order = SpectralOrder(float(r))
-    candidates = sorted(
-        (
-            KType(j, k)
-            for j in range(probe_max + 1)
-            for k in range(probe_max + 1)
-            if (j + k) % 2 == parity
-        ),
-        key=lambda v: (v.j + v.k, v.j),
-    )
+    gamma, poles = z_gamma_grid(sig, order, probe_max, probe_max)
+    span = range(probe_max + 1)
+    candidates = sorted((KType(j, k) for j in span for k in span if (j + k) % 2 == parity),
+                        key=lambda v: (v.j + v.k, v.j))
     fallback = None
     for v in candidates:
         poly = factorized_eigenvalue_exact(sig, r, v)
@@ -176,10 +196,8 @@ def _parity_constant_cached(p: int, q: int, r: int, parity: int) -> float:
             continue
         if fallback is None:
             fallback = v
-        try:
-            return z_gamma_ratio(sig, order, v) / float(poly)
-        except PoleAtKType:
-            continue
+        if not poles[v.j, v.k]:
+            return float(gamma[v.j, v.k]) / float(poly)
     if fallback is None:
         raise NoProbeAvailable(
             f"no probe K-type with nonzero polynomial for (p,q)=({p},{q}), r={r}, parity={parity}"
@@ -200,31 +218,38 @@ def parity_constant(sig: Signature, r: int, parity: int) -> float:
     return _parity_constant_cached(sig.p, sig.q, int(r), parity)
 
 
+def _polynomial_route(sig: Signature, r: int, tj, tk, eps) -> np.ndarray:
+    """parity_constant * factorized polynomial; ints or integer arrays."""
+    scale = np.zeros(np.shape(eps))
+    for parity in np.unique(eps).tolist():
+        scale = np.where(eps == parity, parity_constant(sig, r, parity), scale)
+    return scale * _factorized_float(tj, tk, r)
+
+
+def z_spectral_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """z_spectral over [0, jmax] x [0, kmax] as (values, poles); values are nan at poles."""
+    order = SpectralOrder.coerce(r)
+    if not order.is_positive_integer:
+        return z_gamma_grid(sig, order, jmax, kmax)
+    j, k, tj, tk = window(sig, jmax, kmax)
+    values = _polynomial_route(sig, order.as_integer, tj, tk, (j + k) % 2)
+    return values, np.zeros(values.shape, dtype=bool)
+
+
 def z_spectral(sig: Signature, r, v: KType) -> float:
     """Eigenvalue of the order-2r intertwining operator on V(j, k).
 
     Generic real r evaluates the eight-Gamma ratio directly; positive
-    integer r dispatches to parity_constant * factorized_eigenvalue, which
+    integer r dispatches to parity_constant * factorized polynomial, which
     continues the ratio through its matched pole/zero K-types.
     """
     order = SpectralOrder.coerce(r)
-    if order.is_positive_integer:
-        n = order.as_integer
-        return parity_constant(sig, n, v.parity) * factorized_eigenvalue(sig, n, v)
-    return z_gamma_ratio(sig, order, v)
+    if not order.is_positive_integer:
+        return z_gamma_ratio(sig, order, v)
+    return float(_polynomial_route(sig, order.as_integer, *doubled_shifts(sig, v), v.parity))
 
 
 def conformal_laplacian_eigenvalue_exact(sig: Signature, v: KType) -> Fraction:
     """Eigenvalue of the Yamabe operator of (-g_p + g_q) on V(j, k): K^2 - J^2."""
     tj, tk = doubled_shifts(sig, v)
     return Fraction(tk * tk - tj * tj, 4)
-
-
-def conformal_laplacian_eigenvalue(sig: Signature, v: KType) -> float:
-    return float(conformal_laplacian_eigenvalue_exact(sig, v))
-
-
-def inversion_check(sig: Signature, r, v: KType) -> float:
-    """Z(r) * Z(-r); exactly 1 wherever both factors are finite."""
-    order = SpectralOrder.coerce(r)
-    return z_gamma_ratio(sig, order, v) * z_gamma_ratio(sig, -order, v)

@@ -9,15 +9,16 @@ where h is half the Bochner eigenvalue jump across the edge.  For the four
 quadrants h = sj*J + sk*K + 1 evaluated at alpha, so the eigenvalue ratio
 across an edge is (h + r)/(h - r).  Propagating these ratios from a base
 K-type fills a whole parity class; agreement along different lattice paths
-is guaranteed and is rechecked here as a free consistency test.
+is guaranteed and is rechecked here as a free consistency test.  Edges of a
+window are held as arrays; the scalar functions are their single-point form.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,9 @@ TWO_R_TOL = 1e-9
 
 #: Absolute tolerance for singularity detection at generic real orders.
 POLE_TOL = 1e-12
+
+#: Relative tolerance of the edge recheck in recursion_spectrum.
+REL_TOL = 1e-10
 
 
 class ZeroDenominator(ArithmeticError):
@@ -49,6 +53,10 @@ class SpectralOrder:
     """The order parameter r (the operator has order 2r)."""
 
     r: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.r):
+            raise ValueError(f"spectral order must be finite, got r = {self.r}")
 
     @classmethod
     def coerce(cls, value) -> "SpectralOrder":
@@ -81,23 +89,73 @@ class SpectralOrder:
         return self.r
 
 
+def window(sig: Signature, jmax: int, kmax: int):
+    """Index grids j, k and doubled shifts 2J, 2K of [0, jmax] x [0, kmax] (column, row arrays)."""
+    j = np.arange(jmax + 1)[:, None]
+    k = np.arange(kmax + 1)[None, :]
+    return j, k, 2 * j + sig.p - 1, 2 * k + sig.q - 1
+
+
+def _two_h(tj, tk, direction: str):
+    """2h = sj*2J + sk*2K + 2 from doubled shifts; integers or integer arrays."""
+    sj, sk = STEPS[direction]
+    return sj * tj + sk * tk + 2
+
+
+def _singular(two_h, order: SpectralOrder):
+    """h = r: exact integer compare when 2r is an integer, POLE_TOL otherwise."""
+    if order.two_r is not None:
+        return two_h == order.two_r
+    return abs(two_h / 2.0 - order.r) <= POLE_TOL
+
+
+def _ratio(two_h, r: float):
+    """(h + r)/(h - r)."""
+    h = two_h / 2.0
+    return (h + r) / (h - r)
+
+
+def _edge_slices(direction: str, nj: int, nk: int):
+    """(tail, head): slices of the edge starts and of their ends inside an nj x nk window."""
+    dj, dk = STEPS[direction]
+    tail = (slice(max(-dj, 0), nj - max(dj, 0)), slice(max(-dk, 0), nk - max(dk, 0)))
+    head = (slice(max(dj, 0), nj - max(-dj, 0)), slice(max(dk, 0), nk - max(-dk, 0)))
+    return tail, head
+
+
+def edge_arrays(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(singular, ratio) over the window, each shaped (4, jmax + 1, kmax + 1).
+
+    Entry [d, j, k] describes the edge from (j, k) in direction DIRECTIONS[d].
+    Only edges whose head lies in the window count: ``singular`` marks those
+    with h = r, and ``ratio`` holds (h + r)/(h - r) on the others and nan
+    everywhere else.
+    """
+    order = SpectralOrder.coerce(r)
+    _, _, tj, tk = window(sig, jmax, kmax)
+    singular = np.zeros((4, jmax + 1, kmax + 1), dtype=bool)
+    ratio = np.full(singular.shape, np.nan)
+    for d, tag in enumerate(DIRECTIONS):
+        tail, _ = _edge_slices(tag, jmax + 1, kmax + 1)
+        two_h = _two_h(tj, tk, tag)[tail]
+        singular[d][tail] = _singular(two_h, order)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio[d][tail] = np.where(singular[d][tail], np.nan, _ratio(two_h, order.r))
+    return singular, ratio
+
+
 def half_jump(sig: Signature, alpha: KType, direction: str) -> Fraction:
     """Half the Bochner eigenvalue jump across the edge ``alpha`` -> quadrant.
 
     Exactly sj*J + sk*K + 1 at ``alpha``; returned as an exact rational.
     """
-    sj, sk = STEPS[direction]
-    tj, tk = doubled_shifts(sig, alpha)
-    return Fraction(sj * tj + sk * tk + 2, 2)
+    return Fraction(_two_h(*doubled_shifts(sig, alpha), direction), 2)
 
 
 def is_singular_edge(sig: Signature, alpha: KType, direction: str, r) -> bool:
     """True when h - r = 0 on this edge, i.e. the transition ratio has a pole."""
-    order = SpectralOrder.coerce(r)
-    two_h = 2 * half_jump(sig, alpha, direction)  # integer-valued Fraction
-    if order.two_r is not None:
-        return two_h == order.two_r
-    return abs(float(two_h) / 2.0 - order.r) <= POLE_TOL
+    two_h = _two_h(*doubled_shifts(sig, alpha), direction)
+    return bool(_singular(two_h, SpectralOrder.coerce(r)))
 
 
 def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
@@ -111,24 +169,31 @@ def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
             alpha=alpha,
             direction=direction,
         )
-    h = float(half_jump(sig, alpha, direction))
-    return (h + order.r) / (h - order.r)
+    return _ratio(_two_h(*doubled_shifts(sig, alpha), direction), order.r)
 
 
 @dataclass
 class SpectrumTable:
-    """Eigenvalue table for one parity class, normalized to 1 at ``base``."""
+    """Eigenvalue table for one parity class, normalized to 1 at ``base``.
+
+    ``values`` covers the whole window and is meaningful where ``reached``.
+    """
 
     sig: Signature
     r: SpectralOrder
     parity: int
-    entries: dict[KType, float]
     base: KType
-    method: str = "recursion"
+    values: np.ndarray
+    reached: np.ndarray
     singular_edges: tuple = ()
 
-    def __post_init__(self):
-        assert all(v.parity == self.parity for v in self.entries)
+    @cached_property
+    def entries(self) -> dict[KType, float]:
+        """Reached K-types and their eigenvalues."""
+        return {
+            KType(j, k): self.values[j, k].item()
+            for j, k in np.argwhere(self.reached).tolist()
+        }
 
 
 def base_ktype(parity: int) -> KType:
@@ -143,22 +208,20 @@ def recursion_spectrum(
     kmax: int,
     parity: int,
     *,
-    rel_tol: float = 1e-10,
     on_singular: str = "raise",
-    traversal: str = "bfs",
 ) -> SpectrumTable:
     """Propagate eigenvalues over the parity class inside [0, jmax] x [0, kmax].
 
-    The first edge into a K-type fixes its value; every later edge is a
-    consistency check at relative tolerance ``rel_tol``.  Singular edges
-    (h = r) either abort (``on_singular="raise"``) or are skipped
-    (``on_singular="skip"``), in which case K-types unreachable through
-    nonsingular edges are simply absent from the table.
+    A frontier advances from the base one edge layer at a time; the first
+    edge into a K-type fixes its value.  Afterwards every edge between two
+    reached K-types, in all four directions, is rechecked at relative
+    tolerance REL_TOL.  Singular edges (h = r) either abort
+    (``on_singular="raise"``) or are skipped (``on_singular="skip"``), in
+    which case K-types unreachable through nonsingular edges are simply
+    absent from the table.
     """
     if on_singular not in ("raise", "skip"):
         raise ValueError(f"on_singular must be 'raise' or 'skip', got {on_singular!r}")
-    if traversal not in ("bfs", "dfs"):
-        raise ValueError(f"traversal must be 'bfs' or 'dfs', got {traversal!r}")
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity}")
     order = SpectralOrder.coerce(r)
@@ -166,104 +229,48 @@ def recursion_spectrum(
     if base.j > jmax or base.k > kmax:
         raise ValueError(f"base K-type {base} outside truncation ({jmax}, {kmax})")
 
-    entries: dict[KType, float] = {base: 1.0}
-    singular: list[tuple[KType, str]] = []
-    frontier = deque([base])
-    while frontier:
-        alpha = frontier.popleft() if traversal == "bfs" else frontier.pop()
-        mu_a = entries[alpha]
-        for tag in DIRECTIONS:
-            beta = neighbor(alpha, tag)
-            if beta is None or beta.j > jmax or beta.k > kmax:
-                continue
-            if is_singular_edge(sig, alpha, tag, order):
-                if on_singular == "raise":
-                    raise ZeroDenominator(
-                        f"singular edge {alpha} -> {beta} at r = {order.r}",
-                        alpha=alpha,
-                        direction=tag,
-                    )
-                singular.append((alpha, tag))
-                continue
-            value = mu_a * transition_ratio(sig, alpha, tag, order)
-            if beta in entries:
-                seen = entries[beta]
-                scale = max(abs(seen), abs(value), 1e-300)
-                if abs(seen - value) / scale > rel_tol:
-                    raise PathInconsistency(
-                        f"paths disagree at {beta}: {seen!r} vs {value!r}"
-                    )
-            else:
-                entries[beta] = value
-                frontier.append(beta)
+    singular, ratio = edge_arrays(sig, order, jmax, kmax)
+    nj, nk = jmax + 1, kmax + 1
+    slices = [_edge_slices(tag, nj, nk) for tag in DIRECTIONS]
+    values = np.zeros((nj, nk))
+    reached = np.zeros((nj, nk), dtype=bool)
+    values[base.j, base.k] = 1.0
+    reached[base.j, base.k] = True
+    frontier = reached.copy()
+    while frontier.any():
+        if on_singular == "raise" and (singular & frontier).any():
+            d, j, k = np.argwhere(singular & frontier)[0].tolist()
+            transition_ratio(sig, KType(j, k), DIRECTIONS[d], order)  # raises ZeroDenominator
+        new = np.zeros_like(reached)
+        for d, (tail, head) in enumerate(slices):
+            step = frontier[tail] & ~np.isnan(ratio[d][tail]) & ~reached[head] & ~new[head]
+            values[head][step] = values[tail][step] * ratio[d][tail][step]
+            new[head] |= step
+        reached |= new
+        frontier = new
 
-    table = SpectrumTable(
+    for d, (tail, head) in enumerate(slices):
+        both = reached[tail] & reached[head] & ~singular[d][tail]
+        expected = values[tail] * ratio[d][tail]
+        seen = values[head]
+        scale = np.maximum(np.maximum(np.abs(seen), np.abs(expected)), 1e-300)
+        with np.errstate(invalid="ignore"):
+            bad = both & (np.abs(seen - expected) / scale > REL_TOL)
+        if bad.any():
+            raise PathInconsistency(
+                f"{int(bad.sum())} edges in direction {DIRECTIONS[d]!r} disagree with table values"
+            )
+
+    edges = np.argwhere((singular & reached).transpose(1, 2, 0)).tolist()
+    return SpectrumTable(
         sig=sig,
         r=order,
         parity=parity,
-        entries=entries,
         base=base,
-        singular_edges=tuple(singular),
+        values=values,
+        reached=reached,
+        singular_edges=tuple((KType(j, k), DIRECTIONS[d]) for j, k, d in edges),
     )
-    _check_all_edges(table, rel_tol)
-    return table
-
-
-def _check_all_edges(table: SpectrumTable, rel_tol: float) -> None:
-    """Recheck every nonsingular edge between computed entries."""
-    for alpha, mu_a in table.entries.items():
-        for tag in DIRECTIONS:
-            beta = neighbor(alpha, tag)
-            if beta is None or beta not in table.entries:
-                continue
-            if is_singular_edge(table.sig, alpha, tag, table.r):
-                continue
-            ratio = transition_ratio(table.sig, alpha, tag, table.r)
-            mu_b = table.entries[beta]
-            scale = max(abs(mu_b), abs(mu_a * ratio), 1e-300)
-            if abs(mu_b - mu_a * ratio) / scale > rel_tol:
-                raise PathInconsistency(
-                    f"edge {alpha} -> {beta} inconsistent with table values"
-                )
-
-
-def loop_consistency(sig: Signature, r, directions, start: KType) -> float:
-    """Product of transition ratios around a closed lattice walk.
-
-    Exact value 1 for any closed walk; the return value exposes the
-    floating-point deviation.  Raises ValueError if the walk does not
-    close up or leaves the lattice.
-    """
-    order = SpectralOrder.coerce(r)
-    product = 1.0
-    here = start
-    for tag in directions:
-        product *= transition_ratio(sig, here, tag, order)
-        here = neighbor(here, tag)
-        if here is None:
-            raise ValueError("loop left the lattice (negative index)")
-    if here != start:
-        raise ValueError(f"walk is not closed: ended at {here}, started at {start}")
-    return product
-
-
-def closed_direction_loops(length: int):
-    """All direction sequences of the given even length with zero net step."""
-    if length % 2:
-        return
-    half = length // 2
-    for jpos in itertools.combinations(range(length), half):
-        sj = [-1] * length
-        for i in jpos:
-            sj[i] = 1
-        for kpos in itertools.combinations(range(length), half):
-            sk = [-1] * length
-            for i in kpos:
-                sk[i] = 1
-            yield tuple(
-                ("+" if a > 0 else "-") + ("+" if b > 0 else "-")
-                for a, b in zip(sj, sk)
-            )
 
 
 def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = 8) -> float:
@@ -274,20 +281,10 @@ def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = 8
     Walks through a singular edge or off the [0,jmax] x [0,kmax] window are
     excluded.
     """
-    order = SpectralOrder.coerce(r)
     pad = max_len
     nj, nk = jmax + 1, kmax + 1
-    ratio = np.full((4, nj + 2 * pad, nk + 2 * pad), np.nan)
-    for d, tag in enumerate(DIRECTIONS):
-        dj, dk = STEPS[tag]
-        for j in range(nj):
-            for k in range(nk):
-                if not (0 <= j + dj <= jmax and 0 <= k + dk <= kmax):
-                    continue
-                alpha = KType(j, k)
-                if is_singular_edge(sig, alpha, tag, order):
-                    continue
-                ratio[d, pad + j, pad + k] = transition_ratio(sig, alpha, tag, order)
+    ratio = np.pad(edge_arrays(sig, r, jmax, kmax)[1], ((0, 0), (pad, pad), (pad, pad)),
+                   constant_values=np.nan)
 
     jgrid = np.arange(nj)[None, None, :, None]
     kgrid = np.arange(nk)[None, None, None, :]

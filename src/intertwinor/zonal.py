@@ -33,7 +33,7 @@ from scipy.special import (
     roots_jacobi,
 )
 
-from .geometry import KType, Signature, bochner_eigenvalue
+from .geometry import Signature
 
 
 class GridTooCoarse(ValueError):
@@ -284,9 +284,3 @@ def apply_T_numeric(f: ZonalFunction, grid: QuadratureGrid) -> np.ndarray:
     y = grid.y[None, :]
     return -y * (1.0 - x**2) * fx - x * (1.0 - y**2) * fy
 
-
-def eigenfunction_residual(sig: Signature, v: KType, f: ZonalFunction) -> float:
-    """|N phi - lambda phi| residual for a basis element; 0 in exact arithmetic."""
-    lam = bochner_eigenvalue(sig, v)
-    delta = apply_N(f).coeffs - lam * f.coeffs
-    return float(np.max(np.abs(delta)))

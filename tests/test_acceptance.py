@@ -14,7 +14,6 @@ from intertwinor.cli import main
 from intertwinor.closedform import (
     PoleAtKType,
     factorized_eigenvalue_exact,
-    inversion_check,
     parity_constant,
     z_gamma_ratio,
 )
@@ -27,6 +26,7 @@ from intertwinor.spectrum import (
 )
 from intertwinor.verify import (
     check_intertwining,
+    check_inversion,
     check_lemma1,
     check_method_agreement,
     random_zonal,
@@ -192,13 +192,9 @@ def test_07_inversion():
     worst = 0.0
     checked = 0
     for sig, r in product(SWEEP_SIGS, SWEEP_ORDERS):
-        for j, k in product(range(13), repeat=2):
-            try:
-                prod = inversion_check(sig, r, KType(j, k))
-            except PoleAtKType:
-                continue
-            worst = max(worst, abs(prod - 1.0))
-            checked += 1
+        rep = check_inversion(sig, r, 12, 12, tol=1e-12)
+        worst = max(worst, rep.max_residual)
+        checked += rep.extra["compared"]
     report(7, "inversion", worst <= 1e-12, f"max |Z(r)Z(-r)-1|={worst:.3e} over {checked} entries")
 
 

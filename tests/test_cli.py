@@ -169,6 +169,16 @@ class TestExitCodes:
             main(["spectrum", "--p", "1", "--q", "2", "--r", "0.5", "--jmax", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("flag", [["--r", "nan"], ["--r", "inf"], ["--r", "-inf"],
+                                      ["--r=nan"], ["--r=inf"], ["--r=-inf"]])
+    def test_non_finite_order_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--p", "2", "--q", "3", *flag])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr and "error:" in stderr
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main([])

@@ -8,16 +8,16 @@ from intertwinor.closedform import (
     NoProbeAvailable,
     PoleAtGamma,
     PoleAtKType,
-    conformal_laplacian_eigenvalue,
     conformal_laplacian_eigenvalue_exact,
-    factorized_eigenvalue,
     factorized_eigenvalue_exact,
-    inversion_check,
+    factorized_grid,
     parity_constant,
     signed_log_gamma,
     singular_ktypes,
+    z_gamma_grid,
     z_gamma_ratio,
     z_spectral,
+    z_spectral_grid,
 )
 from intertwinor.geometry import KType, Signature, neighbors
 from intertwinor.spectrum import recursion_spectrum, transition_ratio
@@ -112,14 +112,16 @@ class TestFactorized:
         for j in range(6):
             for k in range(6):
                 # J = j, K = k + 1
-                assert factorized_eigenvalue(sig, 1, KType(j, k)) == (k + 1) ** 2 - j**2
+                assert factorized_eigenvalue_exact(sig, 1, KType(j, k)) == (k + 1) ** 2 - j**2
 
     def test_order_two_example(self):
-        assert factorized_eigenvalue(Signature(1, 1), 2, KType(0, 0)) == 1.0
+        assert factorized_eigenvalue_exact(Signature(1, 1), 2, KType(0, 0)) == 1
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
-            factorized_eigenvalue(Signature(1, 1), 0, KType(0, 0))
+            factorized_eigenvalue_exact(Signature(1, 1), 0, KType(0, 0))
+        with pytest.raises(ValueError):
+            factorized_grid(Signature(1, 1), 0, 2, 2)
 
     def test_neighbor_ratio_law_where_nonsingular(self):
         # integer-r coherence away from zero denominators
@@ -180,13 +182,13 @@ class TestParityConstant:
 
 class TestConformalLaplacian:
     def test_examples(self):
-        assert conformal_laplacian_eigenvalue(Signature(1, 3), KType(0, 0)) == 1.0
-        assert conformal_laplacian_eigenvalue(Signature(2, 2), KType(1, 0)) == -2.0
+        assert conformal_laplacian_eigenvalue_exact(Signature(1, 3), KType(0, 0)) == 1
+        assert conformal_laplacian_eigenvalue_exact(Signature(2, 2), KType(1, 0)) == -2
 
     def test_vanishes_on_diagonal(self):
         sig = Signature(3, 3)  # J = K iff j = k
         for m in range(6):
-            assert conformal_laplacian_eigenvalue(sig, KType(m, m)) == 0.0
+            assert conformal_laplacian_eigenvalue_exact(sig, KType(m, m)) == 0
 
     def test_matches_factorized_exactly(self):
         for p in range(1, 5):
@@ -208,13 +210,77 @@ class TestConformalLaplacian:
 
 class TestInversion:
     def test_examples(self):
-        assert inversion_check(Signature(2, 2), 0.0, KType(1, 1)) == pytest.approx(1.0)
-        assert inversion_check(Signature(1, 3), 0.37, KType(2, 1)) == pytest.approx(
-            1.0, rel=1e-12
-        )
-        assert inversion_check(Signature(2, 3), 1.5, KType(3, 2)) == pytest.approx(
-            1.0, rel=1e-12
-        )
+        def inversion(sig, r, v):
+            return z_gamma_ratio(sig, r, v) * z_gamma_ratio(sig, -r, v)
+
+        assert inversion(Signature(2, 2), 0.0, KType(1, 1)) == pytest.approx(1.0)
+        assert inversion(Signature(1, 3), 0.37, KType(2, 1)) == pytest.approx(1.0, rel=1e-12)
+        assert inversion(Signature(2, 3), 1.5, KType(3, 2)) == pytest.approx(1.0, rel=1e-12)
+
+
+GRID_ORDERS = (0.37, -0.8, 0.5, 1.5, 2.25, 1.0, 2.0)
+
+
+def _exact_gamma_arguments(p, q, r, j, k):
+    """The eight Gamma arguments (numerators, denominators) as exact rationals."""
+    J = j + Fraction(p - 1, 2)
+    K = k + Fraction(q - 1, 2)
+    e = (j + k) % 2
+    numerators = [(K + J + 1 + r) / 2, (K - J + 1 + r) / 2,
+                  (e - Fraction(p - q, 2) + 1 - r) / 2, (e + Fraction(p + q, 2) - r) / 2]
+    denominators = [(K + J + 1 - r) / 2, (K - J + 1 - r) / 2,
+                    (e - Fraction(p - q, 2) + 1 + r) / 2, (e + Fraction(p + q, 2) + r) / 2]
+    return numerators, denominators
+
+
+class TestGammaGrid:
+    @pytest.mark.parametrize("r", GRID_ORDERS)
+    def test_against_mpmath_and_exact_poles(self, r):
+        exact_r = Fraction(str(r))
+        with mpmath.workdps(30):
+            for p in range(1, 5):
+                for q in range(1, 5):
+                    sig = Signature(p, q)
+                    values, poles = z_gamma_grid(sig, r, 7, 7)
+                    for j in range(8):
+                        for k in range(8):
+                            num, den = _exact_gamma_arguments(p, q, exact_r, j, k)
+                            exact_pole = any(
+                                a.denominator == 1 and a <= 0 for a in num + den
+                            )
+                            assert poles[j, k] == exact_pole, (p, q, r, j, k)
+                            if exact_pole:
+                                with pytest.raises(PoleAtKType):
+                                    z_gamma_ratio(sig, r, KType(j, k))
+                                continue
+                            ref = mpmath.mpf(1)
+                            for a, b in zip(num, den):
+                                ref *= mpmath.gamma(mpmath.mpf(a.numerator) / a.denominator)
+                                ref /= mpmath.gamma(mpmath.mpf(b.numerator) / b.denominator)
+                            assert abs(values[j, k] - float(ref)) <= 1e-13 * abs(float(ref))
+                            scalar = z_gamma_ratio(sig, r, KType(j, k))
+                            assert scalar == values[j, k]  # bit for bit
+
+    def test_spectral_grid_matches_scalar(self):
+        for p, q in [(1, 1), (2, 3), (4, 2)]:
+            sig = Signature(p, q)
+            for r in (0.37, 1.5, 2.0, 3.0):
+                values, poles = z_spectral_grid(sig, r, 6, 6)
+                for j in range(7):
+                    for k in range(7):
+                        if poles[j, k]:
+                            with pytest.raises(PoleAtKType):
+                                z_spectral(sig, r, KType(j, k))
+                        else:
+                            assert z_spectral(sig, r, KType(j, k)) == values[j, k]
+
+    def test_factorized_grid_is_exact_value_rounded(self):
+        sig = Signature(3, 2)
+        for r in (1, 2, 5):
+            grid = factorized_grid(sig, r, 9, 9)
+            for j in range(10):
+                for k in range(10):
+                    assert grid[j, k] == float(factorized_eigenvalue_exact(sig, r, KType(j, k)))
 
 
 class TestSingularSet:

@@ -1,15 +1,18 @@
 import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intertwinor.geometry import DIRECTIONS, KType, Signature, neighbor, neighbors
 from intertwinor.spectrum import (
     PathInconsistency,
     SpectralOrder,
     ZeroDenominator,
+    base_ktype,
     half_jump,
     is_singular_edge,
-    loop_consistency,
     max_loop_deviation,
     recursion_spectrum,
     transition_ratio,
@@ -26,6 +29,14 @@ def test_spectral_order_flags():
     assert SpectralOrder(0.37).two_r is None
     assert not SpectralOrder(-1.0).is_positive_integer
     assert float(-SpectralOrder(0.5)) == -0.5
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spectral_order_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        SpectralOrder(value)
+    with pytest.raises(ValueError):
+        SpectralOrder.coerce(value)
 
 
 def test_transition_ratio_examples():
@@ -110,15 +121,65 @@ def test_recursion_path_consistency():
     assert table.entries[KType(2, 2)] == pytest.approx(mu_a, rel=1e-12)
 
 
-def test_traversal_order_independence():
-    for p, q in [(1, 2), (3, 3)]:
-        sig = Signature(p, q)
+def _reference_bfs(sig, r, jmax, kmax, parity):
+    """Plain scalar BFS: values as tree products, and the singular edges met."""
+    base = base_ktype(parity)
+    values = {base: 1.0}
+    singular = 0
+    queue = deque([base])
+    while queue:
+        alpha = queue.popleft()
+        for beta, tag in neighbors(alpha):
+            if beta.j > jmax or beta.k > kmax:
+                continue
+            if is_singular_edge(sig, alpha, tag, r):
+                singular += 1
+                continue
+            if beta not in values:
+                values[beta] = values[alpha] * transition_ratio(sig, alpha, tag, r)
+                queue.append(beta)
+    return values, singular
+
+
+ORDERS = st.one_of(
+    st.floats(-6.0, 6.0, allow_nan=False),
+    st.integers(-6, 6).map(float),
+    st.integers(-12, 12).map(lambda n: n / 2.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    q=st.integers(1, 6),
+    jmax=st.integers(1, 10),
+    kmax=st.integers(1, 10),
+    parity=st.integers(0, 1),
+    r=ORDERS,
+)
+def test_recursion_matches_reference_bfs(p, q, jmax, kmax, parity, r):
+    sig = Signature(p, q)
+    reference, singular = _reference_bfs(sig, r, jmax, kmax, parity)
+    table = recursion_spectrum(sig, r, jmax, kmax, parity, on_singular="skip")
+    assert set(table.entries) == set(reference)
+    assert len(table.singular_edges) == singular
+    for v, mu in reference.items():
+        assert math.isclose(table.entries[v], mu, rel_tol=1e-13, abs_tol=0.0), (v, mu)
+
+
+def test_recursion_skip_cases_at_integer_and_half_integer_order():
+    # singular edges cut these lattices into pieces: (2, 3) at r = 1.5, (2, 2) at r = 2
+    for sig, r in ((Signature(2, 3), 1.5), (Signature(2, 2), 2.0), (Signature(1, 1), 2.0)):
+        cut = 0
         for parity in (0, 1):
-            bfs = recursion_spectrum(sig, 0.37, 8, 8, parity, traversal="bfs")
-            dfs = recursion_spectrum(sig, 0.37, 8, 8, parity, traversal="dfs")
-            assert set(bfs.entries) == set(dfs.entries)
-            for v, mu in bfs.entries.items():
-                assert dfs.entries[v] == pytest.approx(mu, rel=1e-13)
+            reference, singular = _reference_bfs(sig, r, 12, 12, parity)
+            table = recursion_spectrum(sig, r, 12, 12, parity, on_singular="skip")
+            assert set(table.entries) == set(reference)
+            assert len(table.singular_edges) == singular
+            for v, mu in reference.items():
+                assert math.isclose(table.entries[v], mu, rel_tol=1e-13, abs_tol=0.0)
+            cut += singular
+        assert cut > 0
 
 
 def test_recursion_singular_edge_raise_and_skip():
@@ -132,14 +193,24 @@ def test_recursion_singular_edge_raise_and_skip():
 
 def test_loop_consistency_examples():
     sig = Signature(2, 2)
-    assert loop_consistency(sig, 0.37, [], KType(1, 1)) == 1.0
+
+    def walk_product(tags, start):
+        here, product = start, 1.0
+        for tag in tags:
+            product *= transition_ratio(sig, here, tag, 0.37)
+            here = neighbor(here, tag)
+        assert here == start
+        return product
+
+    assert walk_product([], KType(1, 1)) == 1.0
+    assert max_loop_deviation(sig, 0.37, 1, 1, max_len=0) == 0.0
     # forwards then backwards
-    assert loop_consistency(sig, 0.37, ["++", "--"], KType(0, 0)) == pytest.approx(1.0, rel=1e-14)
-    # a genuine square loop
-    product = loop_consistency(sig, 0.37, ["++", "+-", "--", "-+"], KType(1, 1))
+    assert walk_product(["++", "--"], KType(0, 0)) == pytest.approx(1.0, rel=1e-14)
+    assert max_loop_deviation(sig, 0.37, 1, 1, max_len=2) <= 1e-14
+    # a genuine square loop, (1,1) -> (2,2) -> (3,1) -> (2,0) -> (1,1)
+    product = walk_product(["++", "+-", "--", "-+"], KType(1, 1))
     assert product == pytest.approx(1.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        loop_consistency(sig, 0.37, ["++"], KType(0, 0))
+    assert max_loop_deviation(sig, 0.37, 3, 2, max_len=4) <= 1e-13
 
 
 def test_loop_products_sweep_small():

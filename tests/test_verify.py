@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from intertwinor.geometry import Signature
+from intertwinor.closedform import PoleAtKType, z_gamma_ratio
+from intertwinor.geometry import KType, Signature
+from intertwinor.spectrum import base_ktype, recursion_spectrum
 from intertwinor.verify import (
     DEFAULT_CHECKS,
     check_conformal_laplacian,
@@ -102,3 +104,29 @@ def test_intertwining_residual_stable_under_truncation_growth():
     rep_small = check_intertwining(sig, 0.37, f)
     rep_big = check_intertwining(sig, 0.37, ZonalFunction(sig, big))
     assert abs(rep_small.max_residual - rep_big.max_residual) < 1e-12
+
+
+def test_window_checks_match_scalar_loops():
+    # the array forms of inversion and method agreement against per-K-type loops
+    for sig, r in ((Signature(1, 2), 1.5), (Signature(2, 3), 0.37), (Signature(3, 1), -0.8)):
+        inversion = check_inversion(sig, r, 7, 7)
+        agreement = check_method_agreement(sig, r, 7, 7)
+        worst_inv, worst_agree, compared = 0.0, 0.0, 0
+        for j in range(8):
+            for k in range(8):
+                v = KType(j, k)
+                try:
+                    zv = z_gamma_ratio(sig, r, v)
+                    worst_inv = max(worst_inv, abs(zv * z_gamma_ratio(sig, -r, v) - 1.0))
+                    zbase = z_gamma_ratio(sig, r, base_ktype(v.parity))
+                except PoleAtKType:
+                    continue
+                table = recursion_spectrum(sig, r, 7, 7, v.parity, on_singular="skip")
+                if v in table.entries:
+                    mu = table.entries[v]
+                    rel = abs(zv / zbase - mu) / max(abs(zv / zbase), abs(mu), 1e-300)
+                    worst_agree = max(worst_agree, rel)
+                    compared += 1
+        assert inversion.max_residual == worst_inv
+        assert agreement.max_residual == worst_agree
+        assert agreement.extra["compared"] == compared
