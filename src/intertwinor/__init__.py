@@ -10,7 +10,7 @@ from .geometry import DIRECTIONS, KType, Signature, bochner_eigenvalue, \
     laplacian_eigenvalue, n_difference, neighbors, scalar_curvature
 from .spectrum import SpectralOrder, SpectrumTable, ZeroDenominator, \
     PathInconsistency, recursion_spectrum, transition_ratio, max_loop_deviation
-from .closedform import PoleAtGamma, PoleAtKType, NoProbeAvailable, \
+from .closedform import PoleAtGamma, PoleAtKType, \
     SignedLogValue, signed_log_gamma, z_spectral, z_spectral_grid, \
     factorized_eigenvalue_exact, parity_constant, conformal_laplacian_eigenvalue_exact
 from .zonal import GridTooCoarse, QuadratureGrid, ZonalFunction, \

@@ -82,10 +82,7 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
 
 
 def _spectrum_rows(sig: Signature, order: SpectralOrder, jmax: int, kmax: int):
-    tables = [
-        recursion_spectrum(sig, order, jmax, kmax, parity, on_singular="skip")
-        for parity in (0, 1)
-    ]
+    tables = [recursion_spectrum(sig, order, jmax, kmax, parity) for parity in (0, 1)]
     recursion = [table.values.tolist() for table in tables]
     reached = [table.reached.tolist() for table in tables]
     closed, poles = (a.tolist() for a in z_spectral_grid(sig, order, jmax, kmax))

@@ -7,14 +7,15 @@ Gamma factors
     -----------------------------------------------------------------------
     G((K+J+1-r)/2) G((K-J+1-r)/2) G((e-(p-q)/2+1+r)/2) G((e+(p+q)/2+r)/2)
 
-evaluated through signed log-Gamma arithmetic.  For a positive integer r the
-ratio telescopes to a polynomial
+evaluated through signed log-Gamma arithmetic.  For a positive integer r each
+Gamma pair telescopes to a Pochhammer symbol, Gamma(x + r)/Gamma(x) = (x)_r:
+the two pairs that depend on the K-type give the polynomial
 
-    prod_{m=0}^{r-1} (K+J+1-r+2m)(K-J+1-r+2m)
+    prod_{m=0}^{r-1} (K+J+1-r+2m)(K-J+1-r+2m),
 
-times a constant depending only on the parity class; the polynomial is the
-analytic continuation through the K-types where the raw ratio develops
-matched pole/zero pairs, so integer orders dispatch to it.
+and the two that depend only on the parity class give its constant exactly.
+The polynomial is the analytic continuation through the K-types where the raw
+ratio develops matched pole/zero pairs, so integer orders dispatch to it.
 
 All Gamma arguments are half-integer lattice translates of +/- r/2; they are
 formed in exact doubled-integer arithmetic whenever 2r is an integer, making
@@ -24,10 +25,10 @@ whole windows; the scalar functions are the same kernels at one K-type.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, gammasgn
@@ -35,7 +36,7 @@ from scipy.special import gammaln, gammasgn
 from .geometry import KType, Signature, doubled_shifts
 from .spectrum import POLE_TOL, SpectralOrder, window
 
-#: Step used for the limit convention when the parity constant is singular.
+#: Step of the limit convention for a parity constant with a class Gamma pole.
 LIMIT_STEP = 1e-6
 
 
@@ -50,10 +51,6 @@ class PoleAtKType(ArithmeticError):
         super().__init__(message)
         self.ktype = ktype
         self.argument = argument
-
-
-class NoProbeAvailable(RuntimeError):
-    """Every probe K-type was singular or zero; see the limit convention."""
 
 
 @dataclass(frozen=True)
@@ -88,23 +85,28 @@ def signed_log_gamma(x: float) -> SignedLogValue:
     return SignedLogValue(float(gammaln(x)), int(gammasgn(x)))
 
 
-def _gamma_arguments(sig: Signature, order: SpectralOrder, tj, tk, eps):
-    """The eight Gamma arguments as (side, fourx, sign, x, pole), numerator then denominator.
+def _gamma_pairs(sig: Signature, tj, tk, eps):
+    """The four Gamma pairs as (fourc, sigma): Gamma(c + sigma*r/2) over Gamma(c - sigma*r/2).
 
-    Pair i is Gamma((fourx + sigma*2r)/4) over Gamma((fourx - sigma*2r)/4); the
-    doubled shifts ``tj``, ``tk`` and parity ``eps`` are integers or integer arrays.
+    ``fourc`` is 4c from the doubled shifts ``tj``, ``tk`` and parity ``eps``
+    (integers or integer arrays).  Pairs 1-2 depend on the K-type, pairs 3-4
+    only on its parity class.
     """
-    pairs = (
+    return (
         (tk + tj + 2, +1),
         (tk - tj + 2, +1),
         (2 * eps - (sig.p - sig.q) + 2, -1),
         (2 * eps + (sig.p + sig.q), -1),
     )
-    for fourx, sigma in pairs:
+
+
+def _gamma_arguments(sig: Signature, order: SpectralOrder, tj, tk, eps):
+    """The eight Gamma arguments as (side, fourc, sign, x, pole), pair by pair, numerator first."""
+    for fourc, sigma in _gamma_pairs(sig, tj, tk, eps):
         for side, s in (("numerator", sigma), ("denominator", -sigma)):
-            x = (fourx + s * 2.0 * order.r) / 4.0
-            exact = None if order.two_r is None else fourx + s * order.two_r
-            yield side, fourx, s, x, _pole_mask(x, exact)
+            x = (fourc + s * 2.0 * order.r) / 4.0
+            exact = None if order.two_r is None else fourc + s * order.two_r
+            yield side, fourc, s, x, _pole_mask(x, exact)
 
 
 def _exp(x) -> np.ndarray:
@@ -146,76 +148,81 @@ def z_gamma_ratio(sig: Signature, r, v: KType) -> float:
     return float(value)
 
 
+def numerator_pole_grid(sig: Signature, r, jmax: int, kmax: int) -> np.ndarray:
+    """Where a numerator Gamma argument has a pole over [0, jmax] x [0, kmax].
+
+    The closed form is infinite or undefined there; a K-type whose poles all
+    sit in the denominator has eigenvalue 0.
+    """
+    j, k, tj, tk = window(sig, jmax, kmax)
+    args = _gamma_arguments(sig, SpectralOrder.coerce(r), tj, tk, (j + k) % 2)
+    return np.logical_or.reduce([pole for side, *_, pole in args if side == "numerator"])
+
+
 def singular_ktypes(sig: Signature, r, parity: int, jmax: int, kmax: int) -> set[KType]:
     """K-types of the parity class where the raw Gamma ratio has an argument pole."""
     _, poles = z_gamma_grid(sig, r, jmax, kmax)
     return {KType(j, k) for j, k in np.argwhere(poles).tolist() if (j + k) % 2 == parity}
 
 
-def _factorized_numerator(tj, tk, r: int):
-    """4**r times the factorized polynomial, exactly: ints or object arrays."""
+def _pochhammer(fourx, r: int):
+    """4**r (x)_r = prod_{m<r} (4x + 4m), exactly; ints or object arrays.
+
+    At integer r, Gamma(x + r)/Gamma(x) = (x)_r (DLMF 5.2(iii)), so with
+    N(4c) = _pochhammer(4c - 2r, r) a Gamma pair (4c, sigma) is (N / 4**r)**sigma.
+    """
     if r < 1:
-        raise ValueError(f"factorized eigenvalue requires a positive integer r, got {r}")
+        raise ValueError(f"integer-order route requires a positive integer r, got {r}")
     out = 1
     for m in range(r):
-        out = out * (tk + tj + 2 - 2 * r + 4 * m) * (tk - tj + 2 - 2 * r + 4 * m)
+        out = out * (fourx + 4 * m)
     return out
 
 
-def _factorized_float(tj, tk, r: int) -> np.ndarray:
+def _factorized_numerator(sig: Signature, tj, tk, eps, r: int):
+    """4**r times the factorized polynomial, N1 N2 of pairs 1-2, exactly: ints or object arrays."""
+    return math.prod(_pochhammer(fourc - 2 * r, r) for fourc, _ in _gamma_pairs(sig, tj, tk, eps)[:2])
+
+
+def _factorized_float(sig: Signature, tj, tk, eps, r: int) -> np.ndarray:
     """The polynomial rounded once from its exact value; ints or integer arrays."""
-    exact = _factorized_numerator(np.asarray(tj, dtype=object), np.asarray(tk, dtype=object), r)
-    return np.asarray(exact / 4**r, dtype=float)
+    tj, tk = np.asarray(tj, dtype=object), np.asarray(tk, dtype=object)
+    return np.asarray(_factorized_numerator(sig, tj, tk, eps, r) / 4**r, dtype=float)
 
 
 def factorized_eigenvalue_exact(sig: Signature, r: int, v: KType) -> Fraction:
     """Exact polynomial eigenvalue prod_m (K+J+1-r+2m)(K-J+1-r+2m), m < r."""
     r = int(r)
-    return Fraction(_factorized_numerator(*doubled_shifts(sig, v), r), 4**r)
+    return Fraction(_factorized_numerator(sig, *doubled_shifts(sig, v), v.parity, r), 4**r)
 
 
 def factorized_grid(sig: Signature, r: int, jmax: int, kmax: int) -> np.ndarray:
     """float(factorized_eigenvalue_exact) over [0, jmax] x [0, kmax]."""
-    _, _, tj, tk = window(sig, jmax, kmax)
-    return _factorized_float(tj, tk, int(r))
-
-
-@lru_cache(maxsize=None)
-def _parity_constant_cached(p: int, q: int, r: int, parity: int) -> float:
-    sig = Signature(p, q)
-    probe_max = 2 * r + 8
-    order = SpectralOrder(float(r))
-    gamma, poles = z_gamma_grid(sig, order, probe_max, probe_max)
-    span = range(probe_max + 1)
-    candidates = sorted((KType(j, k) for j in span for k in span if (j + k) % 2 == parity),
-                        key=lambda v: (v.j + v.k, v.j))
-    fallback = None
-    for v in candidates:
-        poly = factorized_eigenvalue_exact(sig, r, v)
-        if poly == 0:
-            continue
-        if fallback is None:
-            fallback = v
-        if not poles[v.j, v.k]:
-            return float(gamma[v.j, v.k]) / float(poly)
-    if fallback is None:
-        raise NoProbeAvailable(
-            f"no probe K-type with nonzero polynomial for (p,q)=({p},{q}), r={r}, parity={parity}"
-        )
-    # Limit convention: the Gamma-ratio normalization degenerates at this
-    # integer order, so the constant is pinned by a symmetric evaluation at
-    # r +/- LIMIT_STEP.  Deterministic, but convention-dependent.
-    poly = float(factorized_eigenvalue_exact(sig, r, fallback))
-    above = z_gamma_ratio(sig, r + LIMIT_STEP, fallback) / poly
-    below = z_gamma_ratio(sig, r - LIMIT_STEP, fallback) / poly
-    return 0.5 * (above + below)
+    j, k, tj, tk = window(sig, jmax, kmax)
+    return _factorized_float(sig, tj, tk, (j + k) % 2, int(r))
 
 
 def parity_constant(sig: Signature, r: int, parity: int) -> float:
-    """Ratio of the Gamma-ratio route to the polynomial, constant per parity class."""
+    """Ratio of the Gamma-ratio route to the polynomial, constant per parity class.
+
+    Pairs 3-4 give it exactly as 4**r / (N3 N4).  Where N3 N4 = 0 a class
+    Gamma pair has a pole at this order, and the constant is pinned by a
+    symmetric evaluation at r +/- LIMIT_STEP on the first class member with a
+    nonzero polynomial, in (j + k, j) order: deterministic, but
+    convention-dependent.
+    """
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity}")
-    return _parity_constant_cached(sig.p, sig.q, int(r), parity)
+    r = int(r)
+    n3n4 = math.prod(_pochhammer(fourc - 2 * r, r) for fourc, _ in _gamma_pairs(sig, 0, 0, parity)[2:])
+    if n3n4:
+        return 4**r / n3n4
+    members = (KType(j, s - j) for s in itertools.count(parity, 2) for j in range(s + 1))
+    probe = next(v for v in members if factorized_eigenvalue_exact(sig, r, v))
+    poly = float(factorized_eigenvalue_exact(sig, r, probe))
+    above = z_gamma_ratio(sig, r + LIMIT_STEP, probe) / poly
+    below = z_gamma_ratio(sig, r - LIMIT_STEP, probe) / poly
+    return 0.5 * (above + below)
 
 
 def _polynomial_route(sig: Signature, r: int, tj, tk, eps) -> np.ndarray:
@@ -223,7 +230,7 @@ def _polynomial_route(sig: Signature, r: int, tj, tk, eps) -> np.ndarray:
     scale = np.zeros(np.shape(eps))
     for parity in np.unique(eps).tolist():
         scale = np.where(eps == parity, parity_constant(sig, r, parity), scale)
-    return scale * _factorized_float(tj, tk, r)
+    return scale * _factorized_float(sig, tj, tk, eps, r)
 
 
 def z_spectral_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:

@@ -201,27 +201,16 @@ def base_ktype(parity: int) -> KType:
     return KType(0, 0) if parity == 0 else KType(1, 0)
 
 
-def recursion_spectrum(
-    sig: Signature,
-    r,
-    jmax: int,
-    kmax: int,
-    parity: int,
-    *,
-    on_singular: str = "raise",
-) -> SpectrumTable:
+def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int, parity: int) -> SpectrumTable:
     """Propagate eigenvalues over the parity class inside [0, jmax] x [0, kmax].
 
     A frontier advances from the base one edge layer at a time; the first
     edge into a K-type fixes its value.  Afterwards every edge between two
     reached K-types, in all four directions, is rechecked at relative
-    tolerance REL_TOL.  Singular edges (h = r) either abort
-    (``on_singular="raise"``) or are skipped (``on_singular="skip"``), in
-    which case K-types unreachable through nonsingular edges are simply
+    tolerance REL_TOL.  Singular edges (h = r) are skipped and listed in
+    ``singular_edges``; K-types unreachable through nonsingular edges are
     absent from the table.
     """
-    if on_singular not in ("raise", "skip"):
-        raise ValueError(f"on_singular must be 'raise' or 'skip', got {on_singular!r}")
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity}")
     order = SpectralOrder.coerce(r)
@@ -238,9 +227,6 @@ def recursion_spectrum(
     reached[base.j, base.k] = True
     frontier = reached.copy()
     while frontier.any():
-        if on_singular == "raise" and (singular & frontier).any():
-            d, j, k = np.argwhere(singular & frontier)[0].tolist()
-            transition_ratio(sig, KType(j, k), DIRECTIONS[d], order)  # raises ZeroDenominator
         new = np.zeros_like(reached)
         for d, (tail, head) in enumerate(slices):
             step = frontier[tail] & ~np.isnan(ratio[d][tail]) & ~reached[head] & ~new[head]

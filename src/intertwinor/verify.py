@@ -8,6 +8,7 @@ given (signature, r, truncation, seed) and serialize to flat JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from .closedform import (
     PoleAtKType,
     conformal_laplacian_eigenvalue_exact,
     factorized_eigenvalue_exact,
+    numerator_pole_grid,
     singular_ktypes,  # unused here; perfbench/tracing.py rebinds this name
     z_gamma_grid,
     z_gamma_ratio,  # unused here; perfbench/tracing.py rebinds this name
@@ -52,8 +54,8 @@ class VerificationReport:
     max_residual: float
     tolerance: float
     worst_location: tuple | None = None
-    passed: bool = False
     extra: dict = field(default_factory=dict)
+    passed: bool = field(init=False)
 
     def __post_init__(self):
         self.passed = self.max_residual <= self.tolerance
@@ -141,11 +143,15 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
                            tol: float = 1e-10) -> VerificationReport:
     """Recursion table vs base-normalized closed form, both parity classes.
 
-    Singular entries (predicted exactly from the Gamma-argument poles) are
-    skipped and counted; the skipped set must coincide with the prediction.
+    Entries with a numerator Gamma-argument pole, where the closed form is
+    infinite, are the predicted exclusions: skipped and counted, and the
+    skipped set must coincide with the prediction.  Entries whose poles all
+    sit in the denominator are compared at mu = 0.
     """
     order = SpectralOrder.coerce(r)
     gamma, poles = z_gamma_grid(sig, order, jmax, kmax)
+    infinite = numerator_pole_grid(sig, order, jmax, kmax)
+    mu = np.where(poles & ~infinite, 0.0, gamma)
     j, k = np.indices(gamma.shape)
     residual = 0.0
     where = None
@@ -162,13 +168,13 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
             # propagate ratios within its own reachable component.)
             skipped += int(klass.sum())
             continue
-        table = recursion_spectrum(sig, order, jmax, kmax, parity, on_singular="skip")
-        predicted = klass & poles
-        missing = klass & ~poles & ~table.reached
+        table = recursion_spectrum(sig, order, jmax, kmax, parity)
+        predicted = klass & infinite
+        missing = klass & ~infinite & ~table.reached
         prediction_ok &= not (predicted & table.reached).any() and not missing.any()
         skipped += int(predicted.sum() + missing.sum())
-        comparable = klass & ~poles & table.reached
-        zval = gamma / gamma[base.j, base.k]
+        comparable = klass & ~infinite & table.reached
+        zval = mu / mu[base.j, base.k]
         scale = np.maximum(np.maximum(np.abs(zval), np.abs(table.values)), 1e-300)
         rel = np.where(comparable, np.abs(zval - table.values) / scale, 0.0)
         compared += int(comparable.sum())
@@ -197,8 +203,6 @@ def check_conformal_laplacian(sig: Signature, jmax: int, kmax: int) -> Verificat
                 mismatches += 1
                 where = where or (j, k)
     # (n-2)/(4(n-1)) * Scal must equal ((q-1)^2 - (p-1)^2)/4, exactly.
-    from fractions import Fraction
-
     n = sig.n
     curvature_ok = (
         n == 2

@@ -1,16 +1,17 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
 
 from intertwinor.closedform import (
-    NoProbeAvailable,
     PoleAtGamma,
     PoleAtKType,
     conformal_laplacian_eigenvalue_exact,
     factorized_eigenvalue_exact,
     factorized_grid,
+    numerator_pole_grid,
     parity_constant,
     signed_log_gamma,
     singular_ktypes,
@@ -171,6 +172,42 @@ class TestParityConstant:
                     # the limit convention must still produce something usable
                     assert math.isfinite(c) and c != 0.0
 
+    def test_exact_class_constant(self):
+        # At integer r the class pairs 3-4 telescope to 1/(x)_r, x = c - r/2, so
+        # the constant is 4**r / (N3 N4) with N = 4**r (x)_r.  It is finite
+        # unless a class pair has a pole in one argument only; a pole in both
+        # arguments (a double pole) cancels.
+        double_pole_classes = []
+        with mpmath.workdps(40):
+            for p, q, r, parity in product(range(1, 7), range(1, 7), range(1, 9), (0, 1)):
+                sig = Signature(p, q)
+                num, den = _exact_gamma_arguments(p, q, r, parity, 0)
+                class_pairs = list(zip(num[2:], den[2:]))  # (c - r/2, c + r/2)
+                pair_poles = [(_is_pole(a), _is_pole(b)) for a, b in class_pairs]
+                n34 = math.prod(4 * (x + m) for x, _ in class_pairs for m in range(r))
+                c = parity_constant(sig, r, parity)
+                if any(a != b for a, b in pair_poles):
+                    assert n34 == 0, (p, q, r, parity)
+                    continue
+                assert n34 != 0 and c == float(Fraction(4**r, n34)), (p, q, r, parity)
+                members = [(j, s - j) for s in range(parity, 2 * r + 9, 2) for j in range(s + 1)]
+                nonzero = (v for v in members if factorized_eigenvalue_exact(sig, r, KType(*v)))
+                if any(map(any, pair_poles)):
+                    assert all(_has_pole(p, q, r, *v) for v in members)
+                    double_pole_classes.append((p, q, r, parity))
+                    # the symmetric r +/- d limit at the first member, the
+                    # convention of the raw Gamma ratio at a pole
+                    j, k = next(nonzero)
+                    d = Fraction(1, 10**12)
+                    ref = (_mp_gamma_ratio(p, q, r + d, j, k) + _mp_gamma_ratio(p, q, r - d, j, k)) / 2
+                else:
+                    j, k = next(v for v in nonzero if not _has_pole(p, q, r, *v))
+                    ref = _mp_gamma_ratio(p, q, Fraction(r), j, k)
+                poly = factorized_eigenvalue_exact(sig, r, KType(j, k))
+                ref = ref * poly.denominator / poly.numerator
+                assert abs(c - float(ref)) <= 1e-14 * abs(float(ref)), (p, q, r, parity)
+        assert double_pole_classes == [(5, 1, 1, 0), (6, 2, 1, 0)]
+
     def test_limit_convention_is_deterministic(self):
         # the Gamma constant is singular here; the limit value must at least
         # be finite, nonzero, and reproducible
@@ -233,6 +270,25 @@ def _exact_gamma_arguments(p, q, r, j, k):
     return numerators, denominators
 
 
+def _is_pole(a: Fraction) -> bool:
+    return a.denominator == 1 and a <= 0
+
+
+def _has_pole(p, q, r, j, k) -> bool:
+    num, den = _exact_gamma_arguments(p, q, r, j, k)
+    return any(map(_is_pole, num + den))
+
+
+def _mp_gamma_ratio(p, q, r, j, k):
+    """The eight-Gamma ratio at exactly rational r, in mpmath at the working precision."""
+    num, den = _exact_gamma_arguments(p, q, r, j, k)
+    out = mpmath.mpf(1)
+    for a, b in zip(num, den):
+        out *= mpmath.gamma(mpmath.mpf(a.numerator) / a.denominator)
+        out /= mpmath.gamma(mpmath.mpf(b.numerator) / b.denominator)
+    return out
+
+
 class TestGammaGrid:
     @pytest.mark.parametrize("r", GRID_ORDERS)
     def test_against_mpmath_and_exact_poles(self, r):
@@ -242,13 +298,13 @@ class TestGammaGrid:
                 for q in range(1, 5):
                     sig = Signature(p, q)
                     values, poles = z_gamma_grid(sig, r, 7, 7)
+                    numerator_poles = numerator_pole_grid(sig, r, 7, 7)
                     for j in range(8):
                         for k in range(8):
                             num, den = _exact_gamma_arguments(p, q, exact_r, j, k)
-                            exact_pole = any(
-                                a.denominator == 1 and a <= 0 for a in num + den
-                            )
+                            exact_pole = any(map(_is_pole, num + den))
                             assert poles[j, k] == exact_pole, (p, q, r, j, k)
+                            assert numerator_poles[j, k] == any(map(_is_pole, num)), (p, q, r, j, k)
                             if exact_pole:
                                 with pytest.raises(PoleAtKType):
                                     z_gamma_ratio(sig, r, KType(j, k))

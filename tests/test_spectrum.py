@@ -160,7 +160,7 @@ ORDERS = st.one_of(
 def test_recursion_matches_reference_bfs(p, q, jmax, kmax, parity, r):
     sig = Signature(p, q)
     reference, singular = _reference_bfs(sig, r, jmax, kmax, parity)
-    table = recursion_spectrum(sig, r, jmax, kmax, parity, on_singular="skip")
+    table = recursion_spectrum(sig, r, jmax, kmax, parity)
     assert set(table.entries) == set(reference)
     assert len(table.singular_edges) == singular
     for v, mu in reference.items():
@@ -173,7 +173,7 @@ def test_recursion_skip_cases_at_integer_and_half_integer_order():
         cut = 0
         for parity in (0, 1):
             reference, singular = _reference_bfs(sig, r, 12, 12, parity)
-            table = recursion_spectrum(sig, r, 12, 12, parity, on_singular="skip")
+            table = recursion_spectrum(sig, r, 12, 12, parity)
             assert set(table.entries) == set(reference)
             assert len(table.singular_edges) == singular
             for v, mu in reference.items():
@@ -182,11 +182,9 @@ def test_recursion_skip_cases_at_integer_and_half_integer_order():
         assert cut > 0
 
 
-def test_recursion_singular_edge_raise_and_skip():
+def test_recursion_singular_edge_skip():
     sig = Signature(1, 2)  # J + K + 1 = 1.5 at the base edge
-    with pytest.raises(ZeroDenominator):
-        recursion_spectrum(sig, 1.5, 6, 6, 0)
-    table = recursion_spectrum(sig, 1.5, 6, 6, 0, on_singular="skip")
+    table = recursion_spectrum(sig, 1.5, 6, 6, 0)
     assert table.entries == {KType(0, 0): 1.0}
     assert len(table.singular_edges) > 0
 

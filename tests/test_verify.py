@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from intertwinor.closedform import PoleAtKType, z_gamma_ratio
+from intertwinor.cli import main
+from intertwinor.closedform import PoleAtKType, numerator_pole_grid, z_gamma_grid, z_gamma_ratio
 from intertwinor.geometry import KType, Signature
 from intertwinor.spectrum import base_ktype, recursion_spectrum
 from intertwinor.verify import (
     DEFAULT_CHECKS,
+    VerificationReport,
     check_conformal_laplacian,
     check_intertwining,
     check_inversion,
@@ -60,6 +62,23 @@ def test_method_agreement_examples():
     assert rep.passed and rep.extra["skipped"] == 0
 
 
+def test_method_agreement_compares_denominator_only_poles_at_zero():
+    # (1, 4) at r = 1/2: K-types whose Gamma poles all sit in the denominator
+    # have mu = 0, and the recursion reaches them with the value 0
+    sig = Signature(1, 4)
+    rep = check_method_agreement(sig, 0.5, 9, 9)
+    assert rep.passed and rep.extra["skipped_matches_prediction"]
+    _, poles = z_gamma_grid(sig, 0.5, 9, 9)
+    zeros = poles & ~numerator_pole_grid(sig, 0.5, 9, 9)
+    assert zeros.any()
+    for j, k in np.argwhere(zeros).tolist():
+        table = recursion_spectrum(sig, 0.5, 9, 9, (j + k) % 2)
+        assert table.reached[j, k] and table.values[j, k] == 0.0
+    argv = ["verify", "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "9", "--kmax", "9",
+            "--check", "method-agreement"]
+    assert main(argv) == 0
+
+
 def test_conformal_laplacian():
     rep = check_conformal_laplacian(Signature(2, 5), 10, 10)
     assert rep.passed and rep.max_residual == 0.0
@@ -78,6 +97,8 @@ def test_report_roundtrips_to_json():
     assert back["check"] == "method-agreement"
     assert back["pass"] is True
     assert back["tolerance"] == rep.tolerance
+    with pytest.raises(TypeError):  # the verdict is derived, never passed in
+        VerificationReport("x", 1, 1, None, 1, 1, max_residual=1.0, tolerance=0.0, passed=True)
 
 
 def test_run_suite_all_checks():
@@ -121,7 +142,7 @@ def test_window_checks_match_scalar_loops():
                     zbase = z_gamma_ratio(sig, r, base_ktype(v.parity))
                 except PoleAtKType:
                     continue
-                table = recursion_spectrum(sig, r, 7, 7, v.parity, on_singular="skip")
+                table = recursion_spectrum(sig, r, 7, 7, v.parity)
                 if v in table.entries:
                     mu = table.entries[v]
                     rel = abs(zv / zbase - mu) / max(abs(zv / zbase), abs(mu), 1e-300)
