@@ -11,6 +11,7 @@ form undefined) or "zero-denominator" (recursion blocked), never as NaN.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,6 +41,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intertwinor",
@@ -83,12 +85,14 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
 
 def _spectrum_rows(sig: Signature, order: SpectralOrder, jmax: int, kmax: int):
     tables = [recursion_spectrum(sig, order, jmax, kmax, parity) for parity in (0, 1)]
-    recursion = [table.values.tolist() for table in tables]
+    # Adding 0.0 turns -0.0 into 0.0 (IEEE 754), so no cell prints a negative zero.
+    recursion = [(table.values + 0.0).tolist() for table in tables]
     reached = [table.reached.tolist() for table in tables]
-    closed, poles = (a.tolist() for a in z_spectral_grid(sig, order, jmax, kmax))
+    closed, poles = z_spectral_grid(sig, order, jmax, kmax)
+    closed, poles = (closed + 0.0).tolist(), poles.tolist()
     factorized = None
     if order.is_positive_integer:
-        factorized = factorized_grid(sig, order.as_integer, jmax, kmax).tolist()
+        factorized = (factorized_grid(sig, order.as_integer, jmax, kmax) + 0.0).tolist()
     zbase = [None if poles[b.j][b.k] else closed[b.j][b.k] for b in map(base_ktype, (0, 1))]
     half_j = [doubled_shifts(sig, KType(j, 0))[0] / 2.0 for j in range(jmax + 1)]
     half_k = [doubled_shifts(sig, KType(0, k))[1] / 2.0 for k in range(kmax + 1)]

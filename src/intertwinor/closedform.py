@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .geometry import KType, Signature, doubled_shifts
 from .spectrum import POLE_TOL, SpectralOrder, window
@@ -78,11 +77,31 @@ def _pole_mask(x, four_x=None):
     return (x <= 0.5) & (np.abs(x - rounded) <= POLE_TOL) & (rounded <= 0)
 
 
+#: Below this |x|, log |Gamma(x)| is taken as log |math.gamma(x)|: against
+#: mpmath on the Gamma arguments of the closed form its absolute error is
+#: about half that of math.lgamma (median 1.0e-15 against 2.0e-15), and
+#: Gamma(x) stays far from overflow and underflow.
+GAMMA_DIRECT = 150.0
+
+
+def _log_gamma(x: float) -> tuple[float, float]:
+    """log |Gamma(x)| and the sign of Gamma(x); (inf, 1.0) at an exact pole.
+
+    Gamma(x) < 0 exactly when x < 0 and floor(x) is odd (DLMF 5.4, 5.5.1).
+    """
+    try:
+        log_magnitude = math.log(abs(math.gamma(x))) if abs(x) < GAMMA_DIRECT else math.lgamma(x)
+    except (ValueError, OverflowError):  # x a nonpositive integer, or |x| near the float limit
+        return math.inf, 1.0
+    return log_magnitude, -1.0 if x < 0 and math.floor(x) % 2 else 1.0
+
+
 def signed_log_gamma(x: float) -> SignedLogValue:
     """log |Gamma(x)| and the sign of Gamma(x) for real non-pole x."""
     if _pole_mask(x):
         raise PoleAtGamma(f"Gamma pole at x = {x}")
-    return SignedLogValue(float(gammaln(x)), int(gammasgn(x)))
+    log_magnitude, sign = _log_gamma(x)
+    return SignedLogValue(log_magnitude, int(sign))
 
 
 def _gamma_pairs(sig: Signature, tj, tk, eps):
@@ -100,13 +119,17 @@ def _gamma_pairs(sig: Signature, tj, tk, eps):
     )
 
 
+def _argument(order: SpectralOrder, fourc, s):
+    """x = (4c + 2sr)/4 and its pole mask, for integer 4c and s = +/-1 (ints or integer arrays)."""
+    x = (fourc + s * 2.0 * order.r) / 4.0
+    return x, _pole_mask(x, None if order.two_r is None else fourc + s * order.two_r)
+
+
 def _gamma_arguments(sig: Signature, order: SpectralOrder, tj, tk, eps):
     """The eight Gamma arguments as (side, fourc, sign, x, pole), pair by pair, numerator first."""
     for fourc, sigma in _gamma_pairs(sig, tj, tk, eps):
         for side, s in (("numerator", sigma), ("denominator", -sigma)):
-            x = (fourc + s * 2.0 * order.r) / 4.0
-            exact = None if order.two_r is None else fourc + s * order.two_r
-            yield side, fourc, s, x, _pole_mask(x, exact)
+            yield side, fourc, s, *_argument(order, fourc, s)
 
 
 def _exp(x) -> np.ndarray:
@@ -116,17 +139,31 @@ def _exp(x) -> np.ndarray:
 
 
 def _gamma_ratio(sig: Signature, order: SpectralOrder, tj, tk, eps):
-    """(values, poles) of the eight-Gamma ratio; values are nan at poles."""
-    log_total = 0.0
-    sign = 1.0
-    poles = False
-    args = iter(_gamma_arguments(sig, order, tj, tk, eps))
+    """(values, poles) of the eight-Gamma ratio; values are nan at poles.
+
+    log-Gamma runs once per distinct argument, not once per entry: the
+    range of 4c of each of the four pairs forms one table (a window of side n
+    has O(n) values of 4c, against O(n^2) entries), and each pair gathers
+    from it.
+    """
+    pairs = _gamma_pairs(sig, tj, tk, eps)
+    arrays = np.broadcast_arrays(*(fourc for fourc, _ in pairs))
+    fourc = np.stack(arrays).reshape(4, -1)
+    lows = fourc.min(axis=1)
+    # The 4c of one pair share a parity, so each pair's span steps by 2.
+    spans = [range(low, high + 1, 2) for low, high in zip(lows.tolist(), fourc.max(axis=1).tolist())]
+    starts = list(itertools.accumulate((len(span) for span in spans), initial=0))[:4]
+    index = (np.array(starts)[:, None] + (fourc - lows[:, None]) // 2).reshape(4, *arrays[0].shape)
+    distinct = np.array([c for span in spans for c in span])
+    side = np.repeat([sigma for _, sigma in pairs], [len(span) for span in spans])
+    x, pole = _argument(order, distinct, np.array([side, -side]))  # numerator row, denominator row
+    (num_log, den_log), (num_sign, den_sign) = \
+        np.array([_log_gamma(v) for v in x.ravel().tolist()]).T.reshape(2, *x.shape)
     with np.errstate(invalid="ignore"):  # inf - inf at poles; masked below
-        for (*_, num, num_pole), (*_, den, den_pole) in zip(args, args):  # consecutive pairs
-            log_total = log_total + (gammaln(num) - gammaln(den))
-            sign = sign * gammasgn(num) * gammasgn(den)
-            poles = poles | num_pole | den_pole
-    return np.where(poles, np.nan, sign * _exp(log_total)), np.asarray(poles)
+        log_total = (num_log - den_log)[index].sum(axis=0)  # pair by pair, in order
+    sign = (num_sign * den_sign)[index].prod(axis=0)
+    poles = (pole[0] | pole[1])[index].any(axis=0)
+    return np.where(poles, np.nan, sign * _exp(log_total)), poles
 
 
 def z_gamma_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +265,10 @@ def parity_constant(sig: Signature, r: int, parity: int) -> float:
 def _polynomial_route(sig: Signature, r: int, tj, tk, eps) -> np.ndarray:
     """parity_constant * factorized polynomial; ints or integer arrays."""
     scale = np.zeros(np.shape(eps))
-    for parity in np.unique(eps).tolist():
-        scale = np.where(eps == parity, parity_constant(sig, r, parity), scale)
+    for parity in (0, 1):
+        members = eps == parity
+        if np.any(members):
+            scale = np.where(members, parity_constant(sig, r, parity), scale)
     return scale * _factorized_float(sig, tj, tk, eps, r)
 
 

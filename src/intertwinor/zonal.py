@@ -21,17 +21,11 @@ Gauss-Jacobi grid.  They share no code and serve as each other's oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import (
-    eval_chebyt,
-    eval_chebyu,
-    eval_gegenbauer,
-    gammaln,
-    roots_jacobi,
-)
 
 from .geometry import Signature
 
@@ -88,39 +82,53 @@ def gegenbauer_norm(d: int, j: int) -> float:
     lam = gegenbauer_index(d)
     if lam == 0:
         return np.pi if j == 0 else np.pi / 2.0
-    return float(
-        np.exp(
-            np.log(np.pi)
-            + (1.0 - 2.0 * lam) * np.log(2.0)
-            + gammaln(j + 2.0 * lam)
-            - np.log(j + lam)
-            - 2.0 * gammaln(lam)
-            - gammaln(j + 1.0)
-        )
+    return math.exp(
+        math.log(math.pi)
+        + (1.0 - 2.0 * lam) * math.log(2.0)
+        + math.lgamma(j + 2.0 * lam)
+        - math.log(j + lam)
+        - 2.0 * math.lgamma(lam)
+        - math.lgamma(j + 1.0)
     )
+
+
+def _gegenbauer_columns(lam: float, deg: int, x: np.ndarray) -> np.ndarray:
+    """V[a, j] = C_j^lam(x_a), j <= deg, for lam > 0.
+
+    Three-term recurrence (DLMF 18.9.1): C_0 = 1, C_1 = 2 lam x,
+    (j+1) C_{j+1} = 2(j+lam) x C_j - (j+2lam-1) C_{j-1}.
+    """
+    V = np.empty((len(x), deg + 1))
+    V[:, 0] = 1.0
+    if deg >= 1:
+        V[:, 1] = 2.0 * lam * x
+    for j in range(1, deg):
+        V[:, j + 1] = (2.0 * (j + lam) * x * V[:, j] - (j + 2.0 * lam - 1.0) * V[:, j - 1]) / (j + 1)
+    return V
 
 
 def _poly_matrix(d: int, deg: int, x: np.ndarray) -> np.ndarray:
     """Vandermonde V[a, j] = G_j(x_a) for the d-sphere zonal basis."""
     lam = gegenbauer_index(d)
+    if lam > 0:
+        return _gegenbauer_columns(lam, deg, x)
+    # Chebyshev T (DLMF 18.9.1): T_0 = 1, T_1 = x, T_{j+1} = 2x T_j - T_{j-1}.
     V = np.empty((len(x), deg + 1))
-    for j in range(deg + 1):
-        if lam == 0:
-            V[:, j] = eval_chebyt(j, x)
-        else:
-            V[:, j] = eval_gegenbauer(j, lam, x)
+    V[:, 0] = 1.0
+    if deg >= 1:
+        V[:, 1] = x
+    for j in range(1, deg):
+        V[:, j + 1] = 2.0 * x * V[:, j] - V[:, j - 1]
     return V
 
 
 def _deriv_matrix(d: int, deg: int, x: np.ndarray) -> np.ndarray:
-    """Vandermonde of d/dx G_j: 2 lam G_{j-1}^{lam+1}, or j U_{j-1} for Chebyshev."""
+    """Vandermonde of d/dx G_j: 2 lam C_{j-1}^{lam+1}, or j U_{j-1} = j C_{j-1}^1 for Chebyshev."""
     lam = gegenbauer_index(d)
     D = np.zeros((len(x), deg + 1))
-    for j in range(1, deg + 1):
-        if lam == 0:
-            D[:, j] = j * eval_chebyu(j - 1, x)
-        else:
-            D[:, j] = 2.0 * lam * eval_gegenbauer(j - 1, lam + 1.0, x)
+    if deg >= 1:
+        scale = 2.0 * lam if lam > 0 else np.arange(1.0, deg + 1)
+        D[:, 1:] = scale * _gegenbauer_columns(lam + 1.0, deg - 1, x)
     return D
 
 
@@ -217,6 +225,45 @@ class QuadratureGrid:
     max_degree_y: int
 
 
+def _orthonormal_sums(x: np.ndarray, off: np.ndarray, mass: float):
+    """(P_n(x), P_n'(x), sum_{m<n} P_m(x)^2) for the orthonormal P_m of the Jacobi matrix.
+
+    ``off`` holds sqrt(b_1), ..., sqrt(b_n); the recurrence is
+    sqrt(b_{m+1}) P_{m+1} = x P_m - sqrt(b_m) P_{m-1}, P_0 = mass^(-1/2).
+    """
+    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
+    dprev, dcur = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
+    for m, c in enumerate(off):
+        total += cur * cur
+        below = off[m - 1] if m else 0.0
+        prev, cur, dprev, dcur = (cur, (x * cur - below * prev) / c,
+                                  dcur, (cur + x * dcur - below * dprev) / c)
+    return cur, dcur, total
+
+
+def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss nodes and weights for the weight (1-x^2)^a on [-1, 1], a > -1.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric Jacobi matrix of the monic orthogonal polynomials, zero on
+    the diagonal with off-diagonal sqrt(b_m), b_m = m(m+2a)/((2m+2a)^2 - 1),
+    polished by one Newton step on P_n.  Each weight is the Christoffel number
+    1 / sum_{m<n} P_m(x)^2 over the orthonormal P_m: a sum of positive terms,
+    so the small weights near +/-1 keep their relative accuracy, where the
+    first eigenvector components would not.
+    """
+    m = np.arange(2, n + 1, dtype=float)
+    # b_1 = 1/(2a + 3) has the factor 2a + 1 cancelled, which vanishes for Chebyshev (a = -1/2).
+    off = np.sqrt(np.concatenate(([1.0 / (2.0 * a + 3.0)],
+                                  m * (m + 2.0 * a) / ((2.0 * m + 2.0 * a) ** 2 - 1.0))))
+    x = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)  # integral of the weight
+    p, dp, _ = _orthonormal_sums(x, off, mass)
+    x = x - p / dp
+    return x, 1.0 / _orthonormal_sums(x, off, mass)[2]
+
+
 @lru_cache(maxsize=None)
 def quadrature_grid(sig: Signature, jdeg: int, kdeg: int, margin: int = 4) -> QuadratureGrid:
     """Grid resolving degrees (jdeg, kdeg) with ``margin`` extra nodes per axis.
@@ -224,10 +271,8 @@ def quadrature_grid(sig: Signature, jdeg: int, kdeg: int, margin: int = 4) -> Qu
     The weight on each axis is (1-x^2)^{(d-2)/2}, matching the zonal measure
     sin^{d-1}(theta) d theta.
     """
-    ax = 0.5 * (sig.p - 2)
-    ay = 0.5 * (sig.q - 2)
-    x, wx = roots_jacobi(jdeg + margin, ax, ax)
-    y, wy = roots_jacobi(kdeg + margin, ay, ay)
+    x, wx = _gauss_jacobi(jdeg + margin, 0.5 * (sig.p - 2))
+    y, wy = _gauss_jacobi(kdeg + margin, 0.5 * (sig.q - 2))
     return QuadratureGrid(sig, x, wx, y, wy, jdeg, kdeg)
 
 

@@ -1,9 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from intertwinor import cli
 from intertwinor.cli import main
 
 
@@ -115,6 +121,29 @@ class TestSpectrumCommand:
         rows = list(csv.DictReader(target.open()))
         assert find_row(rows, 1, 1)["mu_recursion"]
 
+    def test_denominator_only_poles_print_zero(self, capsys):
+        # Every Gamma pole of these K-types sits in the denominator: mu = 0,
+        # reached by the recursion through a negative ratio, so -0.0 in floats.
+        rows = spectrum_rows(capsys, "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "4", "--kmax", "2")
+        for j, k in [(2, 0), (3, 1), (4, 0), (4, 2)]:
+            row = find_row(rows, j, k)
+            assert (row["mu_recursion"], row["mu_closed_form"]) == ("0", "pole")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_negative_zero(self, capsys, fmt):
+        # Integer orders put exact zeros in the recursion and the closed form
+        # (polynomial 0 times a negative class constant).
+        for p, q, r in [(1, 4, "0.5"), (3, 1, "1"), (2, 3, "2"), (4, 2, "3"), (1, 2, "1.5")]:
+            code, out, _ = run_cli(capsys, "spectrum", "--p", str(p), "--q", str(q), "--r", r,
+                                   "--jmax", "9", "--kmax", "9", "--format", fmt)
+            assert code == 0
+            if fmt == "csv":
+                cells = [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+            else:
+                cells = [value for row in json.loads(out)["rows"] for value in row.values()]
+            assert all(not (isinstance(c, float) and c == 0 and str(c).startswith("-")) for c in cells)
+            assert "-0" not in cells
+
     def test_byte_determinism(self, capsys):
         args = ("--p", "3", "--q", "2", "--r", "2.25", "--jmax", "8", "--kmax", "8")
         _, out1, _ = run_cli(capsys, "spectrum", *args)
@@ -193,3 +222,64 @@ class TestExitCodes:
         )
         assert code == 1
         assert err
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process main(argv); argparse errors exit through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_matches_fresh_parser():
+    # main() builds its parser once per process; a sequence of calls on the
+    # reused parser must print and exit exactly as calls on a fresh one.
+    argvs = [
+        ["spectrum", "--p", "2", "--q", "3", "--r", "0.37", "--jmax", "3", "--kmax", "2"],
+        ["verify", "--p", "1", "--q", "2", "--r", "0.5", "--jmax", "4", "--kmax", "4",
+         "--check", "inversion", "--check", "loop-consistency"],
+        ["verify", "--p", "1", "--q", "2", "--r", "0.5", "--jmax", "4", "--kmax", "4",
+         "--check", "inversion"],
+        ["spectrum", "--p", "1", "--q", "1", "--r", "1", "--jmax", "2", "--kmax", "2", "--format", "json"],
+        ["spectrum", "--p", "2", "--q", "3", "--bogus", "1"],
+        ["verify", "--p", "2", "--q", "3", "--check", "no-such-check"],
+        ["spectrum", "--p", "2", "--q", "3", "--r", "nan"],
+        ["verify", "--p", "2", "--q", "3", "--r", "0.37", "--jmax", "3", "--kmax", "3", "--all"],
+        [],
+        ["spectrum", "--p", "2", "--q", "3", "--r", "0.37", "--jmax", "3", "--kmax", "2"],
+    ]
+    reused = [_call(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(_call(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 2, 2, 0, 2, 0]
+    assert reused[0] == reused[-1]
+    assert reused[2][1] == reused[1][1].splitlines(keepends=True)[0]  # --check does not accumulate
+
+
+def test_import_footprint():
+    # The package runs on numpy and the standard library: importing the CLI
+    # and running a generic-order and an integer-order spectrum loads no
+    # SciPy, and no numpy.ma beyond what importing numpy itself loads.
+    code = (
+        "import sys, io, contextlib\n"
+        "import numpy\n"
+        "base = set(sys.modules)\n"
+        "import intertwinor.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = max(intertwinor.cli.main(['spectrum', '--p', '2', '--q', '3', '--r', r])\n"
+        "             for r in ('0.37', '2'))\n"
+        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "                 or (m == 'numpy.ma' and m not in base)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "0 []"

@@ -52,6 +52,20 @@ class TestSignedLogGamma:
             with pytest.raises(PoleAtGamma):
                 signed_log_gamma(x)
 
+    def test_sign_rule_and_log_against_mpmath(self):
+        # Negative non-integers on both sides of every pole down to -12, points
+        # 1e-9 from a pole, and large arguments of both signs, on both sides
+        # of GAMMA_DIRECT.
+        xs = [-n + d for n in range(13) for d in (-0.5, -1e-9, 1e-9, 0.25, 0.5, 0.75)]
+        xs += [1e-9, 0.5, 1.5, 2.0, 33.3, 149.9, 170.5, 1234.5, -149.5, -160.5, -200.25]
+        with mpmath.workdps(40):
+            for x in xs:
+                got = signed_log_gamma(x)
+                ref = mpmath.gamma(mpmath.mpf(x))  # the float x exactly
+                assert got.sign == (1 if ref > 0 else -1), x
+                ref_log = float(mpmath.log(abs(ref)))
+                assert abs(got.log_magnitude - ref_log) <= 1e-14 * max(1.0, abs(ref_log)), x
+
 
 class TestZSpectral:
     def test_base_value_is_one(self):
@@ -316,6 +330,29 @@ class TestGammaGrid:
                             assert abs(values[j, k] - float(ref)) <= 1e-13 * abs(float(ref))
                             scalar = z_gamma_ratio(sig, r, KType(j, k))
                             assert scalar == values[j, k]  # bit for bit
+
+    @pytest.mark.parametrize("r", [1.5 + 1e-9, 2.0 - 7e-10, 0.5 + 2e-9, -1.0 - 3e-9])
+    def test_near_pole_generic_order(self, r):
+        # 2r is 1.4e-9 to 6e-9 from an integer: outside TWO_R_TOL, so the
+        # generic route runs, with arguments within 1e-9 of a pole (none of
+        # them within POLE_TOL).  The oracle takes the same float arguments
+        # (4c + 2sr)/4, so it checks the kernel, not the conditioning of the
+        # arguments, which near a pole amplifies their rounding.
+        with mpmath.workdps(40):
+            for p, q in [(1, 2), (2, 3), (3, 3), (4, 1)]:
+                sig = Signature(p, q)
+                values, poles = z_gamma_grid(sig, r, 6, 6)
+                assert not poles.any()
+                for j in range(7):
+                    for k in range(7):
+                        tj, tk = 2 * j + p - 1, 2 * k + q - 1
+                        ref = mpmath.mpf(1)
+                        for fourc, sigma in ((tk + tj + 2, 1), (tk - tj + 2, 1),
+                                             (2 * ((j + k) % 2) - (p - q) + 2, -1),
+                                             (2 * ((j + k) % 2) + p + q, -1)):
+                            ref *= mpmath.gamma(mpmath.mpf((fourc + sigma * 2.0 * r) / 4.0))
+                            ref /= mpmath.gamma(mpmath.mpf((fourc - sigma * 2.0 * r) / 4.0))
+                        assert abs(values[j, k] - float(ref)) <= 1e-13 * abs(float(ref)), (p, q, j, k)
 
     def test_spectral_grid_matches_scalar(self):
         for p, q in [(1, 1), (2, 3), (4, 2)]:

@@ -5,6 +5,9 @@ from scipy.integrate import quad
 from intertwinor.geometry import KType, Signature, bochner_eigenvalue, neighbors
 from intertwinor.zonal import (
     GridTooCoarse,
+    _deriv_matrix,
+    _gauss_jacobi,
+    _poly_matrix,
     ZonalFunction,
     apply_N,
     apply_T_numeric,
@@ -17,7 +20,7 @@ from intertwinor.zonal import (
     project,
     quadrature_grid,
 )
-from scipy.special import eval_chebyt, eval_gegenbauer
+from scipy.special import eval_chebyt, eval_chebyu, eval_gegenbauer, roots_jacobi
 
 
 def _eval_1d(lam, c, x):
@@ -65,6 +68,33 @@ class TestNorms:
             assert float(np.sum(grid.wx * vals * vals)) == pytest.approx(
                 gegenbauer_norm(d, j), rel=1e-12
             )
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+class TestKernelsAgainstScipy:
+    """The recurrence Vandermondes and Golub-Welsch nodes against scipy.special."""
+
+    def test_vandermondes(self, d):
+        lam = 0.5 * (d - 1)
+        x = np.linspace(-1.0, 1.0, 301)
+        V, D = _poly_matrix(d, 140, x), _deriv_matrix(d, 140, x)
+        for j in range(141):
+            if lam == 0:
+                value, slope = eval_chebyt(j, x), j * eval_chebyu(j - 1, x)
+            else:
+                value, slope = eval_gegenbauer(j, lam, x), 2 * lam * eval_gegenbauer(j - 1, lam + 1, x)
+            assert np.max(np.abs(V[:, j] - value)) <= 1e-13 * np.max(np.abs(value)), j
+            if j:
+                assert np.max(np.abs(D[:, j] - slope)) <= 1e-13 * np.max(np.abs(slope)), j
+        assert not D[:, 0].any()
+
+    def test_gauss_jacobi_nodes_and_weights(self, d):
+        a = 0.5 * (d - 2)
+        for n in range(1, 141):
+            x, w = _gauss_jacobi(n, a)
+            ref_x, ref_w = roots_jacobi(n, a, a)
+            assert np.max(np.abs(x - ref_x)) <= 1e-15, n
+            assert np.max(np.abs(w / ref_w - 1.0)) <= (1e-13 if n <= 16 else 1e-10), n
 
 
 class TestVarpi:
