@@ -15,6 +15,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from .closedform import (
     PoleAtKType,
     factorized_grid,
@@ -23,7 +25,7 @@ from .closedform import (
     z_spectral_grid,
 )
 from .geometry import KType, Signature, doubled_shifts
-from .spectrum import SpectralOrder, base_ktype, recursion_spectrum
+from .spectrum import SpectralOrder, at_class_base, recursion_spectrum, relative_difference
 from .verify import DEFAULT_CHECKS, run_suite
 
 SCHEMA_VERSION = 1
@@ -76,6 +78,8 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
         parser.error(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({args.p}, {args.q})")
     if args.jmax < 1 or args.kmax < 1:
         parser.error(f"truncation must satisfy jmax >= 1 and kmax >= 1, got ({args.jmax}, {args.kmax})")
+    if args.command == "verify" and args.seed < 0:
+        parser.error(f"seed must be >= 0, got {args.seed}")
     try:
         order = SpectralOrder(args.r)
     except ValueError as exc:
@@ -84,37 +88,34 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
 
 
 def _spectrum_rows(sig: Signature, order: SpectralOrder, jmax: int, kmax: int):
-    tables = [recursion_spectrum(sig, order, jmax, kmax, parity) for parity in (0, 1)]
-    # Adding 0.0 turns -0.0 into 0.0 (IEEE 754), so no cell prints a negative zero.
-    recursion = [(table.values + 0.0).tolist() for table in tables]
-    reached = [table.reached.tolist() for table in tables]
+    table = recursion_spectrum(sig, order, jmax, kmax)
     closed, poles = z_spectral_grid(sig, order, jmax, kmax)
-    closed, poles = (closed + 0.0).tolist(), poles.tolist()
+    # Adding 0.0 turns -0.0 into 0.0 (IEEE 754), so no cell prints a negative zero.
+    recursion, closed = table.values + 0.0, closed + 0.0
+    # The closed form is compared after division by its value at the class
+    # base; a class whose base is a pole or a zero has no comparison.
+    zbase = at_class_base(closed)
+    compared = table.reached & ~poles & ~at_class_base(poles) & (zbase != 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disagreement = relative_difference(closed / zbase, recursion)
+    recursion, reached, closed, poles, disagreement, compared = (
+        a.tolist() for a in (recursion, table.reached, closed, poles, disagreement, compared))
     factorized = None
     if order.is_positive_integer:
         factorized = (factorized_grid(sig, order.as_integer, jmax, kmax) + 0.0).tolist()
-    zbase = [None if poles[b.j][b.k] else closed[b.j][b.k] for b in map(base_ktype, (0, 1))]
     half_j = [doubled_shifts(sig, KType(j, 0))[0] / 2.0 for j in range(jmax + 1)]
     half_k = [doubled_shifts(sig, KType(0, k))[1] / 2.0 for k in range(kmax + 1)]
     rows = []
     for j in range(jmax + 1):
         for k in range(kmax + 1):
-            parity = (j + k) % 2
-            mu_rec = recursion[parity][j][k] if reached[parity][j][k] else None
-            mu_closed = None if poles[j][k] else closed[j][k]
-            disagreement = ""
-            if mu_rec is not None and mu_closed is not None and zbase[parity]:
-                normalized = mu_closed / zbase[parity]
-                scale = max(abs(normalized), abs(mu_rec), 1e-300)
-                disagreement = abs(normalized - mu_rec) / scale
             rows.append({
                 "j": j, "k": k,
                 "J": half_j[j], "K": half_k[k],
-                "parity": parity,
-                "mu_recursion": "zero-denominator" if mu_rec is None else mu_rec,
-                "mu_closed_form": "pole" if mu_closed is None else mu_closed,
+                "parity": (j + k) % 2,
+                "mu_recursion": recursion[j][k] if reached[j][k] else "zero-denominator",
+                "mu_closed_form": "pole" if poles[j][k] else closed[j][k],
                 "mu_factorized_or_blank": "" if factorized is None else factorized[j][k],
-                "max_rel_disagreement": disagreement,
+                "max_rel_disagreement": disagreement[j][k] if compared[j][k] else "",
             })
     return rows
 

@@ -17,10 +17,10 @@ and the two that depend only on the parity class give its constant exactly.
 The polynomial is the analytic continuation through the K-types where the raw
 ratio develops matched pole/zero pairs, so integer orders dispatch to it.
 
-All Gamma arguments are half-integer lattice translates of +/- r/2; they are
-formed in exact doubled-integer arithmetic whenever 2r is an integer, making
-pole detection exact in the common cases.  Both routes are evaluated over
-whole windows; the scalar functions are the same kernels at one K-type.
+All Gamma arguments are half-integer lattice translates of +/- r/2, so they
+can sit on a pole only when 2r is an integer; poles are then detected exactly
+from the integer 4x.  Both routes are evaluated over whole windows; the
+scalar functions are the same kernels at one K-type.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import KType, Signature, doubled_shifts
-from .spectrum import POLE_TOL, SpectralOrder, window
+from .spectrum import SpectralOrder, window
 
 #: Step of the limit convention for a parity constant with a class Gamma pole.
 LIMIT_STEP = 1e-6
@@ -65,16 +65,9 @@ class SignedLogValue:
         return self.sign * math.exp(self.log_magnitude)
 
 
-def _pole_mask(x, four_x=None):
-    """Where Gamma(x) sits on a pole; scalars or arrays.
-
-    ``four_x`` is 4x as exact integers, known when 2r is an integer; without
-    it x within POLE_TOL of a nonpositive integer counts as a pole.
-    """
-    if four_x is not None:
-        return (four_x <= 0) & (four_x % 4 == 0)
-    rounded = np.round(x)
-    return (x <= 0.5) & (np.abs(x - rounded) <= POLE_TOL) & (rounded <= 0)
+def _pole_mask(four_x):
+    """Where Gamma(x) sits on a pole, from 4x as exact integers; ints or integer arrays."""
+    return (four_x <= 0) & (four_x % 4 == 0)
 
 
 #: Below this |x|, log |Gamma(x)| is taken as log |math.gamma(x)|: against
@@ -97,8 +90,8 @@ def _log_gamma(x: float) -> tuple[float, float]:
 
 
 def signed_log_gamma(x: float) -> SignedLogValue:
-    """log |Gamma(x)| and the sign of Gamma(x) for real non-pole x."""
-    if _pole_mask(x):
+    """log |Gamma(x)| and the sign of Gamma(x) for real x other than 0, -1, -2, ..."""
+    if x <= 0 and float(x).is_integer():
         raise PoleAtGamma(f"Gamma pole at x = {x}")
     log_magnitude, sign = _log_gamma(x)
     return SignedLogValue(log_magnitude, int(sign))
@@ -120,9 +113,14 @@ def _gamma_pairs(sig: Signature, tj, tk, eps):
 
 
 def _argument(order: SpectralOrder, fourc, s):
-    """x = (4c + 2sr)/4 and its pole mask, for integer 4c and s = +/-1 (ints or integer arrays)."""
+    """x = (4c + 2sr)/4 and its pole mask, for integer 4c and s = +/-1 (ints or integer arrays).
+
+    Poles need an integer 2r; the mask is all False otherwise.
+    """
     x = (fourc + s * 2.0 * order.r) / 4.0
-    return x, _pole_mask(x, None if order.two_r is None else fourc + s * order.two_r)
+    if order.two_r is None:
+        return x, np.zeros(np.shape(x), dtype=bool)
+    return x, _pole_mask(fourc + s * order.two_r)
 
 
 def _gamma_arguments(sig: Signature, order: SpectralOrder, tj, tk, eps):

@@ -11,7 +11,6 @@ half-integers, so they are carried around as exact doubled integers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 #: Quadrant tags for the four lattice moves (j, k) -> (j +/- 1, k +/- 1):
 #: first character is the j step, second the k step.
@@ -71,12 +70,6 @@ class KType:
 def doubled_shifts(sig: Signature, v: KType) -> tuple[int, int]:
     """Exact (2J, 2K) for the shifted parameters of ``v``."""
     return 2 * v.j + sig.p - 1, 2 * v.k + sig.q - 1
-
-
-def shifted_parameters(sig: Signature, v: KType) -> tuple[Fraction, Fraction]:
-    """(J, K) as exact rationals."""
-    tj, tk = doubled_shifts(sig, v)
-    return Fraction(tj, 2), Fraction(tk, 2)
 
 
 def laplacian_eigenvalue(sig: Signature, sphere: str, order: int) -> int:

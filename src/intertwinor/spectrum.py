@@ -7,29 +7,30 @@ alpha -> beta, reduces to the purely numerical relation
 
 where h is half the Bochner eigenvalue jump across the edge.  For the four
 quadrants h = sj*J + sk*K + 1 evaluated at alpha, so the eigenvalue ratio
-across an edge is (h + r)/(h - r).  Propagating these ratios from a base
-K-type fills a whole parity class; agreement along different lattice paths
-is guaranteed and is rechecked here as a free consistency test.  Edges of a
-window are held as arrays; the scalar functions are their single-point form.
+across an edge is (h + r)/(h - r).  Every edge keeps the parity of j + k, so
+the even and odd K-types are two disjoint classes; propagating these ratios
+from the two bases (0, 0) and (1, 0) fills both in one pass.  Agreement along
+different lattice paths is guaranteed and is rechecked here as a free
+consistency test.  Edges of a window are held as arrays; the scalar functions
+are their single-point form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .geometry import DIRECTIONS, STEPS, KType, Signature, doubled_shifts, neighbor
 
-#: |2r - round(2r)| below this treats 2r as an exact integer, making edge
-#: singularity detection exact for integer and half-integer orders.
+#: |2r - round(2r)| below this treats 2r as the integer round(2r).  Edge
+#: singularities (h = r) and Gamma-argument poles need an integer 2r, because
+#: 2h and 4c are integers, so they are detected exactly and only then: at any
+#: other r, |h - r| > 5e-10 on every edge and every Gamma argument is more
+#: than 2.5e-10 from a pole.
 TWO_R_TOL = 1e-9
-
-#: Absolute tolerance for singularity detection at generic real orders.
-POLE_TOL = 1e-12
 
 #: Relative tolerance of the edge recheck in recursion_spectrum.
 REL_TOL = 1e-10
@@ -103,16 +104,21 @@ def _two_h(tj, tk, direction: str):
 
 
 def _singular(two_h, order: SpectralOrder):
-    """h = r: exact integer compare when 2r is an integer, POLE_TOL otherwise."""
-    if order.two_r is not None:
-        return two_h == order.two_r
-    return abs(two_h / 2.0 - order.r) <= POLE_TOL
+    """h = r, compared exactly as 2h = 2r; never when 2r is not an integer."""
+    if order.two_r is None:
+        return np.zeros(np.shape(two_h), dtype=bool)
+    return two_h == order.two_r
 
 
 def _ratio(two_h, r: float):
     """(h + r)/(h - r)."""
     h = two_h / 2.0
     return (h + r) / (h - r)
+
+
+def relative_difference(a, b):
+    """|a - b| / max(|a|, |b|) on floats or arrays; a tiny floor on the denominator makes 0 vs 0 give 0."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
 
 
 def _edge_slices(direction: str, nj: int, nk: int):
@@ -144,14 +150,6 @@ def edge_arrays(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np
     return singular, ratio
 
 
-def half_jump(sig: Signature, alpha: KType, direction: str) -> Fraction:
-    """Half the Bochner eigenvalue jump across the edge ``alpha`` -> quadrant.
-
-    Exactly sj*J + sk*K + 1 at ``alpha``; returned as an exact rational.
-    """
-    return Fraction(_two_h(*doubled_shifts(sig, alpha), direction), 2)
-
-
 def is_singular_edge(sig: Signature, alpha: KType, direction: str, r) -> bool:
     """True when h - r = 0 on this edge, i.e. the transition ratio has a pole."""
     two_h = _two_h(*doubled_shifts(sig, alpha), direction)
@@ -172,17 +170,21 @@ def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
     return _ratio(_two_h(*doubled_shifts(sig, alpha), direction), order.r)
 
 
+def at_class_base(grid: np.ndarray) -> np.ndarray:
+    """Each entry of a window grid (jmax >= 1) replaced by the entry at its class base, (0, 0) or (1, 0)."""
+    j, k = np.indices(grid.shape)
+    return grid[(j + k) % 2, 0]
+
+
 @dataclass
 class SpectrumTable:
-    """Eigenvalue table for one parity class, normalized to 1 at ``base``.
+    """Eigenvalue table of a window, normalized to 1 at the class bases (0, 0) and (1, 0).
 
     ``values`` covers the whole window and is meaningful where ``reached``.
     """
 
     sig: Signature
     r: SpectralOrder
-    parity: int
-    base: KType
     values: np.ndarray
     reached: np.ndarray
     singular_edges: tuple = ()
@@ -196,35 +198,27 @@ class SpectrumTable:
         }
 
 
-def base_ktype(parity: int) -> KType:
-    """Normalization base: (0,0) for the even class, (1,0) for the odd class."""
-    return KType(0, 0) if parity == 0 else KType(1, 0)
+def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable:
+    """Propagate eigenvalues over [0, jmax] x [0, kmax] from both class bases.
 
-
-def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int, parity: int) -> SpectrumTable:
-    """Propagate eigenvalues over the parity class inside [0, jmax] x [0, kmax].
-
-    A frontier advances from the base one edge layer at a time; the first
-    edge into a K-type fixes its value.  Afterwards every edge between two
-    reached K-types, in all four directions, is rechecked at relative
-    tolerance REL_TOL.  Singular edges (h = r) are skipped and listed in
-    ``singular_edges``; K-types unreachable through nonsingular edges are
-    absent from the table.
+    A frontier advances from (0, 0) and (1, 0) (only (0, 0) when jmax = 0)
+    one edge layer at a time; the first edge into a K-type fixes its value.
+    No edge joins the two parity classes, so each is filled exactly as from
+    its own base alone.  Afterwards every edge between two reached K-types,
+    in all four directions, is rechecked at relative tolerance REL_TOL.
+    Singular edges (h = r) are skipped and listed in ``singular_edges``;
+    K-types unreachable through nonsingular edges are absent from the table.
     """
-    if parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {parity}")
+    if jmax < 0 or kmax < 0:
+        raise ValueError(f"truncation must be nonnegative, got ({jmax}, {kmax})")
     order = SpectralOrder.coerce(r)
-    base = base_ktype(parity)
-    if base.j > jmax or base.k > kmax:
-        raise ValueError(f"base K-type {base} outside truncation ({jmax}, {kmax})")
-
     singular, ratio = edge_arrays(sig, order, jmax, kmax)
     nj, nk = jmax + 1, kmax + 1
     slices = [_edge_slices(tag, nj, nk) for tag in DIRECTIONS]
     values = np.zeros((nj, nk))
     reached = np.zeros((nj, nk), dtype=bool)
-    values[base.j, base.k] = 1.0
-    reached[base.j, base.k] = True
+    values[:2, 0] = 1.0
+    reached[:2, 0] = True
     frontier = reached.copy()
     while frontier.any():
         new = np.zeros_like(reached)
@@ -237,11 +231,8 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int, parity: int) -> 
 
     for d, (tail, head) in enumerate(slices):
         both = reached[tail] & reached[head] & ~singular[d][tail]
-        expected = values[tail] * ratio[d][tail]
-        seen = values[head]
-        scale = np.maximum(np.maximum(np.abs(seen), np.abs(expected)), 1e-300)
         with np.errstate(invalid="ignore"):
-            bad = both & (np.abs(seen - expected) / scale > REL_TOL)
+            bad = both & (relative_difference(values[head], values[tail] * ratio[d][tail]) > REL_TOL)
         if bad.any():
             raise PathInconsistency(
                 f"{int(bad.sum())} edges in direction {DIRECTIONS[d]!r} disagree with table values"
@@ -251,8 +242,6 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int, parity: int) -> 
     return SpectrumTable(
         sig=sig,
         r=order,
-        parity=parity,
-        base=base,
         values=values,
         reached=reached,
         singular_edges=tuple((KType(j, k), DIRECTIONS[d]) for j, k, d in edges),

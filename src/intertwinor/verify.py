@@ -26,9 +26,10 @@ from .closedform import (
 from .geometry import KType, Signature, scalar_curvature
 from .spectrum import (
     SpectralOrder,
-    base_ktype,
+    at_class_base,
     max_loop_deviation,
     recursion_spectrum,
+    relative_difference,
 )
 from .zonal import (
     QuadratureGrid,
@@ -152,40 +153,29 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
     gamma, poles = z_gamma_grid(sig, order, jmax, kmax)
     infinite = numerator_pole_grid(sig, order, jmax, kmax)
     mu = np.where(poles & ~infinite, 0.0, gamma)
-    j, k = np.indices(gamma.shape)
+    table = recursion_spectrum(sig, order, jmax, kmax)
+    # A class whose base is singular has no closed-form normalization, so the
+    # whole class is the predicted exclusion.  (The recursion may still
+    # propagate ratios within its own reachable component.)
+    normalized = ~at_class_base(poles)
+    predicted = normalized & infinite
+    missing = normalized & ~infinite & ~table.reached
+    prediction_ok = not (predicted & table.reached).any() and not missing.any()
+    comparable = normalized & ~infinite & table.reached
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(comparable, relative_difference(mu / at_class_base(mu), table.values), 0.0)
+    parity = np.indices(rel.shape).sum(axis=0) % 2
     residual = 0.0
     where = None
-    compared = 0
-    skipped = 0
-    prediction_ok = True
-    for parity in (0, 1):
-        klass = (j + k) % 2 == parity
-        base = base_ktype(parity)
-        if poles[base.j, base.k]:
-            # Base itself singular: the closed-form normalization does not
-            # exist, so no entry of this class is comparable and the whole
-            # class is the predicted exclusion.  (The recursion may still
-            # propagate ratios within its own reachable component.)
-            skipped += int(klass.sum())
-            continue
-        table = recursion_spectrum(sig, order, jmax, kmax, parity)
-        predicted = klass & infinite
-        missing = klass & ~infinite & ~table.reached
-        prediction_ok &= not (predicted & table.reached).any() and not missing.any()
-        skipped += int(predicted.sum() + missing.sum())
-        comparable = klass & ~infinite & table.reached
-        zval = mu / mu[base.j, base.k]
-        scale = np.maximum(np.maximum(np.abs(zval), np.abs(table.values)), 1e-300)
-        rel = np.where(comparable, np.abs(zval - table.values) / scale, 0.0)
-        compared += int(comparable.sum())
-        worst, location = _worst(rel)
+    for klass in (0, 1):  # the worst entry, the even class first on ties
+        worst, location = _worst(np.where(parity == klass, rel, 0.0))
         if worst > residual:
             residual, where = worst, location
     report = VerificationReport(
         name="method-agreement", p=sig.p, q=sig.q, r=order.r,
         jmax=jmax, kmax=kmax,
         max_residual=residual, tolerance=tol, worst_location=where,
-        extra={"compared": compared, "skipped": skipped,
+        extra={"compared": int(comparable.sum()), "skipped": int((~comparable).sum()),
                "skipped_matches_prediction": prediction_ok},
     )
     report.passed = report.passed and prediction_ok

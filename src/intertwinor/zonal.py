@@ -153,13 +153,6 @@ class ZonalFunction:
     def kmax(self) -> int:
         return self.coeffs.shape[1] - 1
 
-    def parity_component(self, parity: int) -> "ZonalFunction":
-        """Restriction to K-types with (j + k) mod 2 equal to ``parity``."""
-        j = np.arange(self.jmax + 1)[:, None]
-        k = np.arange(self.kmax + 1)[None, :]
-        mask = ((j + k) % 2) == parity
-        return ZonalFunction(self.sig, np.where(mask, self.coeffs, 0.0))
-
     def __add__(self, other: "ZonalFunction") -> "ZonalFunction":
         if self.sig != other.sig or self.coeffs.shape != other.coeffs.shape:
             raise ValueError("shape/signature mismatch")

@@ -208,6 +208,14 @@ class TestExitCodes:
         stderr = capsys.readouterr().err
         assert "Traceback" not in stderr and "error:" in stderr
 
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed=-5"]])
+    def test_negative_seed_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--p", "2", "--q", "3", "--jmax", "3", "--kmax", "3", *flag])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr and "error: seed must be >= 0" in stderr
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main([])

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intertwinor.closedform import (
     PoleAtGamma,
@@ -20,8 +23,8 @@ from intertwinor.closedform import (
     z_spectral,
     z_spectral_grid,
 )
-from intertwinor.geometry import KType, Signature, neighbors
-from intertwinor.spectrum import recursion_spectrum, transition_ratio
+from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, neighbors
+from intertwinor.spectrum import SpectralOrder, edge_arrays, recursion_spectrum, transition_ratio
 
 
 class TestSignedLogGamma:
@@ -54,9 +57,10 @@ class TestSignedLogGamma:
 
     def test_sign_rule_and_log_against_mpmath(self):
         # Negative non-integers on both sides of every pole down to -12, points
-        # 1e-9 from a pole, and large arguments of both signs, on both sides
-        # of GAMMA_DIRECT.
+        # 1e-9 and 1e-13 from a pole (only exact poles raise), and large
+        # arguments of both signs, on both sides of GAMMA_DIRECT.
         xs = [-n + d for n in range(13) for d in (-0.5, -1e-9, 1e-9, 0.25, 0.5, 0.75)]
+        xs += [-n + d for n in (0, 3, 7) for d in (-1e-13, 1e-13)]
         xs += [1e-9, 0.5, 1.5, 2.0, 33.3, 149.9, 170.5, 1234.5, -149.5, -160.5, -200.25]
         with mpmath.workdps(40):
             for x in xs:
@@ -101,12 +105,10 @@ class TestZSpectral:
         for p, q in [(1, 3), (2, 2), (3, 2)]:
             sig = Signature(p, q)
             for r in (0.37, -0.8):
-                for parity in (0, 1):
-                    table = recursion_spectrum(sig, r, 8, 8, parity)
-                    zbase = z_gamma_ratio(sig, r, table.base)
-                    for v, mu in table.entries.items():
-                        z = z_gamma_ratio(sig, r, v) / zbase
-                        assert z == pytest.approx(mu, rel=1e-11)
+                table = recursion_spectrum(sig, r, 8, 8)
+                for v, mu in table.entries.items():
+                    z = z_gamma_ratio(sig, r, v) / z_gamma_ratio(sig, r, KType(v.parity, 0))
+                    assert z == pytest.approx(mu, rel=1e-11)
 
     def test_neighbor_ratio_law(self):
         sig = Signature(2, 2)
@@ -301,6 +303,47 @@ def _mp_gamma_ratio(p, q, r, j, k):
         out *= mpmath.gamma(mpmath.mpf(a.numerator) / a.denominator)
         out /= mpmath.gamma(mpmath.mpf(b.numerator) / b.denominator)
     return out
+
+
+#: Offsets of r from a multiple of 1/2: none, inside TWO_R_TOL (|2 delta| <= 8e-10)
+#: and outside it (|2 delta| >= 1.02e-9).
+NEAR_HALF = st.one_of(
+    st.just(0.0),
+    st.floats(-4e-10, 4e-10),
+    st.floats(5.1e-10, 1e-8).flatmap(lambda d: st.sampled_from([d, -d])),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.integers(1, 8), q=st.integers(1, 8), jmax=st.integers(0, 20), kmax=st.integers(0, 20),
+       n=st.integers(-12, 12), delta=NEAR_HALF)
+def test_singular_sets_are_exact(p, q, jmax, kmax, n, delta):
+    # Singular edges (h = r) and Gamma poles need an integer 2r.  Within
+    # TWO_R_TOL of one they are exactly where the rational r* = two_r/2 puts
+    # them; outside it there are none, and the closed form stays finite.
+    sig = Signature(p, q)
+    r = n / 2 + delta
+    two_r = SpectralOrder(r).two_r
+    assert two_r == (n if abs(delta) <= 4e-10 else None)
+    singular, _ = edge_arrays(sig, r, jmax, kmax)
+    values, poles = z_gamma_grid(sig, r, jmax, kmax)
+    exact_edges, exact_poles = set(), set()
+    if two_r is None:
+        assert np.isfinite(values).all()
+    else:
+        r_star = Fraction(two_r, 2)
+        for j in range(jmax + 1):
+            for k in range(kmax + 1):
+                num, den = _exact_gamma_arguments(p, q, r_star, j, k)
+                if any(map(_is_pole, num + den)):
+                    exact_poles.add((j, k))
+                J, K = j + Fraction(p - 1, 2), k + Fraction(q - 1, 2)
+                for d, tag in enumerate(DIRECTIONS):
+                    sj, sk = STEPS[tag]
+                    if 0 <= j + sj <= jmax and 0 <= k + sk <= kmax and sj * J + sk * K + 1 == r_star:
+                        exact_edges.add((d, j, k))
+    assert set(map(tuple, np.argwhere(singular).tolist())) == exact_edges
+    assert set(map(tuple, np.argwhere(poles).tolist())) == exact_poles
 
 
 class TestGammaGrid:

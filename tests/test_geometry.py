@@ -6,12 +6,12 @@ from intertwinor.geometry import (
     KType,
     Signature,
     bochner_eigenvalue,
+    doubled_shifts,
     laplacian_eigenvalue,
     n_difference,
     neighbor,
     neighbors,
     scalar_curvature,
-    shifted_parameters,
 )
 
 
@@ -78,17 +78,17 @@ def test_parity_preserved_across_edges():
 
 def test_n_difference_matches_transition_denominators():
     # across the edge in quadrant (sj, sk) the Bochner jump is
-    # 2(sj*J + sk*K + 1) evaluated at the source
+    # 2(sj*J + sk*K + 1) = sj*2J + sk*2K + 2 evaluated at the source
     for p in range(1, 6):
         for q in range(1, 6):
             sig = Signature(p, q)
             for j in range(0, 21, 3):
                 for k in range(0, 21, 3):
                     v = KType(j, k)
-                    J, K = shifted_parameters(sig, v)
+                    tj, tk = doubled_shifts(sig, v)
                     for w, tag in neighbors(v):
                         sj, sk = STEPS[tag]
-                        assert n_difference(sig, v, w) == 2 * (sj * J + sk * K + 1)
+                        assert n_difference(sig, v, w) == sj * tj + sk * tk + 2
 
 
 def test_bochner_strictly_increasing():

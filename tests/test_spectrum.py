@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intertwinor.geometry import DIRECTIONS, KType, Signature, neighbor, neighbors
+from intertwinor.geometry import DIRECTIONS, KType, Signature, n_difference, neighbor, neighbors
 from intertwinor.spectrum import (
     PathInconsistency,
     SpectralOrder,
     ZeroDenominator,
-    base_ktype,
-    half_jump,
+    at_class_base,
     is_singular_edge,
     max_loop_deviation,
     recursion_spectrum,
@@ -90,14 +89,20 @@ def test_r_negation_inverts_ratio():
 
 def test_recursion_spectrum_examples():
     sig = Signature(1, 1)
-    table = recursion_spectrum(sig, 0.5, 4, 4, 0)
+    table = recursion_spectrum(sig, 0.5, 4, 4)
     assert table.entries[KType(0, 0)] == 1.0
     assert table.entries[KType(1, 1)] == pytest.approx(3.0)
 
-    odd = recursion_spectrum(Signature(2, 3), 0.8, 5, 5, 1)
-    assert odd.base == KType(1, 0)
-    assert odd.entries[odd.base] == 1.0
-    assert all(v.parity == 1 for v in odd.entries)
+    # both classes in one table, each normalized at its own base
+    both = recursion_spectrum(Signature(2, 3), 0.8, 5, 5)
+    assert both.entries[KType(0, 0)] == both.entries[KType(1, 0)] == 1.0
+    assert (at_class_base(both.values) == 1.0).all()
+    assert set(both.entries) == {KType(j, k) for j in range(6) for k in range(6)}
+
+    # a window with jmax = 0 holds no odd base and no edge
+    assert recursion_spectrum(Signature(2, 3), 0.8, 0, 5).entries == {KType(0, 0): 1.0}
+    with pytest.raises(ValueError):
+        recursion_spectrum(Signature(2, 3), 0.8, 3, -1)
 
 
 def test_recursion_path_consistency():
@@ -105,7 +110,7 @@ def test_recursion_path_consistency():
     # (0,0)->(1,1)->(0,2)->(1,3)->(2,2), computed here independently
     sig = Signature(1, 3)
     r = 0.37
-    table = recursion_spectrum(sig, r, 6, 6, 0)
+    table = recursion_spectrum(sig, r, 6, 6)
 
     def path_value(tags):
         v, mu = KType(0, 0), 1.0
@@ -121,12 +126,12 @@ def test_recursion_path_consistency():
     assert table.entries[KType(2, 2)] == pytest.approx(mu_a, rel=1e-12)
 
 
-def _reference_bfs(sig, r, jmax, kmax, parity):
-    """Plain scalar BFS: values as tree products, and the singular edges met."""
-    base = base_ktype(parity)
-    values = {base: 1.0}
+def _reference_bfs(sig, r, jmax, kmax):
+    """Plain scalar BFS from the class bases: values as tree products, and the singular edges met."""
+    bases = [KType(0, 0), KType(1, 0)][: min(jmax + 1, 2)]
+    values = dict.fromkeys(bases, 1.0)
     singular = 0
-    queue = deque([base])
+    queue = deque(bases)
     while queue:
         alpha = queue.popleft()
         for beta, tag in neighbors(alpha):
@@ -152,15 +157,14 @@ ORDERS = st.one_of(
 @given(
     p=st.integers(1, 6),
     q=st.integers(1, 6),
-    jmax=st.integers(1, 10),
-    kmax=st.integers(1, 10),
-    parity=st.integers(0, 1),
+    jmax=st.integers(0, 10),
+    kmax=st.integers(0, 10),
     r=ORDERS,
 )
-def test_recursion_matches_reference_bfs(p, q, jmax, kmax, parity, r):
+def test_recursion_matches_reference_bfs(p, q, jmax, kmax, r):
     sig = Signature(p, q)
-    reference, singular = _reference_bfs(sig, r, jmax, kmax, parity)
-    table = recursion_spectrum(sig, r, jmax, kmax, parity)
+    reference, singular = _reference_bfs(sig, r, jmax, kmax)
+    table = recursion_spectrum(sig, r, jmax, kmax)
     assert set(table.entries) == set(reference)
     assert len(table.singular_edges) == singular
     for v, mu in reference.items():
@@ -170,22 +174,18 @@ def test_recursion_matches_reference_bfs(p, q, jmax, kmax, parity, r):
 def test_recursion_skip_cases_at_integer_and_half_integer_order():
     # singular edges cut these lattices into pieces: (2, 3) at r = 1.5, (2, 2) at r = 2
     for sig, r in ((Signature(2, 3), 1.5), (Signature(2, 2), 2.0), (Signature(1, 1), 2.0)):
-        cut = 0
-        for parity in (0, 1):
-            reference, singular = _reference_bfs(sig, r, 12, 12, parity)
-            table = recursion_spectrum(sig, r, 12, 12, parity)
-            assert set(table.entries) == set(reference)
-            assert len(table.singular_edges) == singular
-            for v, mu in reference.items():
-                assert math.isclose(table.entries[v], mu, rel_tol=1e-13, abs_tol=0.0)
-            cut += singular
-        assert cut > 0
+        reference, singular = _reference_bfs(sig, r, 12, 12)
+        table = recursion_spectrum(sig, r, 12, 12)
+        assert set(table.entries) == set(reference)
+        assert len(table.singular_edges) == singular > 0
+        for v, mu in reference.items():
+            assert math.isclose(table.entries[v], mu, rel_tol=1e-13, abs_tol=0.0)
 
 
 def test_recursion_singular_edge_skip():
     sig = Signature(1, 2)  # J + K + 1 = 1.5 at the base edge
-    table = recursion_spectrum(sig, 1.5, 6, 6, 0)
-    assert table.entries == {KType(0, 0): 1.0}
+    table = recursion_spectrum(sig, 1.5, 6, 6)
+    assert {v: mu for v, mu in table.entries.items() if v.parity == 0} == {KType(0, 0): 1.0}
     assert len(table.singular_edges) > 0
 
 
@@ -218,10 +218,16 @@ def test_loop_products_sweep_small():
             assert dev <= 1e-12
 
 
-def test_half_jump_values():
-    sig = Signature(1, 3)
-    v = KType(1, 1)  # J = 1, K = 2
-    assert half_jump(sig, v, "++") == 4
-    assert half_jump(sig, v, "-+") == 2
-    assert half_jump(sig, v, "+-") == 0
-    assert half_jump(sig, v, "--") == -2
+def test_transition_ratio_is_bochner_jump_law():
+    # the recursion's h is half the Bochner eigenvalue jump across the edge:
+    # mu_beta / mu_alpha = (dN/2 + r)/(dN/2 - r) with dN = n_difference
+    for p in range(1, 6):
+        for q in range(1, 6):
+            sig = Signature(p, q)
+            for r in (0.37, -0.8, 1.25, 2.6):
+                for j in range(7):
+                    for k in range(7):
+                        alpha = KType(j, k)
+                        for beta, tag in neighbors(alpha):
+                            h = n_difference(sig, alpha, beta) / 2
+                            assert transition_ratio(sig, alpha, tag, r) == (h + r) / (h - r)

@@ -232,12 +232,3 @@ class TestTransformPair:
         with pytest.raises(GridTooCoarse):
             apply_T_numeric(ZonalFunction(sig, np.zeros((5, 5))), grid)
 
-
-def test_parity_component_split():
-    sig = Signature(1, 2)
-    rng = np.random.default_rng(9)
-    f = ZonalFunction(sig, rng.uniform(-1, 1, (5, 5)))
-    even = f.parity_component(0)
-    odd = f.parity_component(1)
-    assert np.allclose((even + odd).coeffs, f.coeffs)
-    assert even.coeffs[1, 0] == 0.0 and odd.coeffs[1, 1] == 0.0
