@@ -1,8 +1,9 @@
 """Command-line front end: spectrum tables and verification suites.
 
 Exit codes: 0 success / all checks pass, 1 failed check or unwritable
-output, 2 invalid configuration.  Output is byte-deterministic for a given
-flag set; floats are printed with 17 significant digits and '.' decimal.
+output, 2 invalid configuration, including an order too large for floating
+point.  Output is byte-deterministic for a given flag set; floats are
+printed with 17 significant digits and '.' decimal.
 
 Singular table entries are first-class values, rendered as "pole" (closed
 form undefined) or "zero-denominator" (recursion blocked), never as NaN.
@@ -29,6 +30,12 @@ from .spectrum import SpectralOrder, at_class_base, recursion_spectrum, relative
 from .verify import DEFAULT_CHECKS, run_suite
 
 SCHEMA_VERSION = 1
+
+#: Largest positive-integer order r accepted.  The integer-order route
+#: multiplies 2r exact linear factors per K-type, and no order above 98 gives
+#: a spectrum that fits a float (measured for p, q <= 6); every float above
+#: 2**53 is an integer, so without a bound those products need not end.
+MAX_INTEGER_ORDER = 100
 
 CSV_COLUMNS = (
     "j", "k", "J", "K", "parity",
@@ -84,12 +91,16 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
         order = SpectralOrder(args.r)
     except ValueError as exc:
         parser.error(str(exc))
+    if order.is_positive_integer and order.as_integer > MAX_INTEGER_ORDER:
+        parser.error(f"integer order must satisfy r <= {MAX_INTEGER_ORDER}, got r = {args.r}")
     return Signature(args.p, args.q), order
 
 
 def _spectrum_rows(sig: Signature, order: SpectralOrder, jmax: int, kmax: int):
-    table = recursion_spectrum(sig, order, jmax, kmax)
+    # The closed form runs first: where the order is too large for floats it
+    # raises OverflowError before the recursion overflows with warnings.
     closed, poles = z_spectral_grid(sig, order, jmax, kmax)
+    table = recursion_spectrum(sig, order, jmax, kmax)
     # Adding 0.0 turns -0.0 into 0.0 (IEEE 754), so no cell prints a negative zero.
     recursion, closed = table.values + 0.0, closed + 0.0
     # The closed form is compared after division by its value at the class
@@ -181,9 +192,12 @@ def cmd_verify(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "spectrum":
-        return cmd_spectrum(args, parser)
-    return cmd_verify(args, parser)
+    command = cmd_spectrum if args.command == "spectrum" else cmd_verify
+    try:
+        return command(args, parser)
+    except OverflowError as exc:  # nothing is written before the values are complete
+        print(f"error: r = {args.r} overflows floating point: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():  # console-script hook

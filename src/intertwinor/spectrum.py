@@ -17,11 +17,11 @@ are their single-point form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import DIRECTIONS, STEPS, KType, Signature, doubled_shifts, neighbor
 
@@ -170,10 +170,16 @@ def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
     return _ratio(_two_h(*doubled_shifts(sig, alpha), direction), order.r)
 
 
-def at_class_base(grid: np.ndarray) -> np.ndarray:
-    """Each entry of a window grid (jmax >= 1) replaced by the entry at its class base, (0, 0) or (1, 0)."""
+def at_class_base(grid: np.ndarray, outside=None) -> np.ndarray:
+    """Each entry of a window grid replaced by the entry at its class base, (0, 0) or (1, 0).
+
+    When jmax = 0 the odd base lies outside the window, and the odd entries get ``outside``.
+    """
+    bases = grid[:2, 0]
+    if len(bases) < 2:
+        bases = np.append(bases, outside)
     j, k = np.indices(grid.shape)
-    return grid[(j + k) % 2, 0]
+    return bases[(j + k) % 2]
 
 
 @dataclass
@@ -248,39 +254,86 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
     )
 
 
+def _extend(prefixes, room: int, span: int):
+    """One more step of a list of +/-1 step prefixes, pruned.
+
+    ``prefixes`` is (offset, low, high): the sum of each prefix and the least
+    and greatest of its partial sums, 0 included.  Each prefix gets the
+    children s = +1 and s = -1; a child is kept when it can still return to
+    offset 0 in ``room`` more steps and its excursion high - low is at most
+    ``span``.  Returns the kept children, the index of each one's parent and
+    its step s.
+    """
+    offset, low, high = prefixes
+    parent = np.tile(np.arange(len(offset)), 2)
+    step = np.repeat([1, -1], len(offset))
+    offset = offset[parent] + step
+    low, high = np.minimum(low[parent], offset), np.maximum(high[parent], offset)
+    keep = (np.abs(offset) <= room) & (high - low <= span)
+    return (offset[keep], low[keep], high[keep]), parent[keep], step[keep]
+
+
+def _closed_deviation(closed: np.ndarray, worst: float) -> float:
+    """max(worst, |x - 1|) over the closed-walk products x in ``closed``, which it overwrites.
+
+    A product is nan where its walk leaves the window or crosses a singular
+    edge, and fmax skips the nans.  Elsewhere it is finite: off the singular
+    edges |h - r| > 5e-10 (see TWO_R_TOL), so each ratio is below 1 + 4e9 |h|
+    in size, and no walk short enough to enumerate overflows.
+    """
+    np.abs(np.subtract(closed, 1.0, out=closed), out=closed)
+    return float(np.fmax.reduce(closed, axis=None, initial=worst))
+
+
 def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = 8) -> float:
     """Max |product - 1| over all closed lattice walks of length <= max_len.
 
-    Vectorized over start points: for each closed direction sequence, the
-    per-start product is an elementwise product of shifted ratio arrays.
-    Walks through a singular edge or off the [0,jmax] x [0,kmax] window are
-    excluded.
+    A walk is a start in the [0, jmax] x [0, kmax] window and a sequence of
+    diagonal steps; its product multiplies the transition ratios of its steps
+    in walk order, starting from 1.0.  Walks through a singular edge or off
+    the window are excluded.
+
+    The j-steps and the k-steps of a walk are independent +/-1 sequences, so
+    the walks form one prefix tree whose node at depth i pairs a j-prefix with
+    a k-prefix of i steps.  It is walked one depth at a time, vectorized over
+    the starts: the products of a depth have shape (j-prefixes, k-prefixes,
+    jmax + 1, kmax + 1), and each child extends its parent's products by the
+    ratio of its last step.  A prefix is pruned when it can no longer close
+    within max_len steps, or when its span exceeds jmax (kmax), since it then
+    leaves the window from every start.  Closed walks are the nodes at even
+    depths with both offsets 0; at the last depth every node is closed.  Each
+    product is formed as for its walk alone, so pruning drops no closed walk
+    and changes no product or maximum.
     """
-    pad = max_len
+    depth = max(max_len, 0) // 2 * 2  # the longest closed walk
+    half = depth // 2  # no prefix that can still close strays further from its start
     nj, nk = jmax + 1, kmax + 1
-    ratio = np.pad(edge_arrays(sig, r, jmax, kmax)[1], ((0, 0), (pad, pad), (pad, pad)),
+    ratio = np.pad(edge_arrays(sig, r, jmax, kmax)[1], ((0, 0), (half, half), (half, half)),
                    constant_values=np.nan)
-
-    jgrid = np.arange(nj)[None, None, :, None]
-    kgrid = np.arange(nk)[None, None, None, :]
+    # at[d, half + a, half + b]: the ratios in direction d at offset (a, b) from every start
+    at = np.ascontiguousarray(sliding_window_view(ratio, (nj, nk), axis=(1, 2)))
+    root = (np.zeros(1, dtype=np.intp),) * 3
+    jprefixes, kprefixes = root, root
+    products = np.ones((1, 1, nj, nk))
     worst = 0.0
-    for length in range(2, max_len + 1, 2):
-        half = length // 2
-        jsigns = np.array(list(itertools.combinations(range(length), half)))
-        signs = np.full((len(jsigns), length), -1, dtype=np.int64)
-        for row, pos in enumerate(jsigns):
-            signs[row, pos] = 1
-        # signs: every +/-1 pattern with zero sum, reused for both axes
-        cum = np.cumsum(signs, axis=1) - signs  # offset before each step
-        jneg = (signs < 0).astype(np.int64)
-
-        prod = np.ones((signs.shape[0], signs.shape[0], nj, nk))
-        for i in range(length):
-            d = 2 * jneg[:, i][:, None, None, None] + jneg[:, i][None, :, None, None]
-            joff = pad + cum[:, i][:, None, None, None] + jgrid
-            koff = pad + cum[:, i][None, :, None, None] + kgrid
-            prod *= ratio[d, joff, koff]
-        finite = np.isfinite(prod)
-        if finite.any():
-            worst = max(worst, float(np.max(np.abs(prod[finite] - 1.0))))
+    for i in range(1, depth):
+        jchildren, jparent, jstep = _extend(jprefixes, depth - i, jmax)
+        kchildren, kparent, kstep = _extend(kprefixes, depth - i, kmax)
+        products = products[np.ix_(jparent, kparent)]
+        direction = 2 * (jstep < 0)[:, None] + (kstep < 0)[None, :]  # index into DIRECTIONS
+        jat, kat = half + jprefixes[0][jparent], half + kprefixes[0][kparent]
+        mid = len(jparent) // 2  # two halves: the gathered ratios need half the memory
+        for rows in (slice(None, mid), slice(mid, None)):
+            products[rows] *= at[direction[rows], jat[rows, None], kat[None, :]]
+        jprefixes, kprefixes = jchildren, kchildren
+        if i % 2 == 0:
+            worst = _closed_deviation(products[np.ix_(jprefixes[0] == 0, kprefixes[0] == 0)], worst)
+    if depth:
+        # Every prefix left has offset +/-1 and closes with the step back to 0,
+        # which keeps its span: one ratio array per pair of offsets closes them.
+        for a in (-1, 1):
+            for b in (-1, 1):
+                closed = products[np.ix_(jprefixes[0] == a, kprefixes[0] == b)]
+                closed *= at[2 * (a > 0) + (b > 0), half + a, half + b]
+                worst = _closed_deviation(closed, worst)
     return worst

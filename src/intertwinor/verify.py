@@ -154,16 +154,17 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
     infinite = numerator_pole_grid(sig, order, jmax, kmax)
     mu = np.where(poles & ~infinite, 0.0, gamma)
     table = recursion_spectrum(sig, order, jmax, kmax)
-    # A class whose base is singular has no closed-form normalization, so the
-    # whole class is the predicted exclusion.  (The recursion may still
-    # propagate ratios within its own reachable component.)
-    normalized = ~at_class_base(poles)
+    # A class whose base is singular, or outside the window (the odd class
+    # when jmax = 0), has no closed-form normalization, so the whole class is
+    # the predicted exclusion.  (The recursion may still propagate ratios
+    # within its own reachable component.)
+    normalized = ~at_class_base(poles, outside=True)
     predicted = normalized & infinite
     missing = normalized & ~infinite & ~table.reached
     prediction_ok = not (predicted & table.reached).any() and not missing.any()
     comparable = normalized & ~infinite & table.reached
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(comparable, relative_difference(mu / at_class_base(mu), table.values), 0.0)
+        rel = np.where(comparable, relative_difference(mu / at_class_base(mu, outside=np.nan), table.values), 0.0)
     parity = np.indices(rel.shape).sum(axis=0) % 2
     residual = 0.0
     where = None

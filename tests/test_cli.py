@@ -208,6 +208,33 @@ class TestExitCodes:
         stderr = capsys.readouterr().err
         assert "Traceback" not in stderr and "error:" in stderr
 
+    @pytest.mark.parametrize("argv", [
+        # an integer order above MAX_INTEGER_ORDER: its exact products would not end
+        ["spectrum", "--p", "2", "--q", "3", "--r", "1e300", "--jmax", "3", "--kmax", "3"],
+        # the integer-order polynomial overflows a float
+        ["spectrum", "--p", "2", "--q", "3", "--r", "100", "--jmax", "2", "--kmax", "2"],
+        # the Gamma ratio overflows a float
+        ["spectrum", "--p", "2", "--q", "3", "--r", "300.3", "--jmax", "600", "--kmax", "2"],
+    ])
+    def test_large_order_exits_2_at_once(self, argv):
+        script = (
+            "import sys, time\n"
+            "from intertwinor.cli import main\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                              env=_package_env(), timeout=120)
+        code, seconds = done.stdout.split()
+        assert int(code) == 2 and float(seconds) < 1.0
+        lines = done.stderr.splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
     @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed=-5"]])
     def test_negative_seed_exits_2(self, capsys, flag):
         with pytest.raises(SystemExit) as err:
@@ -230,6 +257,12 @@ class TestExitCodes:
         )
         assert code == 1
         assert err
+
+
+def _package_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _call(argv):
@@ -286,8 +319,6 @@ def test_import_footprint():
         "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
         "                 or (m == 'numpy.ma' and m not in base)))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_package_env(), timeout=120, check=True)
     assert done.stdout.strip() == "0 []"

@@ -1,6 +1,9 @@
+import itertools
 import math
+import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from intertwinor.spectrum import (
     SpectralOrder,
     ZeroDenominator,
     at_class_base,
+    edge_arrays,
     is_singular_edge,
     max_loop_deviation,
     recursion_spectrum,
@@ -216,6 +220,69 @@ def test_loop_products_sweep_small():
         for r in GENERIC_R:
             dev = max_loop_deviation(Signature(p, q), r, 10, 10, max_len=8)
             assert dev <= 1e-12
+
+
+def _reference_loop_deviation(sig, r, jmax, kmax, max_len=8):
+    """Max |product - 1| by brute force: every balanced sign pattern of each even length, from every start.
+
+    For each length, every pair of zero-sum +/-1 patterns (the j-steps, the
+    k-steps) is multiplied out over all starts at once; products that are nan
+    (off the window or through a singular edge) are dropped.
+    """
+    pad = max_len
+    nj, nk = jmax + 1, kmax + 1
+    ratio = np.pad(edge_arrays(sig, r, jmax, kmax)[1], ((0, 0), (pad, pad), (pad, pad)),
+                   constant_values=np.nan)
+    jgrid = np.arange(nj)[None, None, :, None]
+    kgrid = np.arange(nk)[None, None, None, :]
+    worst = 0.0
+    for length in range(2, max_len + 1, 2):
+        half = length // 2
+        jsigns = np.array(list(itertools.combinations(range(length), half)))
+        signs = np.full((len(jsigns), length), -1, dtype=np.int64)
+        for row, pos in enumerate(jsigns):
+            signs[row, pos] = 1
+        cum = np.cumsum(signs, axis=1) - signs  # offset before each step
+        jneg = (signs < 0).astype(np.int64)
+        prod = np.ones((signs.shape[0], signs.shape[0], nj, nk))
+        for i in range(length):
+            d = 2 * jneg[:, i][:, None, None, None] + jneg[:, i][None, :, None, None]
+            joff = pad + cum[:, i][:, None, None, None] + jgrid
+            koff = pad + cum[:, i][None, :, None, None] + kgrid
+            prod *= ratio[d, joff, koff]
+        finite = np.isfinite(prod)
+        if finite.any():
+            worst = max(worst, float(np.max(np.abs(prod[finite] - 1.0))))
+    return worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    q=st.integers(1, 6),
+    jmax=st.integers(0, 10),
+    kmax=st.integers(0, 10),
+    max_len=st.integers(0, 8),
+    r=ORDERS,
+)
+def test_loop_deviation_equals_brute_force(p, q, jmax, kmax, max_len, r):
+    # the pruned prefix tree forms each product in walk order, so the floats are identical
+    sig = Signature(p, q)
+    got = max_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
+    assert got == _reference_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
+
+
+def test_loop_deviation_peaks_below_brute_force():
+    sig = Signature(3, 2)
+    peaks = []
+    for deviation in (_reference_loop_deviation, max_loop_deviation):
+        tracemalloc.start()
+        try:
+            deviation(sig, 0.37, 10, 10, max_len=8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0]
 
 
 def test_transition_ratio_is_bochner_jump_law():

@@ -78,6 +78,17 @@ def test_method_agreement_compares_denominator_only_poles_at_zero():
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("r", [0.37, 2.0])
+def test_method_agreement_without_odd_base(r):
+    # jmax = 0 leaves the odd base (1, 0) out of the window, so the odd class is a predicted exclusion
+    sig = Signature(2, 3)
+    rep = check_method_agreement(sig, r, 0, 0)
+    assert rep.passed and (rep.extra["compared"], rep.extra["skipped"]) == (1, 0)
+    rep = check_method_agreement(sig, r, 0, 1)
+    assert rep.passed and (rep.extra["compared"], rep.extra["skipped"]) == (1, 1)
+    assert rep.extra["skipped_matches_prediction"]
+
+
 def test_conformal_laplacian():
     rep = check_conformal_laplacian(Signature(2, 5), 10, 10)
     assert rep.passed and rep.max_residual == 0.0
