@@ -1,9 +1,15 @@
 """Command-line front end: spectrum tables and verification suites.
 
 Exit codes: 0 success / all checks pass, 1 failed check or unwritable
-output, 2 invalid configuration, including an order too large for floating
-point.  Output is byte-deterministic for a given flag set; floats are
-printed with 17 significant digits and '.' decimal.
+output, 2 invalid configuration, including an order beyond MAX_ABS_ORDER or
+too large for floating point.  Output is byte-deterministic for a given flag set.
+
+``spectrum`` writes one fixed schema, each column formatted once over the
+whole window.  CSV cells print floats with "%.17g" ('.' decimal, 17
+significant digits) and integers with str.  JSON is exactly what
+json.dumps(indent=2, sort_keys=True) prints: sorted keys, two-space indent,
+floats as float.__repr__, and NaN, Infinity and -Infinity for non-finite
+floats.  ``verify`` status lines print floats with "%.17g".
 
 Singular table entries are first-class values, rendered as "pole" (closed
 form undefined) or "zero-denominator" (recursion blocked), never as NaN.
@@ -15,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +43,14 @@ SCHEMA_VERSION = 1
 #: a spectrum that fits a float (measured for p, q <= 6); every float above
 #: 2**53 is an integer, so without a bound those products need not end.
 MAX_INTEGER_ORDER = 100
+
+#: Largest |r| accepted, for every order.  A Gamma argument (4c +/- 2r)/4 is
+#: an exact float while |4c| + 2|r| < 2**53; beyond that the sum rounds, an
+#: argument can land on a false pole, and the closed form prints nan (the
+#: smallest such |r| in a scan was 2**52 - 1, at p = 1, q = 4, jmax = kmax =
+#: 12).  No order within this bound printed nan in a scan of p, q <= 6 and
+#: windows up to 40 x 40, and 2r stays within the int64 pole arithmetic.
+MAX_ABS_ORDER = 2**51
 
 CSV_COLUMNS = (
     "j", "k", "J", "K", "parity",
@@ -93,10 +108,33 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
         parser.error(str(exc))
     if order.is_positive_integer and order.as_integer > MAX_INTEGER_ORDER:
         parser.error(f"integer order must satisfy r <= {MAX_INTEGER_ORDER}, got r = {args.r}")
+    if abs(order.r) > MAX_ABS_ORDER:
+        parser.error(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
     return Signature(args.p, args.q), order
 
 
-def _spectrum_rows(sig: Signature, order: SpectralOrder, jmax: int, kmax: int):
+class SpectrumWindow(NamedTuple):
+    """The arrays one spectrum table prints, each over [0, jmax] x [0, kmax].
+
+    ``half_j`` and ``half_k`` hold J by j and K by k.  A value prints where
+    its mask holds: ``reached`` for the recursion (else "zero-denominator"),
+    not ``poles`` for the closed form (else "pole"), ``compared`` for the
+    disagreement (else blank).  ``factorized`` is None, a blank column, unless
+    r is a positive integer.
+    """
+
+    half_j: list[float]
+    half_k: list[float]
+    recursion: np.ndarray
+    reached: np.ndarray
+    closed: np.ndarray
+    poles: np.ndarray
+    factorized: np.ndarray | None
+    disagreement: np.ndarray
+    compared: np.ndarray
+
+
+def _spectrum_window(sig: Signature, order: SpectralOrder, jmax: int, kmax: int) -> SpectrumWindow:
     # The closed form runs first: where the order is too large for floats it
     # raises OverflowError before the recursion overflows with warnings.
     closed, poles = z_spectral_grid(sig, order, jmax, kmax)
@@ -109,44 +147,75 @@ def _spectrum_rows(sig: Signature, order: SpectralOrder, jmax: int, kmax: int):
     compared = table.reached & ~poles & ~at_class_base(poles) & (zbase != 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disagreement = relative_difference(closed / zbase, recursion)
-    recursion, reached, closed, poles, disagreement, compared = (
-        a.tolist() for a in (recursion, table.reached, closed, poles, disagreement, compared))
     factorized = None
     if order.is_positive_integer:
-        factorized = (factorized_grid(sig, order.as_integer, jmax, kmax) + 0.0).tolist()
-    half_j = [doubled_shifts(sig, KType(j, 0))[0] / 2.0 for j in range(jmax + 1)]
-    half_k = [doubled_shifts(sig, KType(0, k))[1] / 2.0 for k in range(kmax + 1)]
-    rows = []
-    for j in range(jmax + 1):
-        for k in range(kmax + 1):
-            rows.append({
-                "j": j, "k": k,
-                "J": half_j[j], "K": half_k[k],
-                "parity": (j + k) % 2,
-                "mu_recursion": recursion[j][k] if reached[j][k] else "zero-denominator",
-                "mu_closed_form": "pole" if poles[j][k] else closed[j][k],
-                "mu_factorized_or_blank": "" if factorized is None else factorized[j][k],
-                "max_rel_disagreement": disagreement[j][k] if compared[j][k] else "",
-            })
-    return rows
+        factorized = factorized_grid(sig, order.as_integer, jmax, kmax) + 0.0
+    return SpectrumWindow(
+        half_j=[doubled_shifts(sig, KType(j, 0))[0] / 2.0 for j in range(jmax + 1)],
+        half_k=[doubled_shifts(sig, KType(0, k))[1] / 2.0 for k in range(kmax + 1)],
+        recursion=recursion, reached=table.reached, closed=closed, poles=poles,
+        factorized=factorized, disagreement=disagreement, compared=compared,
+    )
+
+
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps prints a float: float.__repr__, with the NaN and Infinity tokens."""
+    text = float.__repr__(x)
+    return _JSON_SPECIAL.get(text, text)
+
+
+#: A row object and the whole document as json.dumps(indent=2, sort_keys=True) prints them.
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{key}": %s' for key in sorted(CSV_COLUMNS)) + "\n    }"
+_JSON_DOCUMENT = (
+    '{\n  "jmax": %d,\n  "kmax": %d,\n  "p": %d,\n  "q": %d,\n  "r": %s,\n'
+    '  "rows": [\n%s\n  ],\n  "schema_version": %d\n}\n'
+)
+
+
+def _spectrum_text(window: SpectrumWindow, fmt: str, sig: Signature, r: float) -> str:
+    """The CSV or JSON table of ``window``, row (j, k) in order of j, then k.
+
+    Each column is formatted once over the whole window: CSV floats with
+    "%.17g", JSON floats as json.dumps prints them, integers with str, and
+    labels as constant strings, quoted once for JSON.
+    """
+    number = "%.17g".__mod__ if fmt == "csv" else _json_float
+    quote = str if fmt == "csv" else json.dumps
+    nj, nk = len(window.half_j), len(window.half_k)
+
+    def column(values, shown, label):
+        label = quote(label)
+        return [number(v) if s else label
+                for v, s in zip(values.ravel().tolist(), shown.ravel().tolist())]
+
+    factorized = window.factorized
+    cells = {
+        "j": [str(j) for j in range(nj) for _ in range(nk)],
+        "k": [str(k) for k in range(nk)] * nj,
+        "J": [half for half in map(number, window.half_j) for _ in range(nk)],
+        "K": list(map(number, window.half_k)) * nj,
+        "parity": [str((j + k) % 2) for j in range(nj) for k in range(nk)],
+        "mu_recursion": column(window.recursion, window.reached, "zero-denominator"),
+        "mu_closed_form": column(window.closed, ~window.poles, "pole"),
+        "mu_factorized_or_blank": ([quote("")] * (nj * nk) if factorized is None
+                                   else list(map(number, factorized.ravel().tolist()))),
+        "max_rel_disagreement": column(window.disagreement, window.compared, ""),
+    }
+    if fmt == "csv":
+        rows = map(",".join, zip(*(cells[name] for name in CSV_COLUMNS)))
+        return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
+    rows = map(_JSON_ROW.__mod__, zip(*(cells[key] for key in sorted(CSV_COLUMNS))))
+    return _JSON_DOCUMENT % (nj - 1, nk - 1, sig.p, sig.q, _json_float(r), ",\n".join(rows),
+                             SCHEMA_VERSION)
 
 
 def cmd_spectrum(args, parser) -> int:
     sig, order = _validate(parser, args)
-    rows = _spectrum_rows(sig, order, args.jmax, args.kmax)
-    if args.format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in CSV_COLUMNS))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "p": sig.p, "q": sig.q, "r": order.r,
-            "jmax": args.jmax, "kmax": args.kmax,
-            "rows": rows,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    window = _spectrum_window(sig, order, args.jmax, args.kmax)
+    text = _spectrum_text(window, args.format, sig, order.r)
     if args.output == "-":
         sys.stdout.write(text)
     else:

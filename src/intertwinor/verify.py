@@ -145,9 +145,10 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
     """Recursion table vs base-normalized closed form, both parity classes.
 
     Entries with a numerator Gamma-argument pole, where the closed form is
-    infinite, are the predicted exclusions: skipped and counted, and the
-    skipped set must coincide with the prediction.  Entries whose poles all
-    sit in the denominator are compared at mu = 0.
+    infinite, and entries that no window edge joins to their class base are
+    the predicted exclusions: skipped and counted, and the skipped set must
+    coincide with the prediction.  Entries whose poles all sit in the
+    denominator are compared at mu = 0.
     """
     order = SpectralOrder.coerce(r)
     gamma, poles = z_gamma_grid(sig, order, jmax, kmax)
@@ -159,8 +160,12 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
     # the predicted exclusion.  (The recursion may still propagate ratios
     # within its own reachable component.)
     normalized = ~at_class_base(poles, outside=True)
-    predicted = normalized & infinite
-    missing = normalized & ~infinite & ~table.reached
+    # Every edge changes both j and k by one, so a window one K-type wide has
+    # no edges, and in any wider window the edges join each class.
+    j, k = np.indices(poles.shape)
+    joined = (min(jmax, kmax) >= 1) | ((j < 2) & (k == 0))
+    predicted = normalized & (infinite | ~joined)
+    missing = normalized & joined & ~infinite & ~table.reached
     prediction_ok = not (predicted & table.reached).any() and not missing.any()
     comparable = normalized & ~infinite & table.reached
     with np.errstate(divide="ignore", invalid="ignore"):

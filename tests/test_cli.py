@@ -7,10 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intertwinor import cli
 from intertwinor.cli import main
+from intertwinor.geometry import Signature
+from intertwinor.spectrum import SpectralOrder
 
 
 def run_cli(capsys, *args):
@@ -235,6 +240,26 @@ class TestExitCodes:
         assert [line for line in lines if "error:" in line] == lines[-1:]
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("r", ["-1e16", "-1e20", "-1e300"])
+    def test_order_beyond_bound_exits_2(self, capsys, command, r):
+        # beyond the bound the closed form can print nan (-1e16), and 2r leaves the int64 pole arithmetic
+        with pytest.raises(SystemExit) as err:
+            main([command, "--p", "2", "--q", "3", f"--r={r}", "--jmax", "3", "--kmax", "3"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert f"error: order must satisfy |r| <= 2**51 = {cli.MAX_ABS_ORDER}, got r = {float(r)}" in stderr
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("p, q", [(1, 4), (2, 3)])
+    def test_order_at_bound_prints_no_nan(self, capsys, command, p, q):
+        r = -float(cli.MAX_ABS_ORDER)
+        checks = ["--check", "inversion"] if command == "verify" else []
+        code, out, _ = run_cli(capsys, command, "--p", str(p), "--q", str(q), f"--r={r!r}",
+                               "--jmax", "12", "--kmax", "12", *checks)
+        assert code == 0 and "nan" not in out
+
     @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed=-5"]])
     def test_negative_seed_exits_2(self, capsys, flag):
         with pytest.raises(SystemExit) as err:
@@ -322,3 +347,98 @@ def test_import_footprint():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_package_env(), timeout=120, check=True)
     assert done.stdout.strip() == "0 []"
+
+
+def reference_payload(window: cli.SpectrumWindow, sig: Signature, r: float) -> dict:
+    """The JSON document as one dict per row, as the spectrum command built it before its fixed-schema writer."""
+    recursion, reached, closed, poles, disagreement, compared = (
+        a.tolist() for a in (window.recursion, window.reached, window.closed, window.poles,
+                             window.disagreement, window.compared))
+    factorized = None if window.factorized is None else window.factorized.tolist()
+    rows = []
+    for j, half_j in enumerate(window.half_j):
+        for k, half_k in enumerate(window.half_k):
+            rows.append({
+                "j": j, "k": k,
+                "J": half_j, "K": half_k,
+                "parity": (j + k) % 2,
+                "mu_recursion": recursion[j][k] if reached[j][k] else "zero-denominator",
+                "mu_closed_form": "pole" if poles[j][k] else closed[j][k],
+                "mu_factorized_or_blank": "" if factorized is None else factorized[j][k],
+                "max_rel_disagreement": disagreement[j][k] if compared[j][k] else "",
+            })
+    return {
+        "schema_version": cli.SCHEMA_VERSION,
+        "p": sig.p, "q": sig.q, "r": r,
+        "jmax": len(window.half_j) - 1, "kmax": len(window.half_k) - 1,
+        "rows": rows,
+    }
+
+
+def reference_text(window: cli.SpectrumWindow, fmt: str, sig: Signature, r: float) -> str:
+    """The table by the generic encoders: json.dumps of the dict rows, or their per-cell _fmt CSV join."""
+    payload = reference_payload(window, sig, r)
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = [",".join(cli.CSV_COLUMNS)]
+    for row in payload["rows"]:
+        lines.append(",".join(cli._fmt(row[c]) for c in cli.CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+ORDERS = st.one_of(
+    st.floats(-9.0, 9.0),  # generic
+    st.integers(-9, 9).map(float),  # integer
+    st.integers(-9, 8).map(lambda n: n + 0.5),  # half-integer
+    st.sampled_from([-0.0, 1e-320, 0.5000000001, -2.9999999999]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 6), q=st.integers(1, 6), jmax=st.integers(1, 12), kmax=st.integers(1, 12),
+       r=ORDERS, fmt=st.sampled_from(["csv", "json"]))
+def test_writer_matches_dict_row_reference(p, q, jmax, kmax, r, fmt):
+    argv = ["spectrum", "--p", str(p), "--q", str(q), f"--r={r!r}", "--jmax", str(jmax),
+            "--kmax", str(kmax), "--format", fmt]
+    code, out, err = _call(argv)
+    assert (code, err) == (0, "")
+    sig, order = Signature(p, q), SpectralOrder(r)
+    assert out == reference_text(cli._spectrum_window(sig, order, jmax, kmax), fmt, sig, order.r)
+
+
+def test_writer_formats_special_values_as_reference():
+    # Values the window arrays can hold in principle, and every label, in both formats.
+    special = np.array([np.nan, np.inf, -np.inf, 5e-324, -1e-310, 2.2250738585072014e-308, 0.0, -0.0,
+                        1.0, -1.5, 0.1, 1e16, 1.7976931348623157e308, 123456789.12345679])
+    shape = (5, 7)
+    cells = np.arange(np.prod(shape)).reshape(shape)
+
+    def values(shift):
+        return special[(cells + shift) % len(special)]
+
+    window = cli.SpectrumWindow(
+        half_j=[0.0, 0.5, 1.0, 1.5, 2.5], half_k=[0.5, 1.0, 3.5, 4.0, 4.5, 5.0, 1e-320],
+        recursion=values(0), reached=cells % 3 != 0,
+        closed=values(5), poles=cells % 4 == 1,
+        factorized=None,
+        disagreement=values(9), compared=cells % 5 != 2,
+    )
+    sig = Signature(2, 3)
+    for factorized in (None, values(3)):
+        for r in (0.37, -0.0, 2.0, 5e-324):
+            w = window._replace(factorized=factorized)
+            for fmt in ("csv", "json"):
+                text = cli._spectrum_text(w, fmt, sig, r)
+                assert text == reference_text(w, fmt, sig, r)
+                assert all(label in text for label in ("pole", "zero-denominator"))
+            assert all(token in text for token in ("NaN", "-Infinity", "Infinity", '""', "5e-324"))
+
+
+def test_large_json_table_loads_to_reference_payload(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--p", "2", "--q", "3", "--r", "2",
+                           "--jmax", "80", "--kmax", "80", "--format", "json")
+    assert code == 0
+    sig, order = Signature(2, 3), SpectralOrder(2.0)
+    expected = reference_payload(cli._spectrum_window(sig, order, 80, 80), sig, order.r)
+    assert len(expected["rows"]) == 81 * 81
+    assert json.loads(out) == expected

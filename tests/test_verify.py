@@ -89,6 +89,20 @@ def test_method_agreement_without_odd_base(r):
     assert rep.extra["skipped_matches_prediction"]
 
 
+@pytest.mark.parametrize("r", [0.37, 2.0])
+@pytest.mark.parametrize("other", range(7))
+def test_method_agreement_one_k_type_wide(r, other):
+    # Every edge changes both j and k, so a window with jmax = 0 or kmax = 0
+    # has no edges: only the class bases in it are compared, and the other
+    # K-types are predicted exclusions, although their closed form is finite.
+    sig = Signature(2, 3)
+    for jmax, kmax in ((0, other), (other, 0)):
+        rep = check_method_agreement(sig, r, jmax, kmax)
+        bases = min(jmax, 1) + 1
+        assert rep.passed and rep.extra["skipped_matches_prediction"]
+        assert (rep.extra["compared"], rep.extra["skipped"]) == (bases, (jmax + 1) * (kmax + 1) - bases)
+
+
 def test_conformal_laplacian():
     rep = check_conformal_laplacian(Signature(2, 5), 10, 10)
     assert rep.passed and rep.max_residual == 0.0
