@@ -50,6 +50,10 @@ MAX_INTEGER_ORDER = 100
 #: smallest such |r| in a scan was 2**52 - 1, at p = 1, q = 4, jmax = kmax =
 #: 12).  No order within this bound printed nan in a scan of p, q <= 6 and
 #: windows up to 40 x 40, and 2r stays within the int64 pole arithmetic.
+#: Within the bound the closed form loses relative accuracy as |r| grows,
+#: since each Gamma pair is a difference of log-Gammas of size about
+#: |r|/2 log|r|: against 60-digit mpmath, 1.2e-12 at |r| ~ 1e3, 2e-9 at 1e6,
+#: 7.6e-6 at 1e9 and 3.9e-3 at 1e12 on (2, 3).  Those values are unlabelled.
 MAX_ABS_ORDER = 2**51
 
 CSV_COLUMNS = (

@@ -14,8 +14,9 @@ import numpy as np
 
 from .closedform import (
     PoleAtKType,
-    conformal_laplacian_eigenvalue_exact,
-    factorized_eigenvalue_exact,
+    _factorized_numerator,
+    conformal_laplacian_eigenvalue_exact,  # unused here; perfbench/tracing.py rebinds this name
+    factorized_eigenvalue_exact,  # unused here; perfbench/tracing.py rebinds this name
     numerator_pole_grid,
     singular_ktypes,  # unused here; perfbench/tracing.py rebinds this name
     z_gamma_grid,
@@ -30,6 +31,7 @@ from .spectrum import (
     max_loop_deviation,
     recursion_spectrum,
     relative_difference,
+    window,
 )
 from .zonal import (
     QuadratureGrid,
@@ -89,9 +91,13 @@ def _worst(delta: np.ndarray) -> tuple[float, tuple[int, int]]:
     return float(np.abs(delta[idx])), (int(idx[0]), int(idx[1]))
 
 
-def _apply_eigenvalues(f: ZonalFunction, r) -> ZonalFunction:
-    """Diagonal action of the intertwining operator on every K-type present."""
-    mu, poles = z_spectral_grid(f.sig, r, f.jmax, f.kmax)
+def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
+    """Diagonal action of the intertwining operator on every K-type present.
+
+    ``spectrum`` is z_spectral_grid over a window containing f's; every
+    entry depends only on its own K-type, so its leading block is f's.
+    """
+    mu, poles = (grid[: f.jmax + 1, : f.kmax + 1] for grid in spectrum)
     present = f.coeffs != 0.0
     if (poles & present).any():
         j, k = np.argwhere(poles & present)[0].tolist()
@@ -100,19 +106,25 @@ def _apply_eigenvalues(f: ZonalFunction, r) -> ZonalFunction:
 
 
 def check_intertwining(sig: Signature, r, f: ZonalFunction, tol: float = 1e-9,
-                       seed: int | None = None) -> VerificationReport:
+                       seed: int | None = None, spectrum=None) -> VerificationReport:
     """Residual of A(T + (n/2 - r) varpi) f = (T + (n/2 + r) varpi) A f.
 
     A acts diagonally by the closed-form eigenvalues.  The residual is
     measured on interior coefficients (j <= jmax - 1, k <= kmax - 1 of the
     input truncation), relative to the coefficient sup-norm of f.
+    ``spectrum`` is z_spectral_grid(sig, r, jmax', kmax') over any window
+    with jmax' > f.jmax and kmax' > f.kmax, which run_suite evaluates once
+    for all seeds; without it the check evaluates its own.  The varpi
+    matrices are built once per degree and cached.
     """
     order = SpectralOrder.coerce(r)
+    if spectrum is None:
+        spectrum = z_spectral_grid(sig, order, f.jmax + 1, f.kmax + 1)
     half_n = sig.n / 2.0
     left = _apply_eigenvalues(
-        apply_T_via_lemma(f) + (half_n - order.r) * multiply_by_varpi(f), order
+        apply_T_via_lemma(f) + (half_n - order.r) * multiply_by_varpi(f), order, spectrum
     )
-    af = _apply_eigenvalues(f, order)
+    af = _apply_eigenvalues(f, order, spectrum)
     right = apply_T_via_lemma(af) + (half_n + order.r) * multiply_by_varpi(af)
     delta = (left - right).coeffs[: max(f.jmax, 1), : max(f.kmax, 1)]
     scale = max(float(np.max(np.abs(f.coeffs))), 1e-14)
@@ -189,15 +201,16 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
 
 
 def check_conformal_laplacian(sig: Signature, jmax: int, kmax: int) -> VerificationReport:
-    """Order-2 factorized eigenvalue vs the Yamabe eigenvalue, exactly."""
-    mismatches = 0
-    where = None
-    for j in range(jmax + 1):
-        for k in range(kmax + 1):
-            v = KType(j, k)
-            if factorized_eigenvalue_exact(sig, 1, v) != conformal_laplacian_eigenvalue_exact(sig, v):
-                mismatches += 1
-                where = where or (j, k)
+    """Order-2 factorized eigenvalue vs the Yamabe eigenvalue, exactly.
+
+    Both are compared over the window as exact integers, four times their
+    value: the Pochhammer pairs of the factorized polynomial at r = 1 on one
+    side, 4(K^2 - J^2) on the other.
+    """
+    j, k, tj, tk = window(sig, jmax, kmax)
+    mismatch = _factorized_numerator(sig, tj, tk, (j + k) % 2, 1) != tk * tk - tj * tj
+    mismatches = int(mismatch.sum())
+    where = tuple(np.argwhere(mismatch)[0].tolist()) if mismatches else None
     # (n-2)/(4(n-1)) * Scal must equal ((q-1)^2 - (p-1)^2)/4, exactly.
     n = sig.n
     curvature_ok = (
@@ -272,8 +285,10 @@ def run_suite(sig: Signature, r, jmax: int = 8, kmax: int = 8, seed: int = 0,
             reports.append(_worst_over_seeds(
                 lambda f, s: check_lemma1(sig, f, grid, seed=s), sig, jmax, kmax, seed, n_functions))
         elif name == "intertwining":
+            spectrum = z_spectral_grid(sig, r, jmax + 1, kmax + 1)
             reports.append(_worst_over_seeds(
-                lambda f, s: check_intertwining(sig, r, f, seed=s), sig, jmax, kmax, seed, n_functions))
+                lambda f, s: check_intertwining(sig, r, f, seed=s, spectrum=spectrum),
+                sig, jmax, kmax, seed, n_functions))
         elif name == "method-agreement":
             reports.append(check_method_agreement(sig, r, jmax, kmax))
         elif name == "conformal-laplacian":

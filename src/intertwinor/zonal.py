@@ -46,35 +46,28 @@ def mult_by_cos(lam: float, c) -> np.ndarray:
 
     Three-term recurrence: x G_j = (j+1)/(2(j+lam)) G_{j+1}
     + (j+2lam-1)/(2(j+lam)) G_{j-1}; the Chebyshev branch has the j = 0
-    anomaly x T_0 = T_1.  Output degree grows by one.
+    anomaly x T_0 = T_1.  Output degree grows by one.  ``c`` may carry
+    further axes; the recurrence acts along axis 0, adding the upward terms
+    before the downward ones, as a loop over j would.
     """
     c = np.asarray(c, dtype=float)
-    out = np.zeros(len(c) + 1)
+    j = np.arange(len(c), dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
     if lam == 0:
-        for j, cj in enumerate(c):
-            if j == 0:
-                out[1] += cj
-            else:
-                out[j + 1] += 0.5 * cj
-                out[j - 1] += 0.5 * cj
+        up = np.where(j == 0, 1.0, 0.5)
+        down = np.full(j.shape, 0.5)
     else:
-        for j, cj in enumerate(c):
-            out[j + 1] += (j + 1) / (2.0 * (j + lam)) * cj
-            if j >= 1:
-                out[j - 1] += (j + 2.0 * lam - 1) / (2.0 * (j + lam)) * cj
+        up = (j + 1) / (2.0 * (j + lam))
+        down = (j + 2.0 * lam - 1) / (2.0 * (j + lam))
+    out = np.zeros((len(c) + 1,) + c.shape[1:])
+    out[1:] += up * c
+    out[:-2] += down[1:] * c[1:]
     return out
 
 
 @lru_cache(maxsize=None)
 def _cos_matrix(d: int, deg: int) -> np.ndarray:
     """Matrix of mult_by_cos on coefficient vectors of degree <= deg."""
-    lam = gegenbauer_index(d)
-    M = np.zeros((deg + 2, deg + 1))
-    for j in range(deg + 1):
-        unit = np.zeros(deg + 1)
-        unit[j] = 1.0
-        M[:, j] = mult_by_cos(lam, unit)
-    return M
+    return mult_by_cos(gegenbauer_index(d), np.eye(deg + 1))
 
 
 def gegenbauer_norm(d: int, j: int) -> float:
@@ -207,7 +200,13 @@ def apply_T_via_lemma(f: ZonalFunction) -> ZonalFunction:
 
 @dataclass(eq=False, frozen=True)
 class QuadratureGrid:
-    """Gauss-Jacobi nodes/weights for both angular factors, in x = cos theta."""
+    """Gauss-Jacobi nodes/weights for both angular factors, in x = cos theta.
+
+    ``Vx``, ``Dx`` (``Vy``, ``Dy``) are the value and derivative Vandermondes
+    of the zonal basis at the nodes up to ``max_degree_x`` (``max_degree_y``).
+    Column j of a recurrence depends only on the columns before it, so the
+    first m + 1 columns are the Vandermonde of degree m, bit for bit.
+    """
 
     sig: Signature
     x: np.ndarray
@@ -216,6 +215,10 @@ class QuadratureGrid:
     wy: np.ndarray
     max_degree_x: int
     max_degree_y: int
+    Vx: np.ndarray
+    Dx: np.ndarray
+    Vy: np.ndarray
+    Dy: np.ndarray
 
 
 def _orthonormal_sums(x: np.ndarray, off: np.ndarray, mass: float):
@@ -266,33 +269,47 @@ def quadrature_grid(sig: Signature, jdeg: int, kdeg: int, margin: int = 4) -> Qu
     """
     x, wx = _gauss_jacobi(jdeg + margin, 0.5 * (sig.p - 2))
     y, wy = _gauss_jacobi(kdeg + margin, 0.5 * (sig.q - 2))
-    return QuadratureGrid(sig, x, wx, y, wy, jdeg, kdeg)
+    return QuadratureGrid(sig, x, wx, y, wy, jdeg, kdeg,
+                          _poly_matrix(sig.p, jdeg, x), _deriv_matrix(sig.p, jdeg, x),
+                          _poly_matrix(sig.q, kdeg, y), _deriv_matrix(sig.q, kdeg, y))
+
+
+def _leading(V: np.ndarray, deg: int) -> np.ndarray:
+    """The first deg + 1 columns of a grid Vandermonde, as a contiguous copy.
+
+    numpy picks its BLAS call by the strides of the operands: a one-row
+    strided view goes to gemv with a non-unit increment, which sums in
+    another order than the matrix built at that degree.
+    """
+    return np.ascontiguousarray(V[:, : deg + 1])
 
 
 def evaluate(f: ZonalFunction, grid: QuadratureGrid) -> np.ndarray:
-    """Sample f on the grid: samples[a, b] = f(x_a, y_b)."""
+    """Sample f on the grid: samples[a, b] = f(x_a, y_b).
+
+    Uses the leading columns of the grid's Vandermondes.
+    """
     if f.jmax > grid.max_degree_x or f.kmax > grid.max_degree_y:
         raise GridTooCoarse(
             f"grid resolves degrees ({grid.max_degree_x}, {grid.max_degree_y}), "
             f"function has ({f.jmax}, {f.kmax})"
         )
-    Vx = _poly_matrix(f.sig.p, f.jmax, grid.x)
-    Vy = _poly_matrix(f.sig.q, f.kmax, grid.y)
-    return Vx @ f.coeffs @ Vy.T
+    return _leading(grid.Vx, f.jmax) @ f.coeffs @ _leading(grid.Vy, f.kmax).T
 
 
 def project(samples: np.ndarray, grid: QuadratureGrid, jmax: int, kmax: int) -> ZonalFunction:
-    """Coefficients of grid samples by discrete orthogonality."""
+    """Coefficients of grid samples by discrete orthogonality.
+
+    Uses the leading columns of the grid's Vandermondes.
+    """
     if jmax > grid.max_degree_x or kmax > grid.max_degree_y:
         raise GridTooCoarse(
             f"grid resolves degrees ({grid.max_degree_x}, {grid.max_degree_y}), "
             f"requested ({jmax}, {kmax})"
         )
     sig = grid.sig
-    Vx = _poly_matrix(sig.p, jmax, grid.x)
-    Vy = _poly_matrix(sig.q, kmax, grid.y)
     weighted = samples * grid.wx[:, None] * grid.wy[None, :]
-    raw = Vx.T @ weighted @ Vy
+    raw = _leading(grid.Vx, jmax).T @ weighted @ _leading(grid.Vy, kmax)
     hx = np.array([gegenbauer_norm(sig.p, j) for j in range(jmax + 1)])
     hy = np.array([gegenbauer_norm(sig.q, k) for k in range(kmax + 1)])
     return ZonalFunction(sig, raw / (hx[:, None] * hy[None, :]))
@@ -304,18 +321,16 @@ def apply_T_numeric(f: ZonalFunction, grid: QuadratureGrid) -> np.ndarray:
     T f = cos(rho) sin(tau) d/d tau f + cos(tau) sin(rho) d/d rho f
         = -y (1 - x^2) f_x - x (1 - y^2) f_y   in x = cos tau, y = cos rho.
 
-    Independent of apply_T_via_lemma; used as its oracle.
+    Independent of apply_T_via_lemma; used as its oracle.  Uses the leading
+    columns of the grid's value and derivative Vandermondes.
     """
     if f.jmax + 1 > grid.max_degree_x or f.kmax + 1 > grid.max_degree_y:
         raise GridTooCoarse(
             f"grid must resolve degrees ({f.jmax + 1}, {f.kmax + 1}), "
             f"resolves ({grid.max_degree_x}, {grid.max_degree_y})"
         )
-    sig = f.sig
-    Vx = _poly_matrix(sig.p, f.jmax, grid.x)
-    Vy = _poly_matrix(sig.q, f.kmax, grid.y)
-    Dx = _deriv_matrix(sig.p, f.jmax, grid.x)
-    Dy = _deriv_matrix(sig.q, f.kmax, grid.y)
+    Vx, Dx = _leading(grid.Vx, f.jmax), _leading(grid.Dx, f.jmax)
+    Vy, Dy = _leading(grid.Vy, f.kmax), _leading(grid.Dy, f.kmax)
     fx = Dx @ f.coeffs @ Vy.T
     fy = Vx @ f.coeffs @ Dy.T
     x = grid.x[:, None]

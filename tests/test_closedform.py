@@ -110,6 +110,18 @@ class TestZSpectral:
                     z = z_gamma_ratio(sig, r, v) / z_gamma_ratio(sig, r, KType(v.parity, 0))
                     assert z == pytest.approx(mu, rel=1e-11)
 
+    @pytest.mark.parametrize("r,bound", [(-1000.37, 1e-11), (-1e6 - 0.37, 1e-8)])
+    def test_large_order_accuracy(self, r, bound):
+        # Each Gamma pair is a difference of log-Gammas of size about
+        # |r|/2 log|r|, so the relative error grows with |r|: 1.2e-12 at
+        # r = -1000.37 and 2.0e-9 at -1e6 - 0.37 against 60-digit mpmath
+        # (stated in the README and at cli.MAX_ABS_ORDER).
+        sig = Signature(2, 3)
+        with mpmath.workdps(60):
+            for j, k in ((3, 5), (7, 2), (10, 10)):
+                ref = _mp_gamma_ratio(2, 3, Fraction(r), j, k)  # the float r exactly
+                assert abs(z_spectral(sig, r, KType(j, k)) - ref) <= bound * abs(ref), (j, k)
+
     def test_neighbor_ratio_law(self):
         sig = Signature(2, 2)
         r = 1.5

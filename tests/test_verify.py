@@ -1,11 +1,20 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from intertwinor import verify
 from intertwinor.cli import main
-from intertwinor.closedform import PoleAtKType, numerator_pole_grid, z_gamma_grid, z_gamma_ratio
-from intertwinor.geometry import KType, Signature
+from intertwinor.closedform import (
+    PoleAtKType,
+    conformal_laplacian_eigenvalue_exact,
+    factorized_eigenvalue_exact,
+    numerator_pole_grid,
+    z_gamma_grid,
+    z_gamma_ratio,
+)
+from intertwinor.geometry import KType, Signature, scalar_curvature
 from intertwinor.spectrum import recursion_spectrum
 from intertwinor.verify import (
     DEFAULT_CHECKS,
@@ -106,6 +115,79 @@ def test_method_agreement_one_k_type_wide(r, other):
 def test_conformal_laplacian():
     rep = check_conformal_laplacian(Signature(2, 5), 10, 10)
     assert rep.passed and rep.max_residual == 0.0
+
+
+def reference_conformal_laplacian(sig, jmax, kmax, factorized=factorized_eigenvalue_exact):
+    """The per-K-type Fraction loop that check_conformal_laplacian replaced."""
+    mismatches = 0
+    where = None
+    for j in range(jmax + 1):
+        for k in range(kmax + 1):
+            v = KType(j, k)
+            if factorized(sig, 1, v) != conformal_laplacian_eigenvalue_exact(sig, v):
+                mismatches += 1
+                where = where or (j, k)
+    n = sig.n
+    curvature_ok = (
+        n == 2
+        or Fraction(n - 2, 4 * (n - 1)) * scalar_curvature(sig)
+        == Fraction((sig.q - 1) ** 2 - (sig.p - 1) ** 2, 4)
+    )
+    return mismatches + (not curvature_ok), where
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_conformal_laplacian_matches_fraction_loop(p):
+    for q in range(1, 9):
+        sig = Signature(p, q)
+        for jmax, kmax in ((0, 0), (0, 12), (12, 0), (3, 8), (12, 12)):
+            rep = check_conformal_laplacian(sig, jmax, kmax)
+            residual, where = reference_conformal_laplacian(sig, jmax, kmax)
+            assert (rep.max_residual, rep.worst_location) == (float(residual), where)
+            assert rep.passed
+
+
+def test_conformal_laplacian_reports_first_mismatch_row_major(monkeypatch):
+    # Break the factorized side at (2, 7) and (3, 1): two mismatches, and the
+    # first location in row-major order is (2, 7), not the smaller k of (3, 1).
+    broken = {(2, 7), (3, 1)}
+    numerator = verify._factorized_numerator
+
+    def bumped(sig, tj, tk, eps, r):
+        j, k = (tj - sig.p + 1) // 2, (tk - sig.q + 1) // 2
+        return numerator(sig, tj, tk, eps, r) + np.isin(10 * j + k, [10 * a + b for a, b in broken])
+
+    def bumped_exact(sig, r, v):
+        return factorized_eigenvalue_exact(sig, r, v) + Fraction((v.j, v.k) in broken, 4)
+
+    monkeypatch.setattr(verify, "_factorized_numerator", bumped)
+    sig = Signature(2, 3)
+    rep = check_conformal_laplacian(sig, 9, 9)
+    assert (rep.max_residual, rep.worst_location, rep.passed) == (2.0, (2, 7), False)
+    residual, where = reference_conformal_laplacian(sig, 9, 9, factorized=bumped_exact)
+    assert (rep.max_residual, rep.worst_location) == (float(residual), where)
+
+
+@pytest.mark.parametrize("r", [0.37, 2, -1.3])
+def test_shared_spectrum_matches_per_seed_checks(r):
+    # run_suite evaluates the eigenvalue grid once and slices it per seed;
+    # each check_intertwining alone builds its own.
+    for sig, jmax, kmax, seed in ((Signature(2, 3), 8, 8, 0), (Signature(1, 4), 5, 11, 7),
+                                  (Signature(3, 3), 0, 6, 2)):
+        suite, = run_suite(sig, r, jmax=jmax, kmax=kmax, seed=seed, checks=("intertwining",))
+        alone = max((check_intertwining(sig, r, random_zonal(sig, jmax, kmax, seed + i), seed=seed + i)
+                     for i in range(5)), key=lambda rep: rep.max_residual)
+        assert suite.to_dict() == alone.to_dict()
+
+
+def test_shared_spectrum_raises_the_same_pole():
+    message = "Gamma pole in denominator at K-type KType(j=1, k=0): argument (1 - 2r)/4 with r = 0.5"
+    sig = Signature(2, 3)
+    with pytest.raises(PoleAtKType) as alone:
+        check_intertwining(sig, 0.5, random_zonal(sig, 8, 8, 0))
+    with pytest.raises(PoleAtKType) as suite:
+        run_suite(sig, 0.5, checks=("intertwining",))
+    assert str(alone.value) == str(suite.value) == message
 
 
 def test_inversion_and_loops():

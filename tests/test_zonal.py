@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from intertwinor.geometry import KType, Signature, bochner_eigenvalue, neighbors
 from intertwinor.zonal import (
     GridTooCoarse,
+    _cos_matrix,
     _deriv_matrix,
     _gauss_jacobi,
     _poly_matrix,
@@ -55,6 +58,56 @@ class TestMultByCos:
             assert out[m] == pytest.approx(raw / gegenbauer_norm(d, m), abs=1e-10)
 
 
+def reference_mult_by_cos(lam, c):
+    """The scalar loop over j that mult_by_cos replaced, kept as its reference."""
+    out = np.zeros(len(c) + 1)
+    if lam == 0:
+        for j, cj in enumerate(c):
+            if j == 0:
+                out[1] += cj
+            else:
+                out[j + 1] += 0.5 * cj
+                out[j - 1] += 0.5 * cj
+    else:
+        for j, cj in enumerate(c):
+            out[j + 1] += (j + 1) / (2.0 * (j + lam)) * cj
+            if j >= 1:
+                out[j - 1] += (j + 2.0 * lam - 1) / (2.0 * (j + lam)) * cj
+    return out
+
+
+def reference_cos_matrix(d, deg):
+    """The column-by-column build that _cos_matrix replaced."""
+    lam = 0.5 * (d - 1)
+    M = np.zeros((deg + 2, deg + 1))
+    for j in range(deg + 1):
+        unit = np.zeros(deg + 1)
+        unit[j] = 1.0
+        M[:, j] = reference_mult_by_cos(lam, unit)
+    return M
+
+
+class TestMultByCosMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.one_of(st.just(0.0), st.sampled_from([0.5 * m for m in range(1, 8)]),
+                         st.floats(1e-3, 20.0)),
+           c=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=140))
+    def test_vector_equals_scalar_loop(self, lam, c):
+        assert np.array_equal(mult_by_cos(lam, c), reference_mult_by_cos(lam, c))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.5])
+    def test_columns_are_independent_vectors(self, lam):
+        c = np.random.default_rng(9).uniform(-1, 1, size=(17, 6))
+        out = mult_by_cos(lam, c)
+        for col in range(6):
+            assert np.array_equal(out[:, col], reference_mult_by_cos(lam, c[:, col]))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matrix_equals_column_by_column_build(self, d):
+        for deg in [*range(0, 129, 11), 127, 128]:
+            assert np.array_equal(_cos_matrix(d, deg), reference_cos_matrix(d, deg)), deg
+
+
 class TestNorms:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_norms_match_quadrature(self, d):
@@ -95,6 +148,42 @@ class TestKernelsAgainstScipy:
             ref_x, ref_w = roots_jacobi(n, a, a)
             assert np.max(np.abs(x - ref_x)) <= 1e-15, n
             assert np.max(np.abs(w / ref_w - 1.0)) <= (1e-13 if n <= 16 else 1e-10), n
+
+
+class TestGridVandermondes:
+    """The grid-held Vandermondes, sliced, against matrices built from scratch."""
+
+    @pytest.mark.parametrize("p,q,jdeg,kdeg", [(1, 1, 12, 9), (2, 3, 33, 33), (4, 1, 7, 20),
+                                               (3, 6, 129, 129), (1, 2, 0, 1)])
+    def test_slices_equal_every_smaller_degree(self, p, q, jdeg, kdeg):
+        grid = quadrature_grid(Signature(p, q), jdeg, kdeg)
+        for d, deg, nodes, V, D in ((p, jdeg, grid.x, grid.Vx, grid.Dx), (q, kdeg, grid.y, grid.Vy, grid.Dy)):
+            assert V.shape == D.shape == (len(nodes), deg + 1)
+            for m in range(deg + 1):
+                assert np.array_equal(V[:, : m + 1], _poly_matrix(d, m, nodes)), (d, m)
+                assert np.array_equal(D[:, : m + 1], _deriv_matrix(d, m, nodes)), (d, m)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (5, 2)])
+    def test_operators_equal_scratch_builds(self, p, q):
+        sig = Signature(p, q)
+        grid = quadrature_grid(sig, 14, 11)
+        rng = np.random.default_rng(p + 10 * q)
+        for jmax, kmax in ((0, 0), (3, 7), (13, 10), (14, 11)):
+            f = ZonalFunction(sig, rng.uniform(-1, 1, (jmax + 1, kmax + 1)))
+            Vx, Vy = _poly_matrix(p, jmax, grid.x), _poly_matrix(q, kmax, grid.y)
+            assert np.array_equal(evaluate(f, grid), Vx @ f.coeffs @ Vy.T)
+            samples = evaluate(f, grid)
+            weighted = samples * grid.wx[:, None] * grid.wy[None, :]
+            hx = np.array([gegenbauer_norm(p, j) for j in range(jmax + 1)])
+            hy = np.array([gegenbauer_norm(q, k) for k in range(kmax + 1)])
+            assert np.array_equal(project(samples, grid, jmax, kmax).coeffs,
+                                  (Vx.T @ weighted @ Vy) / (hx[:, None] * hy[None, :]))
+            if jmax < 14 and kmax < 11:
+                fx = _deriv_matrix(p, jmax, grid.x) @ f.coeffs @ Vy.T
+                fy = Vx @ f.coeffs @ _deriv_matrix(q, kmax, grid.y).T
+                x, y = grid.x[:, None], grid.y[None, :]
+                assert np.array_equal(apply_T_numeric(f, grid),
+                                      -y * (1.0 - x**2) * fx - x * (1.0 - y**2) * fy)
 
 
 class TestVarpi:
