@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import NamedTuple
 
@@ -97,6 +98,35 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run a named check (repeatable)")
     verify.add_argument("--output", default=None, help="write the JSON report bundle here")
     return parser
+
+
+#: The tokens that start with "-" and that argparse still reads as option values.
+_ARGPARSE_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _join_order_values(argv: list[str]) -> list[str]:
+    """``argv`` with "--r VALUE" written "--r=VALUE" wherever argparse would read VALUE as an option.
+
+    argparse takes a token that starts with "-" for an option unless it reads
+    like "-5" or "-.5", so "--r -1e-08" or "--r -inf" would leave --r without
+    its value.  Joined, any VALUE that float() accepts acts as in "--r=VALUE".
+    """
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] == "--r" and token.startswith("-")
+                and not _ARGPARSE_NEGATIVE_NUMBER.fullmatch(token) and _is_float(token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
@@ -264,7 +294,7 @@ def cmd_verify(args, parser) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_order_values(sys.argv[1:] if argv is None else argv))
     command = cmd_spectrum if args.command == "spectrum" else cmd_verify
     try:
         return command(args, parser)

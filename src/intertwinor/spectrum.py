@@ -8,11 +8,17 @@ alpha -> beta, reduces to the purely numerical relation
 where h is half the Bochner eigenvalue jump across the edge.  For the four
 quadrants h = sj*J + sk*K + 1 evaluated at alpha, so the eigenvalue ratio
 across an edge is (h + r)/(h - r).  Every edge keeps the parity of j + k, so
-the even and odd K-types are two disjoint classes; propagating these ratios
-from the two bases (0, 0) and (1, 0) fills both in one pass.  Agreement along
-different lattice paths is guaranteed and is rechecked here as a free
-consistency test.  Edges of a window are held as arrays; the scalar functions
-are their single-point form.
+the even and odd K-types are two disjoint classes with bases (0, 0) and
+(1, 0).  The window fixes one spanning tree of both classes: the parent of
+(j, k) is (j - 1, k - 1) when j, k >= 1, (1, k - 1) when j = 0 and
+(j - 1, 1) when k = 0.  Each value is a cumulative product of ratios along
+the tree, taken over the boundary zigzags (rows k <= 1, columns j <= 1) and
+then the "++" diagonals.  All edges of one direction between two lines of
+constant j + k or j - k share one h, so a singular edge (h = r) cuts off a
+whole half-plane, and a K-type is reached exactly when its tree path crosses
+no singular edge.  Agreement along different lattice paths is guaranteed and
+is rechecked here over every edge as a free consistency test.  Edges of a
+window are held as arrays; the scalar functions are their single-point form.
 """
 
 from __future__ import annotations
@@ -97,10 +103,13 @@ def window(sig: Signature, jmax: int, kmax: int):
     return j, k, 2 * j + sig.p - 1, 2 * k + sig.q - 1
 
 
-def _two_h(tj, tk, direction: str):
-    """2h = sj*2J + sk*2K + 2 from doubled shifts; integers or integer arrays."""
-    sj, sk = STEPS[direction]
-    return sj * tj + sk * tk + 2
+#: (dj, dk) of DIRECTIONS[d] at [d], each shaped (4, 1, 1) to broadcast over a window.
+_DJ, _DK = (np.array([STEPS[tag][i] for tag in DIRECTIONS])[:, None, None] for i in (0, 1))
+
+
+def _two_h(tj, tk, dj, dk):
+    """2h = dj*2J + dk*2K + 2 from doubled shifts and steps; integers or integer arrays."""
+    return (dj * tj + 2) + dk * tk
 
 
 def _singular(two_h, order: SpectralOrder):
@@ -111,22 +120,17 @@ def _singular(two_h, order: SpectralOrder):
 
 
 def _ratio(two_h, r: float):
-    """(h + r)/(h - r)."""
+    """(h + r)/(h - r); on arrays, in two buffers of the size of ``two_h``."""
     h = two_h / 2.0
-    return (h + r) / (h - r)
+    plus = h + r
+    h -= r
+    plus /= h
+    return plus
 
 
 def relative_difference(a, b):
     """|a - b| / max(|a|, |b|) on floats or arrays; a tiny floor on the denominator makes 0 vs 0 give 0."""
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-
-
-def _edge_slices(direction: str, nj: int, nk: int):
-    """(tail, head): slices of the edge starts and of their ends inside an nj x nk window."""
-    dj, dk = STEPS[direction]
-    tail = (slice(max(-dj, 0), nj - max(dj, 0)), slice(max(-dk, 0), nk - max(dk, 0)))
-    head = (slice(max(dj, 0), nj - max(-dj, 0)), slice(max(dk, 0), nk - max(-dk, 0)))
-    return tail, head
 
 
 def edge_arrays(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,21 +142,19 @@ def edge_arrays(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np
     everywhere else.
     """
     order = SpectralOrder.coerce(r)
-    _, _, tj, tk = window(sig, jmax, kmax)
-    singular = np.zeros((4, jmax + 1, kmax + 1), dtype=bool)
-    ratio = np.full(singular.shape, np.nan)
-    for d, tag in enumerate(DIRECTIONS):
-        tail, _ = _edge_slices(tag, jmax + 1, kmax + 1)
-        two_h = _two_h(tj, tk, tag)[tail]
-        singular[d][tail] = _singular(two_h, order)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio[d][tail] = np.where(singular[d][tail], np.nan, _ratio(two_h, order.r))
+    j, k, tj, tk = window(sig, jmax, kmax)
+    inside = (0 <= j + _DJ) & (j + _DJ <= jmax) & (0 <= k + _DK) & (k + _DK <= kmax)
+    two_h = _two_h(tj, tk, _DJ, _DK)
+    singular = inside & _singular(two_h, order)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = _ratio(two_h, order.r)
+    ratio[~inside | singular] = np.nan
     return singular, ratio
 
 
 def is_singular_edge(sig: Signature, alpha: KType, direction: str, r) -> bool:
     """True when h - r = 0 on this edge, i.e. the transition ratio has a pole."""
-    two_h = _two_h(*doubled_shifts(sig, alpha), direction)
+    two_h = _two_h(*doubled_shifts(sig, alpha), *STEPS[direction])
     return bool(_singular(two_h, SpectralOrder.coerce(r)))
 
 
@@ -167,7 +169,7 @@ def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
             alpha=alpha,
             direction=direction,
         )
-    return _ratio(_two_h(*doubled_shifts(sig, alpha), direction), order.r)
+    return _ratio(_two_h(*doubled_shifts(sig, alpha), *STEPS[direction]), order.r)
 
 
 def at_class_base(grid: np.ndarray, outside=None) -> np.ndarray:
@@ -204,44 +206,107 @@ class SpectrumTable:
         }
 
 
+def _zigzag(step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and reached flags on lane 0 of a two-lane boundary strip.
+
+    ``step[lane, i]`` is the ratio of the tree edge into K-type i of the lane,
+    nan where that edge is unusable, and 1.0 at a class base and before a
+    path starts.  Tree edges cross the strip, so the two tree paths through it
+    zigzag: path c visits lane (i + c) % 2 at i, and lane 0's K-type i lies
+    on path i % 2.
+    """
+    i = np.arange(step.shape[1])
+    chains = step[(i + np.arange(2)[:, None]) % 2, i]
+    values = np.multiply.accumulate(chains, axis=1)
+    reached = np.logical_and.accumulate(~np.isnan(chains), axis=1)
+    return values[i % 2, i], reached[i % 2, i]
+
+
+def _tree_products(ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, reached) of the window from the edge_arrays ratios, along the fixed spanning tree.
+
+    Each value is its parent's times the ratio of the tree edge between them,
+    accumulated from 1.0 at the class base.  Rows k in {0, 1} and columns
+    j in {0, 1} are zigzag paths; every other K-type hangs on a "++" diagonal
+    that starts on row 0 (j >= k) or on column 0 (j < k).
+    """
+    nj, nk = ratio.shape[1:]
+    if min(nj, nk) == 1:  # no edge has both ends in a one-wide window: only the bases are reached
+        reached = np.zeros((nj, nk), dtype=bool)
+        reached[:2, 0] = True
+        return reached.astype(float), reached
+    plus, down, up = ratio[:3]  # "++", "+-", "-+"
+    # rows: (j, 1) from (j - 1, 0) by "++"; (j, 0) from (j - 1, 1) by "+-", except the base (1, 0)
+    rows = np.ones((2, nj))
+    rows[0, 2:] = down[1:-1, 1]
+    rows[1, 1:] = plus[:-1, 0]
+    # columns: (1, k) from (0, k - 1) by "++"; (0, k) from (1, k - 1) by "-+"
+    columns = np.ones((2, nk))
+    columns[0, 1:] = up[1, :-1]
+    columns[1, 1:] = plus[0, :-1]
+    row_values, row_reached = _zigzag(rows)
+    column_values, column_reached = _zigzag(columns)
+
+    # [d, m]: the K-type (j0 + m, k0 + m) on diagonal d, which starts at (j0, k0) = (d, 0)
+    # for d < nj and at (0, d - nj + 1) after that
+    m = np.arange(min(nj, nk))
+    j = np.concatenate([np.arange(nj), np.zeros(nk - 1, dtype=int)])[:, None] + m
+    k = np.concatenate([np.zeros(nj, dtype=int), np.arange(1, nk)])[:, None] + m
+    inside = (j < nj) & (k < nk)
+    along = inside & (m > 0)
+    chains = np.ones(j.shape)  # 1.0 past the window's edge
+    chains[:, 0] = np.concatenate([row_values, column_values[1:]])
+    chains[along] = plus[j[along] - 1, k[along] - 1]
+    usable = ~np.isnan(chains)
+    usable[:, 0] = np.concatenate([row_reached, column_reached[1:]])
+    at = j[inside], k[inside]
+    values = np.zeros((nj, nk))
+    reached = np.zeros((nj, nk), dtype=bool)
+    reached[at] = np.logical_and.accumulate(usable, axis=1)[inside]
+    values[at] = np.multiply.accumulate(chains, axis=1)[inside]
+    values[~reached] = 0.0
+    return values, reached
+
+
+def _at_heads(grid: np.ndarray) -> np.ndarray:
+    """[d, j, k]: the entry of a window grid at (j, k) + STEPS[DIRECTIONS[d]], zero off the window."""
+    nj, nk = grid.shape
+    padded = np.zeros((nj + 2, nk + 2), dtype=grid.dtype)
+    padded[1:-1, 1:-1] = grid
+    return np.stack([padded[1 + dj:1 + dj + nj, 1 + dk:1 + dk + nk]
+                     for dj, dk in (STEPS[tag] for tag in DIRECTIONS)])
+
+
 def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable:
     """Propagate eigenvalues over [0, jmax] x [0, kmax] from both class bases.
 
-    A frontier advances from (0, 0) and (1, 0) (only (0, 0) when jmax = 0)
-    one edge layer at a time; the first edge into a K-type fixes its value.
-    No edge joins the two parity classes, so each is filled exactly as from
-    its own base alone.  Afterwards every edge between two reached K-types,
+    Values are products of transition ratios along one spanning tree that the
+    window fixes: the parent of (j, k) is (j - 1, k - 1) by "++" when
+    j, k >= 1, (1, k - 1) by "-+" when j = 0 and (j - 1, 1) by "+-" when
+    k = 0; the bases are (0, 0) and (1, 0) (only (0, 0) when jmax = 0).  No
+    edge joins the two parity classes, so each is filled exactly as from its
+    own base alone.  Only "++" raises j + k, only "+-" raises j - k and only
+    "-+" lowers it, and every edge of one direction between two such lines has
+    the same h: a singular edge (h = r) cuts off a whole half-plane of its
+    class, so a K-type is reachable exactly when its tree path crosses no
+    singular edge.  K-types that are not reached are absent from the table
+    (value 0.0), and the singular edges out of reached K-types are listed in
+    ``singular_edges``.  Afterwards every edge between two reached K-types,
     in all four directions, is rechecked at relative tolerance REL_TOL.
-    Singular edges (h = r) are skipped and listed in ``singular_edges``;
-    K-types unreachable through nonsingular edges are absent from the table.
     """
     if jmax < 0 or kmax < 0:
         raise ValueError(f"truncation must be nonnegative, got ({jmax}, {kmax})")
     order = SpectralOrder.coerce(r)
     singular, ratio = edge_arrays(sig, order, jmax, kmax)
-    nj, nk = jmax + 1, kmax + 1
-    slices = [_edge_slices(tag, nj, nk) for tag in DIRECTIONS]
-    values = np.zeros((nj, nk))
-    reached = np.zeros((nj, nk), dtype=bool)
-    values[:2, 0] = 1.0
-    reached[:2, 0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        new = np.zeros_like(reached)
-        for d, (tail, head) in enumerate(slices):
-            step = frontier[tail] & ~np.isnan(ratio[d][tail]) & ~reached[head] & ~new[head]
-            values[head][step] = values[tail][step] * ratio[d][tail][step]
-            new[head] |= step
-        reached |= new
-        frontier = new
+    values, reached = _tree_products(ratio)
 
-    for d, (tail, head) in enumerate(slices):
-        both = reached[tail] & reached[head] & ~singular[d][tail]
-        with np.errstate(invalid="ignore"):
-            bad = both & (relative_difference(values[head], values[tail] * ratio[d][tail]) > REL_TOL)
-        if bad.any():
+    both = reached & _at_heads(reached) & ~singular
+    with np.errstate(invalid="ignore"):
+        bad = both & (relative_difference(_at_heads(values), values * ratio) > REL_TOL)
+    for d, count in enumerate(bad.sum(axis=(1, 2)).tolist()):
+        if count:
             raise PathInconsistency(
-                f"{int(bad.sum())} edges in direction {DIRECTIONS[d]!r} disagree with table values"
+                f"{count} edges in direction {DIRECTIONS[d]!r} disagree with table values"
             )
 
     edges = np.argwhere((singular & reached).transpose(1, 2, 0)).tolist()

@@ -329,6 +329,32 @@ def test_reused_parser_matches_fresh_parser():
     assert reused[2][1] == reused[1][1].splitlines(keepends=True)[0]  # --check does not accumulate
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("value", ["-1e-08", "-2.5e3", "-1E2", "-1.", "-1_0", "-inf", "-nan", "-1e300",
+                                   "-0.5", "-.5", "-3"])
+def test_negative_order_token_acts_as_joined_form(command, value):
+    # argparse takes "-1e-08" for an option unless it is joined to --r; main() reads both forms alike
+    argv = [command, "--p", "2", "--q", "3", "--jmax", "2", "--kmax", "2"]
+    if command == "verify":
+        argv += ["--check", "inversion"]
+    separate = _call([*argv, "--r", value])
+    assert separate == _call([*argv, f"--r={value}"])
+    assert separate == _call([command, "--r", value, *argv[1:]])
+    if value == "-1e-08":
+        assert separate[0] == 0 and separate[1]
+    if value == "-inf":
+        assert separate[0] == 2
+        assert separate[2].endswith("error: spectral order must be finite, got r = -inf\n")
+
+
+def test_order_flag_joins_only_its_own_value():
+    # a missing value, or a number after another flag, parses as it always did
+    for argv in (["spectrum", "--p", "2", "--q", "3", "--r"],
+                 ["spectrum", "--p", "2", "--q", "3", "--r", "--jmax", "-1e-08"]):
+        code, _, err = _call(argv)
+        assert code == 2 and "expected one argument" in err
+
+
 def test_import_footprint():
     # The package runs on numpy and the standard library: importing the CLI
     # and running a generic-order and an integer-order spectrum loads no

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections import deque
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intertwinor.geometry import DIRECTIONS, KType, Signature, n_difference, neighbor, neighbors
+from intertwinor import spectrum
+from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, n_difference, neighbor, neighbors
 from intertwinor.spectrum import (
+    REL_TOL,
     PathInconsistency,
     SpectralOrder,
     ZeroDenominator,
@@ -18,7 +21,9 @@ from intertwinor.spectrum import (
     is_singular_edge,
     max_loop_deviation,
     recursion_spectrum,
+    relative_difference,
     transition_ratio,
+    window,
 )
 
 GENERIC_R = (0.37, 1.5, -0.8)
@@ -184,6 +189,134 @@ def test_recursion_skip_cases_at_integer_and_half_integer_order():
         assert len(table.singular_edges) == singular > 0
         for v, mu in reference.items():
             assert math.isclose(table.entries[v], mu, rel_tol=1e-13, abs_tol=0.0)
+
+
+def _edge_slices(direction, nj, nk):
+    """(tail, head): slices of the edge starts and of their ends inside an nj x nk window."""
+    dj, dk = STEPS[direction]
+    tail = (slice(max(-dj, 0), nj - max(dj, 0)), slice(max(-dk, 0), nk - max(dk, 0)))
+    head = (slice(max(dj, 0), nj - max(-dj, 0)), slice(max(dk, 0), nk - max(-dk, 0)))
+    return tail, head
+
+
+def _reference_edge_arrays(sig, r, jmax, kmax):
+    """edge_arrays built one direction at a time, on the slice of edges whose head is in the window."""
+    order = SpectralOrder.coerce(r)
+    _, _, tj, tk = window(sig, jmax, kmax)
+    singular = np.zeros((4, jmax + 1, kmax + 1), dtype=bool)
+    ratio = np.full(singular.shape, np.nan)
+    for d, tag in enumerate(DIRECTIONS):
+        tail, _ = _edge_slices(tag, jmax + 1, kmax + 1)
+        sj, sk = STEPS[tag]
+        two_h = (sj * tj + sk * tk + 2)[tail]
+        if order.two_r is not None:
+            singular[d][tail] = two_h == order.two_r
+        h = two_h / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio[d][tail] = np.where(singular[d][tail], np.nan, (h + order.r) / (h - order.r))
+    return singular, ratio
+
+
+def _reference_frontier(singular, ratio):
+    """(values, reached, singular edges) by a frontier from the class bases, one edge layer at a time.
+
+    The first edge into a K-type, in DIRECTIONS order, fixes its value; then
+    every edge between two reached K-types is rechecked as recursion_spectrum does.
+    """
+    _, nj, nk = ratio.shape
+    slices = [_edge_slices(tag, nj, nk) for tag in DIRECTIONS]
+    values = np.zeros((nj, nk))
+    reached = np.zeros((nj, nk), dtype=bool)
+    values[:2, 0] = 1.0
+    reached[:2, 0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        new = np.zeros_like(reached)
+        for d, (tail, head) in enumerate(slices):
+            step = frontier[tail] & ~np.isnan(ratio[d][tail]) & ~reached[head] & ~new[head]
+            values[head][step] = values[tail][step] * ratio[d][tail][step]
+            new[head] |= step
+        reached |= new
+        frontier = new
+
+    for d, (tail, head) in enumerate(slices):
+        both = reached[tail] & reached[head] & ~singular[d][tail]
+        with np.errstate(invalid="ignore"):
+            bad = both & (relative_difference(values[head], values[tail] * ratio[d][tail]) > REL_TOL)
+        if bad.any():
+            raise PathInconsistency(
+                f"{int(bad.sum())} edges in direction {DIRECTIONS[d]!r} disagree with table values"
+            )
+
+    edges = np.argwhere((singular & reached).transpose(1, 2, 0)).tolist()
+    return values, reached, tuple((KType(j, k), DIRECTIONS[d]) for j, k, d in edges)
+
+
+#: Every order kind the tree must match the frontier on: generic, integer and
+#: half-integer (singular edges at 2h = 2r for p + q up to 16), negative, and
+#: the signed zero and a subnormal.
+TREE_ORDERS = st.one_of(
+    ORDERS,
+    st.integers(-12, 16).map(lambda n: n / 2.0),
+    st.sampled_from([-0.0, 0.0, 1e-320, -1e-320]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    q=st.integers(1, 8),
+    jmax=st.integers(0, 40),
+    kmax=st.integers(0, 40),
+    r=TREE_ORDERS,
+)
+def test_tree_products_equal_reference_frontier(p, q, jmax, kmax, r):
+    # the tree forms each value by the frontier's multiplications in its order, so the floats are identical
+    sig = Signature(p, q)
+    values, reached, singular_edges = _reference_frontier(*edge_arrays(sig, r, jmax, kmax))
+    table = recursion_spectrum(sig, r, jmax, kmax)
+    assert table.values.tobytes() == values.tobytes()
+    assert (table.reached == reached).all()
+    assert table.singular_edges == singular_edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    q=st.integers(1, 8),
+    jmax=st.integers(0, 40),
+    kmax=st.integers(0, 40),
+    r=TREE_ORDERS,
+)
+def test_edge_arrays_equal_per_direction_reference(p, q, jmax, kmax, r):
+    singular, ratio = edge_arrays(Signature(p, q), r, jmax, kmax)
+    expected_singular, expected_ratio = _reference_edge_arrays(Signature(p, q), r, jmax, kmax)
+    assert singular.tobytes() == expected_singular.tobytes()
+    assert ratio.tobytes() == expected_ratio.tobytes()
+
+
+@pytest.mark.parametrize("edges, message", [
+    # one edge off the tree, in each direction that has such edges
+    ([("--", 3, 3)], "1 edges in direction '--' disagree with table values"),
+    ([("+-", 2, 3)], "1 edges in direction '+-' disagree with table values"),
+    ([("-+", 3, 2)], "1 edges in direction '-+' disagree with table values"),
+    # the first direction in DIRECTIONS order is named, with its own count
+    ([("--", 4, 4), ("-+", 2, 3), ("-+", 3, 4)], "2 edges in direction '-+' disagree with table values"),
+    # a tree edge moves the diagonal (3, 3), (4, 4), ... and every edge off it disagrees
+    ([("++", 2, 2)], None),
+])
+def test_recheck_reports_perturbed_edges(monkeypatch, edges, message):
+    sig, r = Signature(2, 3), 0.37
+    singular, ratio = edge_arrays(sig, r, 6, 6)
+    for tag, j, k in edges:
+        ratio[DIRECTIONS.index(tag), j, k] *= 1 + 1e-8
+    with pytest.raises(PathInconsistency) as expected:
+        _reference_frontier(singular, ratio)
+    if message is not None:
+        assert str(expected.value) == message
+    monkeypatch.setattr(spectrum, "edge_arrays", lambda *args: (singular, ratio))
+    with pytest.raises(PathInconsistency, match=f"^{re.escape(str(expected.value))}$"):
+        recursion_spectrum(sig, r, 6, 6)
 
 
 def test_recursion_singular_edge_skip():
