@@ -246,27 +246,30 @@ def _spectrum_text(window: SpectrumWindow, fmt: str, sig: Signature, r: float) -
                              SCHEMA_VERSION)
 
 
+def _write_output(path: str, text: str) -> int:
+    """Write ``text`` to the file ``path``: 0, or 1 with an error line when it cannot be written."""
+    try:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_spectrum(args, parser) -> int:
     sig, order = _validate(parser, args)
     window = _spectrum_window(sig, order, args.jmax, args.kmax)
     text = _spectrum_text(window, args.format, sig, order.r)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.output, "w", encoding="ascii") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 1
+    if args.output != "-":
+        return _write_output(args.output, text)
+    sys.stdout.write(text)
     return 0
 
 
 def cmd_verify(args, parser) -> int:
     sig, order = _validate(parser, args)
-    checks = tuple(args.check) if args.check else ()
-    if args.all or not checks:
-        checks = DEFAULT_CHECKS
+    checks = DEFAULT_CHECKS if args.all or not args.check else args.check
     try:
         reports = run_suite(sig, order, jmax=args.jmax, kmax=args.kmax,
                             seed=args.seed, checks=checks)
@@ -278,16 +281,8 @@ def cmd_verify(args, parser) -> int:
         print(f"{rep.name}: max_residual={_fmt(rep.max_residual)} "
               f"tol={_fmt(rep.tolerance)} {status}")
     if args.output:
-        bundle = {
-            "schema_version": SCHEMA_VERSION,
-            "reports": [rep.to_dict() for rep in reports],
-        }
-        try:
-            with open(args.output, "w", encoding="ascii") as handle:
-                json.dump(bundle, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        bundle = {"schema_version": SCHEMA_VERSION, "reports": [rep.to_dict() for rep in reports]}
+        if _write_output(args.output, json.dumps(bundle, indent=2, sort_keys=True) + "\n"):
             return 1
     return 0 if all(rep.passed for rep in reports) else 1
 
@@ -298,7 +293,7 @@ def main(argv=None) -> int:
     command = cmd_spectrum if args.command == "spectrum" else cmd_verify
     try:
         return command(args, parser)
-    except OverflowError as exc:  # nothing is written before the values are complete
+    except (OverflowError, FloatingPointError) as exc:  # nothing is written before the values are complete
         print(f"error: r = {args.r} overflows floating point: {exc}", file=sys.stderr)
         return 2
 

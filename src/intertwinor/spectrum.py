@@ -41,6 +41,9 @@ TWO_R_TOL = 1e-9
 #: Relative tolerance of the edge recheck in recursion_spectrum.
 REL_TOL = 1e-10
 
+#: Length of the longest closed walk max_loop_deviation follows.
+MAX_LOOP_LENGTH = 8
+
 
 class ZeroDenominator(ArithmeticError):
     """The edge denominator h - r vanished: the eigenvalue quotient is singular."""
@@ -291,14 +294,18 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
     class, so a K-type is reachable exactly when its tree path crosses no
     singular edge.  K-types that are not reached are absent from the table
     (value 0.0), and the singular edges out of reached K-types are listed in
-    ``singular_edges``.  Afterwards every edge between two reached K-types,
+    ``singular_edges``.  A reached value that overflows a float raises
+    OverflowError.  Afterwards every edge between two reached K-types,
     in all four directions, is rechecked at relative tolerance REL_TOL.
     """
     if jmax < 0 or kmax < 0:
         raise ValueError(f"truncation must be nonnegative, got ({jmax}, {kmax})")
     order = SpectralOrder.coerce(r)
     singular, ratio = edge_arrays(sig, order, jmax, kmax)
-    values, reached = _tree_products(ratio)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, reached = _tree_products(ratio)
+    if not np.isfinite(values).all():  # K-types not reached hold 0.0
+        raise OverflowError("recursion value out of range")
 
     both = reached & _at_heads(reached) & ~singular
     with np.errstate(invalid="ignore"):
@@ -350,7 +357,7 @@ def _closed_deviation(closed: np.ndarray, worst: float) -> float:
     return float(np.fmax.reduce(closed, axis=None, initial=worst))
 
 
-def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = 8) -> float:
+def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = MAX_LOOP_LENGTH) -> float:
     """Max |product - 1| over all closed lattice walks of length <= max_len.
 
     A walk is a start in the [0, jmax] x [0, kmax] window and a sequence of

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .closedform import (
 )
 from .geometry import KType, Signature, scalar_curvature
 from .spectrum import (
+    MAX_LOOP_LENGTH,
     SpectralOrder,
     at_class_base,
     max_loop_deviation,
@@ -105,8 +107,8 @@ def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
     return ZonalFunction(f.sig, np.where(present, f.coeffs * mu, 0.0))
 
 
-def check_intertwining(sig: Signature, r, f: ZonalFunction, tol: float = 1e-9,
-                       seed: int | None = None, spectrum=None) -> VerificationReport:
+def check_intertwining(sig: Signature, r, f: ZonalFunction, seed: int | None = None,
+                       spectrum=None) -> VerificationReport:
     """Residual of A(T + (n/2 - r) varpi) f = (T + (n/2 + r) varpi) A f.
 
     A acts diagonally by the closed-form eigenvalues.  The residual is
@@ -115,30 +117,32 @@ def check_intertwining(sig: Signature, r, f: ZonalFunction, tol: float = 1e-9,
     ``spectrum`` is z_spectral_grid(sig, r, jmax', kmax') over any window
     with jmax' > f.jmax and kmax' > f.kmax, which run_suite evaluates once
     for all seeds; without it the check evaluates its own.  The varpi
-    matrices are built once per degree and cached.
+    matrices are built once per degree and cached.  A term beyond the float
+    range raises FloatingPointError.
     """
     order = SpectralOrder.coerce(r)
     if spectrum is None:
         spectrum = z_spectral_grid(sig, order, f.jmax + 1, f.kmax + 1)
     half_n = sig.n / 2.0
-    left = _apply_eigenvalues(
-        apply_T_via_lemma(f) + (half_n - order.r) * multiply_by_varpi(f), order, spectrum
-    )
-    af = _apply_eigenvalues(f, order, spectrum)
-    right = apply_T_via_lemma(af) + (half_n + order.r) * multiply_by_varpi(af)
-    delta = (left - right).coeffs[: max(f.jmax, 1), : max(f.kmax, 1)]
-    scale = max(float(np.max(np.abs(f.coeffs))), 1e-14)
-    residual, where = _worst(delta / scale)
+    with np.errstate(over="raise"):
+        left = _apply_eigenvalues(
+            apply_T_via_lemma(f) + (half_n - order.r) * multiply_by_varpi(f), order, spectrum
+        )
+        af = _apply_eigenvalues(f, order, spectrum)
+        right = apply_T_via_lemma(af) + (half_n + order.r) * multiply_by_varpi(af)
+        delta = (left - right).coeffs[: max(f.jmax, 1), : max(f.kmax, 1)]
+        scale = max(float(np.max(np.abs(f.coeffs))), 1e-14)
+        residual, where = _worst(delta / scale)
     return VerificationReport(
         name="intertwining", p=sig.p, q=sig.q, r=order.r,
         jmax=f.jmax, kmax=f.kmax,
-        max_residual=residual, tolerance=tol, worst_location=where,
+        max_residual=residual, tolerance=1e-9, worst_location=where,
         extra={} if seed is None else {"seed": seed},
     )
 
 
 def check_lemma1(sig: Signature, f: ZonalFunction, grid: QuadratureGrid,
-                 tol: float = 1e-8, seed: int | None = None) -> VerificationReport:
+                 seed: int | None = None) -> VerificationReport:
     """Commutator route vs derivative route for the conformal vector field."""
     lhs = apply_T_numeric(f, grid)
     rhs = evaluate(apply_T_via_lemma(f), grid)
@@ -147,13 +151,12 @@ def check_lemma1(sig: Signature, f: ZonalFunction, grid: QuadratureGrid,
     return VerificationReport(
         name="lemma1", p=sig.p, q=sig.q, r=None,
         jmax=f.jmax, kmax=f.kmax,
-        max_residual=residual, tolerance=tol, worst_location=where,
+        max_residual=residual, tolerance=1e-8, worst_location=where,
         extra={} if seed is None else {"seed": seed},
     )
 
 
-def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
-                           tol: float = 1e-10) -> VerificationReport:
+def check_method_agreement(sig: Signature, r, jmax: int, kmax: int) -> VerificationReport:
     """Recursion table vs base-normalized closed form, both parity classes.
 
     Entries with a numerator Gamma-argument pole, where the closed form is
@@ -192,7 +195,7 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int,
     report = VerificationReport(
         name="method-agreement", p=sig.p, q=sig.q, r=order.r,
         jmax=jmax, kmax=kmax,
-        max_residual=residual, tolerance=tol, worst_location=where,
+        max_residual=residual, tolerance=1e-10, worst_location=where,
         extra={"compared": int(comparable.sum()), "skipped": int((~comparable).sum()),
                "skipped_matches_prediction": prediction_ok},
     )
@@ -228,8 +231,7 @@ def check_conformal_laplacian(sig: Signature, jmax: int, kmax: int) -> Verificat
     )
 
 
-def check_inversion(sig: Signature, r, jmax: int, kmax: int,
-                    tol: float = 1e-12) -> VerificationReport:
+def check_inversion(sig: Signature, r, jmax: int, kmax: int) -> VerificationReport:
     """Z(r) * Z(-r) = 1 wherever both factors are finite."""
     order = SpectralOrder.coerce(r)
     forward, forward_poles = z_gamma_grid(sig, order, jmax, kmax)
@@ -241,62 +243,53 @@ def check_inversion(sig: Signature, r, jmax: int, kmax: int,
     return VerificationReport(
         name="inversion", p=sig.p, q=sig.q, r=order.r,
         jmax=jmax, kmax=kmax,
-        max_residual=residual, tolerance=tol, worst_location=where if residual else None,
+        max_residual=residual, tolerance=1e-12, worst_location=where if residual else None,
         extra={"compared": compared, "skipped": skipped},
     )
 
 
-def check_loop_consistency(sig: Signature, r, jmax: int, kmax: int,
-                           max_len: int = 8, tol: float = 1e-12) -> VerificationReport:
-    """Transition-ratio product around every closed lattice walk of length <= max_len."""
-    deviation = max_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
+def check_loop_consistency(sig: Signature, r, jmax: int, kmax: int) -> VerificationReport:
+    """Transition-ratio product around every closed lattice walk of length <= MAX_LOOP_LENGTH."""
+    deviation = max_loop_deviation(sig, r, jmax, kmax)
     return VerificationReport(
         name="loop-consistency", p=sig.p, q=sig.q, r=SpectralOrder.coerce(r).r,
         jmax=jmax, kmax=kmax,
-        max_residual=deviation, tolerance=tol,
-        extra={"max_loop_length": max_len},
+        max_residual=deviation, tolerance=1e-12,
+        extra={"max_loop_length": MAX_LOOP_LENGTH},
     )
 
 
-DEFAULT_CHECKS = (
-    "lemma1",
-    "intertwining",
-    "method-agreement",
-    "conformal-laplacian",
-    "inversion",
-    "loop-consistency",
-)
-
-
-def _worst_over_seeds(check, sig: Signature, jmax: int, kmax: int, seed: int,
-                      n_functions: int) -> VerificationReport:
-    """The report with the largest residual of ``check(f, seed)`` over seeds seed, seed+1, ..."""
-    reports = [check(random_zonal(sig, jmax, kmax, seed + i), seed + i) for i in range(n_functions)]
+def _worst_over_seeds(check, sig: Signature, jmax: int, kmax: int, seed: int) -> VerificationReport:
+    """The report with the largest residual of ``check(f, seed=s)`` over the 5 seeds s = seed, ..., seed + 4."""
+    reports = [check(random_zonal(sig, jmax, kmax, s), seed=s) for s in range(seed, seed + 5)]
     return max(reports, key=lambda rep: rep.max_residual)
 
 
+#: Every check, in the order verify runs them, as its report of (sig, r, jmax, kmax, seed).  Each entry
+#: looks its callees up in this module's globals when called, so a name rebound here (as by
+#: perfbench/tracing.py) takes effect.  Loops stay within an 11 x 11 window.
+CHECKS = {
+    "lemma1": lambda sig, r, jmax, kmax, seed: _worst_over_seeds(
+        partial(check_lemma1, sig, grid=quadrature_grid(sig, jmax + 1, kmax + 1)), sig, jmax, kmax, seed),
+    "intertwining": lambda sig, r, jmax, kmax, seed: _worst_over_seeds(
+        partial(check_intertwining, sig, r, spectrum=z_spectral_grid(sig, r, jmax + 1, kmax + 1)),
+        sig, jmax, kmax, seed),
+    "method-agreement": lambda sig, r, jmax, kmax, seed: check_method_agreement(sig, r, jmax, kmax),
+    "conformal-laplacian": lambda sig, r, jmax, kmax, seed: check_conformal_laplacian(sig, jmax, kmax),
+    "inversion": lambda sig, r, jmax, kmax, seed: check_inversion(sig, r, jmax, kmax),
+    "loop-consistency": lambda sig, r, jmax, kmax, seed: check_loop_consistency(
+        sig, r, min(jmax, 10), min(kmax, 10)),
+}
+
+DEFAULT_CHECKS = tuple(CHECKS)
+
+
 def run_suite(sig: Signature, r, jmax: int = 8, kmax: int = 8, seed: int = 0,
-              checks=DEFAULT_CHECKS, n_functions: int = 5) -> list[VerificationReport]:
-    """Run the named checks; random-function checks use seeds seed, seed+1, ..."""
+              checks=DEFAULT_CHECKS) -> list[VerificationReport]:
+    """Run the named checks; random-function checks use seeds seed, ..., seed + 4."""
     reports = []
     for name in checks:
-        if name == "lemma1":
-            grid = quadrature_grid(sig, jmax + 1, kmax + 1)
-            reports.append(_worst_over_seeds(
-                lambda f, s: check_lemma1(sig, f, grid, seed=s), sig, jmax, kmax, seed, n_functions))
-        elif name == "intertwining":
-            spectrum = z_spectral_grid(sig, r, jmax + 1, kmax + 1)
-            reports.append(_worst_over_seeds(
-                lambda f, s: check_intertwining(sig, r, f, seed=s, spectrum=spectrum),
-                sig, jmax, kmax, seed, n_functions))
-        elif name == "method-agreement":
-            reports.append(check_method_agreement(sig, r, jmax, kmax))
-        elif name == "conformal-laplacian":
-            reports.append(check_conformal_laplacian(sig, jmax, kmax))
-        elif name == "inversion":
-            reports.append(check_inversion(sig, r, jmax, kmax))
-        elif name == "loop-consistency":
-            reports.append(check_loop_consistency(sig, r, min(jmax, 10), min(kmax, 10)))
-        else:
+        if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
+        reports.append(CHECKS[name](sig, r, jmax, kmax, seed))
     return reports

@@ -260,15 +260,19 @@ def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, 1.0 / _orthonormal_sums(x, off, mass)[2]
 
 
+#: Nodes per axis of a quadrature grid beyond the degree it resolves.
+GRID_MARGIN = 4
+
+
 @lru_cache(maxsize=None)
-def quadrature_grid(sig: Signature, jdeg: int, kdeg: int, margin: int = 4) -> QuadratureGrid:
-    """Grid resolving degrees (jdeg, kdeg) with ``margin`` extra nodes per axis.
+def quadrature_grid(sig: Signature, jdeg: int, kdeg: int) -> QuadratureGrid:
+    """Grid resolving degrees (jdeg, kdeg) with GRID_MARGIN extra nodes per axis.
 
     The weight on each axis is (1-x^2)^{(d-2)/2}, matching the zonal measure
     sin^{d-1}(theta) d theta.
     """
-    x, wx = _gauss_jacobi(jdeg + margin, 0.5 * (sig.p - 2))
-    y, wy = _gauss_jacobi(kdeg + margin, 0.5 * (sig.q - 2))
+    x, wx = _gauss_jacobi(jdeg + GRID_MARGIN, 0.5 * (sig.p - 2))
+    y, wy = _gauss_jacobi(kdeg + GRID_MARGIN, 0.5 * (sig.q - 2))
     return QuadratureGrid(sig, x, wx, y, wy, jdeg, kdeg,
                           _poly_matrix(sig.p, jdeg, x), _deriv_matrix(sig.p, jdeg, x),
                           _poly_matrix(sig.q, kdeg, y), _deriv_matrix(sig.q, kdeg, y))

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intertwinor import cli
@@ -220,6 +221,11 @@ class TestExitCodes:
         ["spectrum", "--p", "2", "--q", "3", "--r", "100", "--jmax", "2", "--kmax", "2"],
         # the Gamma ratio overflows a float
         ["spectrum", "--p", "2", "--q", "3", "--r", "300.3", "--jmax", "600", "--kmax", "2"],
+        # the recursion overflows a float (the closed form labels every K-type a pole)
+        ["spectrum", "--p", "2", "--q", "3", "--r", "250.5", "--jmax", "600", "--kmax", "2"],
+        # the intertwining terms overflow a float where the eigenvalues do not
+        ["verify", "--p", "2", "--q", "3", "--r", "300.3", "--jmax", "400", "--kmax", "2",
+         "--check", "intertwining"],
     ])
     def test_large_order_exits_2_at_once(self, argv):
         script = (
@@ -373,6 +379,39 @@ def test_import_footprint():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_package_env(), timeout=120, check=True)
     assert done.stdout.strip() == "0 []"
+
+
+NEVER_RAISES_ORDERS = st.one_of(
+    st.floats(-300.3, 300.3),
+    st.tuples(st.integers(-12, 12), st.sampled_from([-2e-9, -5e-10, 0.0, 5e-10, 2e-9]))
+    .map(lambda pair: pair[0] + pair[1]),  # inside and outside TWO_R_TOL
+    st.integers(-12, 11).map(lambda n: n + 0.5),
+    st.sampled_from([-300.3, 300.3, 250.5, -0.0]),
+)
+
+SUBCOMMANDS = st.one_of(
+    st.tuples(st.just("spectrum"), st.sampled_from([[], ["--format", "json"]])),
+    st.tuples(st.just("verify"), st.sampled_from([["--all"], ["--check", "inversion", "--seed", "3"],
+                                                  ["--check", "intertwining"],
+                                                  ["--check", "method-agreement"]])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subcommand=SUBCOMMANDS, p=st.integers(1, 12), q=st.integers(1, 12), r=NEVER_RAISES_ORDERS,
+       window=st.integers(1, 12).flatmap(lambda kmax: st.tuples(st.integers(1, 600 if kmax <= 3 else 12),
+                                                                st.just(kmax))))
+@example(subcommand=("verify", ["--check", "intertwining"]), p=2, q=3, r=300.3, window=(400, 2))
+@example(subcommand=("spectrum", []), p=2, q=3, r=250.5, window=(600, 2))
+def test_cli_never_raises(subcommand, p, q, r, window):
+    # jmax reaches 600 only in windows at most 4 K-types wide in k
+    command, flags = subcommand
+    argv = [command, "--p", str(p), "--q", str(q), f"--r={r!r}", "--jmax", str(window[0]),
+            "--kmax", str(window[1]), *flags]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = _call(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
 
 
 def reference_payload(window: cli.SpectrumWindow, sig: Signature, r: float) -> dict:

@@ -326,6 +326,13 @@ def test_recursion_singular_edge_skip():
     assert len(table.singular_edges) > 0
 
 
+def test_recursion_overflow_raises():
+    # products that leave the float range raise instead of reaching the table as infinities
+    for r in (250.5, 300.3):
+        with pytest.raises(OverflowError, match="^recursion value out of range$"):
+            recursion_spectrum(Signature(2, 3), r, 600, 2)
+
+
 def test_loop_consistency_examples():
     sig = Signature(2, 2)
 

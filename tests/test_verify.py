@@ -207,15 +207,33 @@ def test_report_roundtrips_to_json():
         VerificationReport("x", 1, 1, None, 1, 1, max_residual=1.0, tolerance=0.0, passed=True)
 
 
+def test_check_table_calls_rebound_names(monkeypatch):
+    # perfbench/tracing.py rebinds these names in verify; the check table must call the rebound ones
+    names = ("check_lemma1", "check_intertwining", "check_method_agreement", "check_conformal_laplacian",
+             "check_inversion", "check_loop_consistency", "quadrature_grid", "z_spectral_grid",
+             "max_loop_deviation")
+    called = []
+    for name in names:
+        def rebound(*args, _name=name, _original=getattr(verify, name), **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(verify, name, rebound)
+    reports = run_suite(Signature(2, 3), 0.37, jmax=4, kmax=4, seed=1)
+    assert set(called) == set(names)
+    assert tuple(verify.CHECKS) == DEFAULT_CHECKS == tuple(rep.name for rep in reports)
+    with pytest.raises(ValueError, match="unknown check 'no-such-check'"):
+        run_suite(Signature(2, 3), 0.37, checks=("inversion", "no-such-check"))
+
+
 def test_run_suite_all_checks():
-    reports = run_suite(Signature(2, 3), 0.37, jmax=6, kmax=6, seed=0, n_functions=2)
+    reports = run_suite(Signature(2, 3), 0.37, jmax=6, kmax=6, seed=0)
     assert [rep.name for rep in reports] == list(DEFAULT_CHECKS)
     assert all(rep.passed for rep in reports)
 
 
 def test_reports_deterministic():
-    a = run_suite(Signature(1, 2), 0.37, jmax=5, kmax=5, seed=3, n_functions=2)
-    b = run_suite(Signature(1, 2), 0.37, jmax=5, kmax=5, seed=3, n_functions=2)
+    a = run_suite(Signature(1, 2), 0.37, jmax=5, kmax=5, seed=3)
+    b = run_suite(Signature(1, 2), 0.37, jmax=5, kmax=5, seed=3)
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
 
