@@ -142,8 +142,10 @@ def edge_arrays(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np
     Entry [d, j, k] describes the edge from (j, k) in direction DIRECTIONS[d].
     Only edges whose head lies in the window count: ``singular`` marks those
     with h = r, and ``ratio`` holds (h + r)/(h - r) on the others and nan
-    everywhere else.
+    everywhere else.  A negative jmax or kmax raises ValueError.
     """
+    if jmax < 0 or kmax < 0:
+        raise ValueError(f"truncation must be nonnegative, got ({jmax}, {kmax})")
     order = SpectralOrder.coerce(r)
     j, k, tj, tk = window(sig, jmax, kmax)
     inside = (0 <= j + _DJ) & (j + _DJ <= jmax) & (0 <= k + _DK) & (k + _DK <= kmax)
@@ -298,8 +300,6 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
     OverflowError.  Afterwards every edge between two reached K-types,
     in all four directions, is rechecked at relative tolerance REL_TOL.
     """
-    if jmax < 0 or kmax < 0:
-        raise ValueError(f"truncation must be nonnegative, got ({jmax}, {kmax})")
     order = SpectralOrder.coerce(r)
     singular, ratio = edge_arrays(sig, order, jmax, kmax)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,37 +326,6 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
     )
 
 
-def _extend(prefixes, room: int, span: int):
-    """One more step of a list of +/-1 step prefixes, pruned.
-
-    ``prefixes`` is (offset, low, high): the sum of each prefix and the least
-    and greatest of its partial sums, 0 included.  Each prefix gets the
-    children s = +1 and s = -1; a child is kept when it can still return to
-    offset 0 in ``room`` more steps and its excursion high - low is at most
-    ``span``.  Returns the kept children, the index of each one's parent and
-    its step s.
-    """
-    offset, low, high = prefixes
-    parent = np.tile(np.arange(len(offset)), 2)
-    step = np.repeat([1, -1], len(offset))
-    offset = offset[parent] + step
-    low, high = np.minimum(low[parent], offset), np.maximum(high[parent], offset)
-    keep = (np.abs(offset) <= room) & (high - low <= span)
-    return (offset[keep], low[keep], high[keep]), parent[keep], step[keep]
-
-
-def _closed_deviation(closed: np.ndarray, worst: float) -> float:
-    """max(worst, |x - 1|) over the closed-walk products x in ``closed``, which it overwrites.
-
-    A product is nan where its walk leaves the window or crosses a singular
-    edge, and fmax skips the nans.  Elsewhere it is finite: off the singular
-    edges |h - r| > 5e-10 (see TWO_R_TOL), so each ratio is below 1 + 4e9 |h|
-    in size, and no walk short enough to enumerate overflows.
-    """
-    np.abs(np.subtract(closed, 1.0, out=closed), out=closed)
-    return float(np.fmax.reduce(closed, axis=None, initial=worst))
-
-
 def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = MAX_LOOP_LENGTH) -> float:
     """Max |product - 1| over all closed lattice walks of length <= max_len.
 
@@ -365,47 +334,50 @@ def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = M
     in walk order, starting from 1.0.  Walks through a singular edge or off
     the window are excluded.
 
-    The j-steps and the k-steps of a walk are independent +/-1 sequences, so
-    the walks form one prefix tree whose node at depth i pairs a j-prefix with
-    a k-prefix of i steps.  It is walked one depth at a time, vectorized over
-    the starts: the products of a depth have shape (j-prefixes, k-prefixes,
-    jmax + 1, kmax + 1), and each child extends its parent's products by the
-    ratio of its last step.  A prefix is pruned when it can no longer close
-    within max_len steps, or when its span exceeds jmax (kmax), since it then
-    leaves the window from every start.  Closed walks are the nodes at even
-    depths with both offsets 0; at the last depth every node is closed.  Each
-    product is formed as for its walk alone, so pruning drops no closed walk
-    and changes no product or maximum.
+    For each start and each offset a walk can hold after i steps, only the
+    largest and the smallest product over the prefixes ending there are
+    kept.  All those prefixes take the same next ratio rho, and the rounded
+    product fl(p * rho) is monotone in p: non-decreasing for rho > 0 and
+    non-increasing for rho < 0, where max and min swap.  So the extremes of
+    a step are those of the step before times one ratio, and since fl(x - 1)
+    is monotone too, the result is bit for bit the maximum over every walk
+    multiplied out on its own.  Excluded walks are nan, which fmax skips.
+    No product overflows: off the singular edges |h - r| > 5e-10 (see
+    TWO_R_TOL), so each ratio is below 1 + 4e9 |h| in size.
     """
     depth = max(max_len, 0) // 2 * 2  # the longest closed walk
-    half = depth // 2  # no prefix that can still close strays further from its start
     nj, nk = jmax + 1, kmax + 1
-    ratio = np.pad(edge_arrays(sig, r, jmax, kmax)[1], ((0, 0), (half, half), (half, half)),
+    # After i steps, a walk that can still close within depth steps is at an offset (a, b) from its
+    # start with |a|, |b| <= min(i, depth - i) and a = b = i (mod 2); with |a| > jmax or |b| > kmax it
+    # has left the window from every start.
+    reach = [min(depth // 2, side) for side in (jmax, kmax)]
+    ratio = np.pad(edge_arrays(sig, r, jmax, kmax)[1], ((0, 0), (reach[0],) * 2, (reach[1],) * 2),
                    constant_values=np.nan)
-    # at[d, half + a, half + b]: the ratios in direction d at offset (a, b) from every start
-    at = np.ascontiguousarray(sliding_window_view(ratio, (nj, nk), axis=(1, 2)))
-    root = (np.zeros(1, dtype=np.intp),) * 3
-    jprefixes, kprefixes = root, root
-    products = np.ones((1, 1, nj, nk))
+    # at[d, reach[0] + a, reach[1] + b]: the ratios in direction d at offset (a, b) from every start
+    at = sliding_window_view(ratio, (nj, nk), axis=(1, 2))
+    # extremes[:, x, y]: the largest product and minus the smallest (both maxima) at the offset
+    # (2x - held[0], 2y - held[1]), where held holds the largest |a| and |b| of the step
+    extremes = np.ones((2, 1, 1, nj, nk))
+    extremes[1] = -1.0
+    held = [0, 0]
     worst = 0.0
-    for i in range(1, depth):
-        jchildren, jparent, jstep = _extend(jprefixes, depth - i, jmax)
-        kchildren, kparent, kstep = _extend(kprefixes, depth - i, kmax)
-        products = products[np.ix_(jparent, kparent)]
-        direction = 2 * (jstep < 0)[:, None] + (kstep < 0)[None, :]  # index into DIRECTIONS
-        jat, kat = half + jprefixes[0][jparent], half + kprefixes[0][kparent]
-        mid = len(jparent) // 2  # two halves: the gathered ratios need half the memory
-        for rows in (slice(None, mid), slice(mid, None)):
-            products[rows] *= at[direction[rows], jat[rows, None], kat[None, :]]
-        jprefixes, kprefixes = jchildren, kchildren
-        if i % 2 == 0:
-            worst = _closed_deviation(products[np.ix_(jprefixes[0] == 0, kprefixes[0] == 0)], worst)
-    if depth:
-        # Every prefix left has offset +/-1 and closes with the step back to 0,
-        # which keeps its span: one ratio array per pair of offsets closes them.
-        for a in (-1, 1):
-            for b in (-1, 1):
-                closed = products[np.ix_(jprefixes[0] == a, kprefixes[0] == b)]
-                closed *= at[2 * (a > 0) + (b > 0), half + a, half + b]
-                worst = _closed_deviation(closed, worst)
+    for i in range(1, depth + 1):
+        bound = [min(i, depth - i, side) for side in (jmax, kmax)]
+        bound = [n - (n - i) % 2 for n in bound]
+        if min(bound) < 0:
+            break  # a window one K-type wide has no edge
+        products = extremes[:, None] * at[(slice(None),) + tuple(
+            slice(c - n, c + n + 1, 2) for c, n in zip(reach, held))]
+        np.fmax(products, -products[::-1], out=products)  # rho < 0 swaps max and -min
+        # step[:, x, y] at the offset (2x - held[0] - 1, 2y - held[1] - 1): a step of +1 adds 1 to x (y)
+        step = np.full((2, held[0] + 2, held[1] + 2, nj, nk), np.nan)
+        for d, tag in enumerate(DIRECTIONS):
+            heads = (slice(None),) + tuple(slice(s > 0, (s > 0) + n + 1) for s, n in zip(STEPS[tag], held))
+            np.fmax(step[heads], products[:, d], out=step[heads])
+        extremes = step[(slice(None),) + tuple(
+            slice((n + 1 - c) // 2, (n + 1 + c) // 2 + 1) for n, c in zip(held, bound))]
+        held = bound
+        if i % 2 == 0:  # max |x - 1| over the closed walks is max(max - 1, 1 - min)
+            closed = extremes[:, held[0] // 2, held[1] // 2] + [[[-1.0]], [[1.0]]]
+            worst = float(np.fmax.reduce(closed, axis=None, initial=worst))
     return worst

@@ -221,21 +221,30 @@ class QuadratureGrid:
     Dy: np.ndarray
 
 
-def _orthonormal_sums(x: np.ndarray, off: np.ndarray, mass: float):
-    """(P_n(x), P_n'(x), sum_{m<n} P_m(x)^2) for the orthonormal P_m of the Jacobi matrix.
+def _orthonormal_last(x: np.ndarray, off: np.ndarray, mass: float):
+    """(P_n(x), P_n'(x)) for the orthonormal P_m of the Jacobi matrix.
 
     ``off`` holds sqrt(b_1), ..., sqrt(b_n); the recurrence is
     sqrt(b_{m+1}) P_{m+1} = x P_m - sqrt(b_m) P_{m-1}, P_0 = mass^(-1/2).
     """
     prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
     dprev, dcur = np.zeros_like(x), np.zeros_like(x)
+    for m, c in enumerate(off):
+        below = off[m - 1] if m else 0.0
+        prev, cur, dprev, dcur = (cur, (x * cur - below * prev) / c,
+                                  dcur, (cur + x * dcur - below * dprev) / c)
+    return cur, dcur
+
+
+def _christoffel_sum(x: np.ndarray, off: np.ndarray, mass: float) -> np.ndarray:
+    """sum_{m<n} P_m(x)^2 over the orthonormal P_m of _orthonormal_last."""
+    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
     total = np.zeros_like(x)
     for m, c in enumerate(off):
         total += cur * cur
         below = off[m - 1] if m else 0.0
-        prev, cur, dprev, dcur = (cur, (x * cur - below * prev) / c,
-                                  dcur, (cur + x * dcur - below * dprev) / c)
-    return cur, dcur, total
+        prev, cur = cur, (x * cur - below * prev) / c
+    return total
 
 
 def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -255,9 +264,9 @@ def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
                                   m * (m + 2.0 * a) / ((2.0 * m + 2.0 * a) ** 2 - 1.0))))
     x = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
     mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)  # integral of the weight
-    p, dp, _ = _orthonormal_sums(x, off, mass)
+    p, dp = _orthonormal_last(x, off, mass)
     x = x - p / dp
-    return x, 1.0 / _orthonormal_sums(x, off, mass)[2]
+    return x, 1.0 / _christoffel_sum(x, off, mass)
 
 
 #: Nodes per axis of a quadrature grid beyond the degree it resolves.

@@ -366,8 +366,9 @@ def _reference_loop_deviation(sig, r, jmax, kmax, max_len=8):
     """Max |product - 1| by brute force: every balanced sign pattern of each even length, from every start.
 
     For each length, every pair of zero-sum +/-1 patterns (the j-steps, the
-    k-steps) is multiplied out over all starts at once; products that are nan
-    (off the window or through a singular edge) are dropped.
+    k-steps) is multiplied out over all starts at once, a block of j-patterns
+    at a time; products that are nan (off the window or through a singular
+    edge) are dropped.
     """
     pad = max_len
     nj, nk = jmax + 1, kmax + 1
@@ -384,15 +385,17 @@ def _reference_loop_deviation(sig, r, jmax, kmax, max_len=8):
             signs[row, pos] = 1
         cum = np.cumsum(signs, axis=1) - signs  # offset before each step
         jneg = (signs < 0).astype(np.int64)
-        prod = np.ones((signs.shape[0], signs.shape[0], nj, nk))
-        for i in range(length):
-            d = 2 * jneg[:, i][:, None, None, None] + jneg[:, i][None, :, None, None]
-            joff = pad + cum[:, i][:, None, None, None] + jgrid
-            koff = pad + cum[:, i][None, :, None, None] + kgrid
-            prod *= ratio[d, joff, koff]
-        finite = np.isfinite(prod)
-        if finite.any():
-            worst = max(worst, float(np.max(np.abs(prod[finite] - 1.0))))
+        for block in range(0, len(signs), 32):
+            rows = slice(block, block + 32)
+            prod = np.ones((len(signs[rows]), len(signs), nj, nk))
+            for i in range(length):
+                d = 2 * jneg[rows, i][:, None, None, None] + jneg[:, i][None, :, None, None]
+                joff = pad + cum[rows, i][:, None, None, None] + jgrid
+                koff = pad + cum[:, i][None, :, None, None] + kgrid
+                prod *= ratio[d, joff, koff]
+            finite = np.isfinite(prod)
+            if finite.any():
+                worst = max(worst, float(np.max(np.abs(prod[finite] - 1.0))))
     return worst
 
 
@@ -402,14 +405,39 @@ def _reference_loop_deviation(sig, r, jmax, kmax, max_len=8):
     q=st.integers(1, 6),
     jmax=st.integers(0, 10),
     kmax=st.integers(0, 10),
-    max_len=st.integers(0, 8),
+    max_len=st.integers(0, 10),
     r=ORDERS,
 )
 def test_loop_deviation_equals_brute_force(p, q, jmax, kmax, max_len, r):
-    # the pruned prefix tree forms each product in walk order, so the floats are identical
+    # the extremal products are those of single walks, formed in walk order, so the floats are identical
     sig = Signature(p, q)
     got = max_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
     assert got == _reference_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
+
+
+#: (p, q, r, zero ratios): orders with negative ratios (|h| < |r|), and with zero ratios (h = -r) where
+#: 2r is an integer of the parity of 2h, so that the kernel swaps its largest and smallest products.
+SWAPPING_ORDERS = [(2, 3, 4.21, False), (2, 3, -2.5, True), (2, 2, 3.0, True), (1, 1, 2.0, True),
+                   (1, 3, -3.0, True)]
+
+
+@pytest.mark.parametrize("p, q, r, zeros", SWAPPING_ORDERS)
+@pytest.mark.parametrize("jmax, kmax", [(0, 6), (6, 0), (1, 10), (10, 1), (1, 1), (5, 4)])
+def test_loop_deviation_with_sign_changes_equals_brute_force(p, q, r, zeros, jmax, kmax):
+    sig = Signature(p, q)
+    ratio = edge_arrays(sig, r, 5, 4)[1]
+    assert (ratio < 0).any() and (ratio == 0).any() == zeros
+    for max_len in (8, 10):
+        got = max_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
+        assert got == _reference_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
+
+
+@pytest.mark.parametrize("jmax, kmax", [(-1, 3), (3, -1), (-2, -2)])
+def test_negative_truncation_raises(jmax, kmax):
+    # an empty window would report a perfect loop check
+    for build in (edge_arrays, recursion_spectrum, max_loop_deviation):
+        with pytest.raises(ValueError, match=r"^truncation must be nonnegative"):
+            build(Signature(2, 3), 0.37, jmax, kmax)
 
 
 def test_loop_deviation_peaks_below_brute_force():
@@ -423,6 +451,8 @@ def test_loop_deviation_peaks_below_brute_force():
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0]
+    # no array over the walks of one depth: the kernel holds two products per start and offset
+    assert peaks[1] < 1_000_000
 
 
 def test_transition_ratio_is_bochner_jump_law():
