@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -88,21 +87,51 @@ def random_zonal(sig: Signature, jmax: int, kmax: int, seed: int) -> ZonalFuncti
     return ZonalFunction(sig, rng.uniform(-1.0, 1.0, size=(jmax + 1, kmax + 1)))
 
 
-def _worst(delta: np.ndarray) -> tuple[float, tuple[int, int]]:
+#: Seeded functions per random-function check: seeds seed, ..., seed + SEEDED_FUNCTIONS - 1.
+SEEDED_FUNCTIONS = 5
+
+
+def seeded_stack(sig: Signature, jmax: int, kmax: int, seed: int) -> ZonalFunction:
+    """The SEEDED_FUNCTIONS test functions as one stack; slice i is random_zonal(sig, jmax, kmax, seed + i)."""
+    return ZonalFunction(sig, np.stack([random_zonal(sig, jmax, kmax, seed + i).coeffs
+                                        for i in range(SEEDED_FUNCTIONS)]))
+
+
+def _worst(delta: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest |delta| and its index, the first in C order on ties."""
     idx = np.unravel_index(np.argmax(np.abs(delta)), delta.shape)
-    return float(np.abs(delta[idx])), (int(idx[0]), int(idx[1]))
+    return float(np.abs(delta[idx])), tuple(int(i) for i in idx)
+
+
+def _seeded_report(name: str, sig: Signature, r, f: ZonalFunction, delta: np.ndarray, tolerance: float,
+                   seed: int | None) -> VerificationReport:
+    """Report on the worst function of a stack, by residual relative to its coefficient sup-norm.
+
+    Ties go to the lowest function, then to the first (j, k) within it.  The
+    reported seed is ``seed`` plus the index of that function in the stack.
+    """
+    scale = np.maximum(np.max(np.abs(f.coeffs), axis=(-2, -1), keepdims=True), 1e-14)
+    residual, (index, j, k) = _worst((delta / scale).reshape((-1,) + delta.shape[-2:]))
+    return VerificationReport(
+        name=name, p=sig.p, q=sig.q, r=r,
+        jmax=f.jmax, kmax=f.kmax,
+        max_residual=residual, tolerance=tolerance, worst_location=(j, k),
+        extra={} if seed is None else {"seed": seed + index},
+    )
 
 
 def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
     """Diagonal action of the intertwining operator on every K-type present.
 
     ``spectrum`` is z_spectral_grid over a window containing f's; every
-    entry depends only on its own K-type, so its leading block is f's.
+    entry depends only on its own K-type, so its leading block is f's.  A
+    pole at a present coefficient raises, naming the first one of the first
+    function of a stack that has one.
     """
     mu, poles = (grid[: f.jmax + 1, : f.kmax + 1] for grid in spectrum)
     present = f.coeffs != 0.0
     if (poles & present).any():
-        j, k = np.argwhere(poles & present)[0].tolist()
+        *_, j, k = np.argwhere(poles & present)[0].tolist()
         z_spectral(f.sig, r, KType(j, k))  # raises PoleAtKType naming the argument
     return ZonalFunction(f.sig, np.where(present, f.coeffs * mu, 0.0))
 
@@ -113,12 +142,13 @@ def check_intertwining(sig: Signature, r, f: ZonalFunction, seed: int | None = N
 
     A acts diagonally by the closed-form eigenvalues.  The residual is
     measured on interior coefficients (j <= jmax - 1, k <= kmax - 1 of the
-    input truncation), relative to the coefficient sup-norm of f.
-    ``spectrum`` is z_spectral_grid(sig, r, jmax', kmax') over any window
-    with jmax' > f.jmax and kmax' > f.kmax, which run_suite evaluates once
-    for all seeds; without it the check evaluates its own.  The varpi
-    matrices are built once per degree and cached.  A term beyond the float
-    range raises FloatingPointError.
+    input truncation), relative to the coefficient sup-norm of f.  ``f`` may
+    be a stack of functions along leading axes, such as seeded_stack; the
+    report names the worst one (see _seeded_report).  ``spectrum`` is
+    z_spectral_grid(sig, r, jmax', kmax') over any window with
+    jmax' > f.jmax and kmax' > f.kmax; without it the check evaluates its
+    own.  The varpi matrices are built once per degree and cached.  A term
+    beyond the float range raises FloatingPointError.
     """
     order = SpectralOrder.coerce(r)
     if spectrum is None:
@@ -130,30 +160,20 @@ def check_intertwining(sig: Signature, r, f: ZonalFunction, seed: int | None = N
         )
         af = _apply_eigenvalues(f, order, spectrum)
         right = apply_T_via_lemma(af) + (half_n + order.r) * multiply_by_varpi(af)
-        delta = (left - right).coeffs[: max(f.jmax, 1), : max(f.kmax, 1)]
-        scale = max(float(np.max(np.abs(f.coeffs))), 1e-14)
-        residual, where = _worst(delta / scale)
-    return VerificationReport(
-        name="intertwining", p=sig.p, q=sig.q, r=order.r,
-        jmax=f.jmax, kmax=f.kmax,
-        max_residual=residual, tolerance=1e-9, worst_location=where,
-        extra={} if seed is None else {"seed": seed},
-    )
+        delta = (left - right).coeffs[..., : max(f.jmax, 1), : max(f.kmax, 1)]
+        return _seeded_report("intertwining", sig, order.r, f, delta, 1e-9, seed)
 
 
 def check_lemma1(sig: Signature, f: ZonalFunction, grid: QuadratureGrid,
                  seed: int | None = None) -> VerificationReport:
-    """Commutator route vs derivative route for the conformal vector field."""
+    """Commutator route vs derivative route for the conformal vector field.
+
+    ``f`` may be a stack of functions along leading axes, such as
+    seeded_stack; the report names the worst one (see _seeded_report).
+    """
     lhs = apply_T_numeric(f, grid)
     rhs = evaluate(apply_T_via_lemma(f), grid)
-    scale = max(float(np.max(np.abs(f.coeffs))), 1e-14)
-    residual, where = _worst((lhs - rhs) / scale)
-    return VerificationReport(
-        name="lemma1", p=sig.p, q=sig.q, r=None,
-        jmax=f.jmax, kmax=f.kmax,
-        max_residual=residual, tolerance=1e-8, worst_location=where,
-        extra={} if seed is None else {"seed": seed},
-    )
+    return _seeded_report("lemma1", sig, None, f, lhs - rhs, 1e-8, seed)
 
 
 def check_method_agreement(sig: Signature, r, jmax: int, kmax: int) -> VerificationReport:
@@ -259,21 +279,15 @@ def check_loop_consistency(sig: Signature, r, jmax: int, kmax: int) -> Verificat
     )
 
 
-def _worst_over_seeds(check, sig: Signature, jmax: int, kmax: int, seed: int) -> VerificationReport:
-    """The report with the largest residual of ``check(f, seed=s)`` over the 5 seeds s = seed, ..., seed + 4."""
-    reports = [check(random_zonal(sig, jmax, kmax, s), seed=s) for s in range(seed, seed + 5)]
-    return max(reports, key=lambda rep: rep.max_residual)
-
-
 #: Every check, in the order verify runs them, as its report of (sig, r, jmax, kmax, seed).  Each entry
 #: looks its callees up in this module's globals when called, so a name rebound here (as by
 #: perfbench/tracing.py) takes effect.  Loops stay within an 11 x 11 window.
 CHECKS = {
-    "lemma1": lambda sig, r, jmax, kmax, seed: _worst_over_seeds(
-        partial(check_lemma1, sig, grid=quadrature_grid(sig, jmax + 1, kmax + 1)), sig, jmax, kmax, seed),
-    "intertwining": lambda sig, r, jmax, kmax, seed: _worst_over_seeds(
-        partial(check_intertwining, sig, r, spectrum=z_spectral_grid(sig, r, jmax + 1, kmax + 1)),
-        sig, jmax, kmax, seed),
+    "lemma1": lambda sig, r, jmax, kmax, seed: check_lemma1(
+        sig, seeded_stack(sig, jmax, kmax, seed), quadrature_grid(sig, jmax + 1, kmax + 1), seed=seed),
+    "intertwining": lambda sig, r, jmax, kmax, seed: check_intertwining(
+        sig, r, seeded_stack(sig, jmax, kmax, seed), seed=seed,
+        spectrum=z_spectral_grid(sig, r, jmax + 1, kmax + 1)),
     "method-agreement": lambda sig, r, jmax, kmax, seed: check_method_agreement(sig, r, jmax, kmax),
     "conformal-laplacian": lambda sig, r, jmax, kmax, seed: check_conformal_laplacian(sig, jmax, kmax),
     "inversion": lambda sig, r, jmax, kmax, seed: check_inversion(sig, r, jmax, kmax),
@@ -286,7 +300,7 @@ DEFAULT_CHECKS = tuple(CHECKS)
 
 def run_suite(sig: Signature, r, jmax: int = 8, kmax: int = 8, seed: int = 0,
               checks=DEFAULT_CHECKS) -> list[VerificationReport]:
-    """Run the named checks; random-function checks use seeds seed, ..., seed + 4."""
+    """Run the named checks; random-function checks use the stack seeded_stack(sig, jmax, kmax, seed)."""
     reports = []
     for name in checks:
         if name not in CHECKS:

@@ -127,10 +127,14 @@ def _deriv_matrix(d: int, deg: int, x: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False, frozen=True)
 class ZonalFunction:
-    """Dense coefficient array over the tensor-product zonal basis."""
+    """Dense coefficient array over the tensor-product zonal basis.
+
+    Leading axes, if any, index a stack of functions; the operators below
+    act on each function of a stack alike.
+    """
 
     sig: Signature
-    coeffs: np.ndarray  # shape (jmax + 1, kmax + 1)
+    coeffs: np.ndarray  # shape (..., jmax + 1, kmax + 1)
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -140,11 +144,11 @@ class ZonalFunction:
 
     @property
     def jmax(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-2] - 1
 
     @property
     def kmax(self) -> int:
-        return self.coeffs.shape[1] - 1
+        return self.coeffs.shape[-1] - 1
 
     def __add__(self, other: "ZonalFunction") -> "ZonalFunction":
         if self.sig != other.sig or self.coeffs.shape != other.coeffs.shape:
