@@ -81,10 +81,35 @@ class VerificationReport:
         return out
 
 
+#: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state increment and the two multipliers of its mix.
+_GOLDEN_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _uniform_coefficients(seed: int, count: int, jmax: int, kmax: int) -> np.ndarray:
+    """Shape (count, jmax + 1, kmax + 1): slice i holds the row-major outputs of SplitMix64 seeded with seed + i.
+
+    Output t of the generator seeded with s is mix(s + (t + 1) * gamma) mod 2^64.  Its top 53 bits u
+    map to u / 2^52 - 1 in [-1, 1), exactly.  The seed is reduced mod 2^64 as a Python integer.
+    """
+    state = np.arange(count, dtype=np.uint64) + np.uint64(seed % 2**64)
+    steps = np.arange(1, (jmax + 1) * (kmax + 1) + 1, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA)
+    z = state[:, None] + steps
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    z >>= 11
+    return (z.astype(float) * 2.0**-52 - 1.0).reshape(count, jmax + 1, kmax + 1)
+
+
 def random_zonal(sig: Signature, jmax: int, kmax: int, seed: int) -> ZonalFunction:
-    """Band-limited test function with fixed-seed coefficients in [-1, 1]."""
-    rng = np.random.default_rng(seed)
-    return ZonalFunction(sig, rng.uniform(-1.0, 1.0, size=(jmax + 1, kmax + 1)))
+    """Band-limited test function with fixed-seed coefficients in [-1, 1).
+
+    The coefficients are SplitMix64 outputs (see _uniform_coefficients), the
+    same on every platform; numpy.random is not used.
+    """
+    return ZonalFunction(sig, _uniform_coefficients(seed, 1, jmax, kmax)[0])
 
 
 #: Seeded functions per random-function check: seeds seed, ..., seed + SEEDED_FUNCTIONS - 1.
@@ -93,8 +118,7 @@ SEEDED_FUNCTIONS = 5
 
 def seeded_stack(sig: Signature, jmax: int, kmax: int, seed: int) -> ZonalFunction:
     """The SEEDED_FUNCTIONS test functions as one stack; slice i is random_zonal(sig, jmax, kmax, seed + i)."""
-    return ZonalFunction(sig, np.stack([random_zonal(sig, jmax, kmax, seed + i).coeffs
-                                        for i in range(SEEDED_FUNCTIONS)]))
+    return ZonalFunction(sig, _uniform_coefficients(seed, SEEDED_FUNCTIONS, jmax, kmax))
 
 
 def _worst(delta: np.ndarray) -> tuple[float, tuple[int, ...]]:

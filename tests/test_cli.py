@@ -365,6 +365,7 @@ def test_import_footprint():
     # The package runs on numpy and the standard library: importing the CLI
     # and running a generic-order and an integer-order spectrum loads no
     # SciPy, and no numpy.ma beyond what importing numpy itself loads.
+    # verify --all draws its seeded functions without numpy.random.
     code = (
         "import sys, io, contextlib\n"
         "import numpy\n"
@@ -373,8 +374,9 @@ def test_import_footprint():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = max(intertwinor.cli.main(['spectrum', '--p', '2', '--q', '3', '--r', r])\n"
         "             for r in ('0.37', '2'))\n"
+        "    rc = max(rc, intertwinor.cli.main(['verify', '--p', '2', '--q', '3', '--all']))\n"
         "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
-        "                 or (m == 'numpy.ma' and m not in base)))\n"
+        "                 or m == 'numpy.random' or (m == 'numpy.ma' and m not in base)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_package_env(), timeout=120, check=True)

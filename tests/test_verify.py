@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intertwinor import verify
 from intertwinor.cli import main
@@ -18,6 +20,7 @@ from intertwinor.geometry import KType, Signature, scalar_curvature
 from intertwinor.spectrum import recursion_spectrum
 from intertwinor.verify import (
     DEFAULT_CHECKS,
+    SEEDED_FUNCTIONS,
     VerificationReport,
     check_conformal_laplacian,
     check_intertwining,
@@ -27,6 +30,7 @@ from intertwinor.verify import (
     check_method_agreement,
     random_zonal,
     run_suite,
+    seeded_stack,
 )
 from intertwinor.zonal import basis_element, quadrature_grid
 
@@ -177,6 +181,82 @@ def test_shared_spectrum_matches_per_seed_checks(r):
         suite, = run_suite(sig, r, jmax=jmax, kmax=kmax, seed=seed, checks=("intertwining",))
         alone = max((check_intertwining(sig, r, random_zonal(sig, jmax, kmax, seed + i), seed=seed + i)
                      for i in range(5)), key=lambda rep: rep.max_residual)
+        assert suite.to_dict() == alone.to_dict()
+
+
+def reference_splitmix64(seed, count):
+    """The first ``count`` outputs of SplitMix64 seeded with ``seed``, in Python integers."""
+    state, out = seed % 2**64, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_random_zonal_is_splitmix64():
+    # 6457827717110365317 is the first output of the reference splitmix64.c seeded with 1234567
+    assert reference_splitmix64(1234567, 1) == [6457827717110365317]
+    sig = Signature(2, 3)
+    for seed in (0, 1234567, 2**63, 2**64 - 1, 2**70):
+        for jmax, kmax in ((0, 0), (4, 2), (1, 12)):
+            outputs = reference_splitmix64(seed, (jmax + 1) * (kmax + 1))
+            expected = np.array([(z >> 11) / 2**52 - 1.0 for z in outputs]).reshape(jmax + 1, kmax + 1)
+            assert np.array_equal(random_zonal(sig, jmax, kmax, seed).coeffs, expected), (seed, jmax, kmax)
+    # seed + i wraps at 2^64, as the Python-integer reduction does
+    stack = seeded_stack(sig, 3, 3, 2**64 - 2).coeffs
+    for i, seed in enumerate((2**64 - 2, 2**64 - 1, 0, 1, 2)):
+        assert np.array_equal(stack[i], random_zonal(sig, 3, 3, seed).coeffs)
+
+
+def test_run_suite_stack_slices_are_seeded_functions(monkeypatch):
+    # both seeded checks receive one stack whose slice i is random_zonal(..., seed + i)
+    received = []
+    for name in ("check_lemma1", "check_intertwining"):
+        def spy(sig, *args, _original=getattr(verify, name), **kwargs):
+            received.append(next(arg for arg in args if hasattr(arg, "coeffs")))
+            return _original(sig, *args, **kwargs)
+        monkeypatch.setattr(verify, name, spy)
+    sig = Signature(3, 2)
+    run_suite(sig, 0.37, jmax=6, kmax=4, seed=11, checks=("lemma1", "intertwining"))
+    assert len(received) == 2
+    for stack in received:
+        assert stack.coeffs.shape == (SEEDED_FUNCTIONS, 7, 5)
+        for i in range(SEEDED_FUNCTIONS):
+            assert np.array_equal(stack.coeffs[i], random_zonal(sig, 6, 4, 11 + i).coeffs)
+
+
+SEEDED_ORDERS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.integers(-4, 4).map(float),
+    st.integers(-5, 4).map(lambda n: n + 0.5),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 6), q=st.integers(1, 6), jmax=st.integers(0, 12), kmax=st.integers(0, 12),
+       r=SEEDED_ORDERS, seed=st.integers(0, 2**64 + 10))
+@example(p=2, q=3, jmax=8, kmax=8, r=0.5, seed=0)  # a denominator pole at (1, 0)
+@example(p=1, q=5, jmax=3, kmax=4, r=-0.0, seed=3)  # a numerator pole
+def test_stacked_checks_report_the_worst_single_function(p, q, jmax, kmax, r, seed):
+    # the stacked checks of run_suite against one check per seeded function: the largest residual,
+    # bit for bit, the lowest seed on ties, the same location, and the same first pole
+    sig = Signature(p, q)
+    grid = quadrature_grid(sig, jmax + 1, kmax + 1)
+    singles = [(random_zonal(sig, jmax, kmax, seed + i), seed + i) for i in range(SEEDED_FUNCTIONS)]
+    suite, = run_suite(sig, r, jmax=jmax, kmax=kmax, seed=seed, checks=("lemma1",))
+    alone = max((check_lemma1(sig, f, grid, seed=s) for f, s in singles), key=lambda rep: rep.max_residual)
+    assert suite.to_dict() == alone.to_dict()
+    try:
+        alone = max((check_intertwining(sig, r, f, seed=s) for f, s in singles),
+                    key=lambda rep: rep.max_residual)
+    except PoleAtKType as exc:
+        with pytest.raises(PoleAtKType) as stacked:
+            run_suite(sig, r, jmax=jmax, kmax=kmax, seed=seed, checks=("intertwining",))
+        assert str(stacked.value) == str(exc)
+    else:
+        suite, = run_suite(sig, r, jmax=jmax, kmax=kmax, seed=seed, checks=("intertwining",))
         assert suite.to_dict() == alone.to_dict()
 
 
