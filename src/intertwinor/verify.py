@@ -88,8 +88,8 @@ _GOLDEN_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB
 def _uniform_coefficients(seed: int, count: int, jmax: int, kmax: int) -> np.ndarray:
     """Shape (count, jmax + 1, kmax + 1): slice i holds the row-major outputs of SplitMix64 seeded with seed + i.
 
-    Output t of the generator seeded with s is mix(s + (t + 1) * gamma) mod 2^64.  Its top 53 bits u
-    map to u / 2^52 - 1 in [-1, 1), exactly.  The seed is reduced mod 2^64 as a Python integer.
+    Output t for seed s is mix(s + (t + 1) * gamma) mod 2^64, seeds reduced mod 2^64 as Python integers.
+    Its top 53 bits u map to u / 2^52 - 1 in [-1, 1), exactly.
     """
     state = np.arange(count, dtype=np.uint64) + np.uint64(seed % 2**64)
     steps = np.arange(1, (jmax + 1) * (kmax + 1) + 1, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA)
@@ -104,11 +104,7 @@ def _uniform_coefficients(seed: int, count: int, jmax: int, kmax: int) -> np.nda
 
 
 def random_zonal(sig: Signature, jmax: int, kmax: int, seed: int) -> ZonalFunction:
-    """Band-limited test function with fixed-seed coefficients in [-1, 1).
-
-    The coefficients are SplitMix64 outputs (see _uniform_coefficients), the
-    same on every platform; numpy.random is not used.
-    """
+    """Band-limited test function with fixed-seed coefficients in [-1, 1), the same on every platform."""
     return ZonalFunction(sig, _uniform_coefficients(seed, 1, jmax, kmax)[0])
 
 
@@ -131,8 +127,7 @@ def _seeded_report(name: str, sig: Signature, r, f: ZonalFunction, delta: np.nda
                    seed: int | None) -> VerificationReport:
     """Report on the worst function of a stack, by residual relative to its coefficient sup-norm.
 
-    Ties go to the lowest function, then to the first (j, k) within it.  The
-    reported seed is ``seed`` plus the index of that function in the stack.
+    Ties go to the lowest function, reported as seed + its index, then to the first (j, k) within it.
     """
     scale = np.maximum(np.max(np.abs(f.coeffs), axis=(-2, -1), keepdims=True), 1e-14)
     residual, (index, j, k) = _worst((delta / scale).reshape((-1,) + delta.shape[-2:]))
@@ -149,8 +144,7 @@ def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
 
     ``spectrum`` is z_spectral_grid over a window containing f's; every
     entry depends only on its own K-type, so its leading block is f's.  A
-    pole at a present coefficient raises, naming the first one of the first
-    function of a stack that has one.
+    pole at a present coefficient raises, for the first function of a stack.
     """
     mu, poles = (grid[: f.jmax + 1, : f.kmax + 1] for grid in spectrum)
     present = f.coeffs != 0.0
@@ -190,11 +184,7 @@ def check_intertwining(sig: Signature, r, f: ZonalFunction, seed: int | None = N
 
 def check_lemma1(sig: Signature, f: ZonalFunction, grid: QuadratureGrid,
                  seed: int | None = None) -> VerificationReport:
-    """Commutator route vs derivative route for the conformal vector field.
-
-    ``f`` may be a stack of functions along leading axes, such as
-    seeded_stack; the report names the worst one (see _seeded_report).
-    """
+    """Commutator route vs derivative route for the conformal vector field, on f or a stack (see _seeded_report)."""
     lhs = apply_T_numeric(f, grid)
     rhs = evaluate(apply_T_via_lemma(f), grid)
     return _seeded_report("lemma1", sig, None, f, lhs - rhs, 1e-8, seed)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -204,25 +204,45 @@ def apply_T_via_lemma(f: ZonalFunction) -> ZonalFunction:
 
 @dataclass(eq=False, frozen=True)
 class QuadratureGrid:
-    """Gauss-Jacobi nodes/weights for both angular factors, in x = cos theta.
+    """Gauss-Jacobi nodes and weights for both angular factors, in x = cos theta.
 
     ``Vx``, ``Dx`` (``Vy``, ``Dy``) are the value and derivative Vandermondes
     of the zonal basis at the nodes up to ``max_degree_x`` (``max_degree_y``).
     Column j of a recurrence depends only on the columns before it, so the
-    first m + 1 columns are the Vandermonde of degree m, bit for bit.
+    first m + 1 columns are the Vandermonde of degree m, bit for bit.  The
+    weights are computed on first use: only ``project`` reads them.
     """
 
     sig: Signature
     x: np.ndarray
-    wx: np.ndarray
     y: np.ndarray
-    wy: np.ndarray
     max_degree_x: int
     max_degree_y: int
     Vx: np.ndarray
     Dx: np.ndarray
     Vy: np.ndarray
     Dy: np.ndarray
+
+    @cached_property
+    def wx(self) -> np.ndarray:
+        return _christoffel_weights(self.x, 0.5 * (self.sig.p - 2))
+
+    @cached_property
+    def wy(self) -> np.ndarray:
+        return _christoffel_weights(self.y, 0.5 * (self.sig.q - 2))
+
+
+def _jacobi_recurrence(n: int, a: float) -> tuple[np.ndarray, float]:
+    """(sqrt(b_1), ..., sqrt(b_n)) of the monic orthogonal polynomials of the weight (1-x^2)^a, and its integral."""
+    m = np.arange(2, n + 1, dtype=float)
+    # b_1 = 1/(2a + 3) has the factor 2a + 1 cancelled, which vanishes for Chebyshev (a = -1/2).
+    off = np.sqrt(np.concatenate(([1.0 / (2.0 * a + 3.0)],
+                                  m * (m + 2.0 * a) / ((2.0 * m + 2.0 * a) ** 2 - 1.0))))
+    try:
+        mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    except OverflowError:  # Gamma(a + 1.5) beyond the float range, from d = 343 on: the ratio in log space
+        mass = math.sqrt(math.pi) * math.exp(math.lgamma(a + 1.0) - math.lgamma(a + 1.5))
+    return off, mass
 
 
 def _orthonormal_last(x: np.ndarray, off: np.ndarray, mass: float):
@@ -240,37 +260,34 @@ def _orthonormal_last(x: np.ndarray, off: np.ndarray, mass: float):
     return cur, dcur
 
 
-def _christoffel_sum(x: np.ndarray, off: np.ndarray, mass: float) -> np.ndarray:
-    """sum_{m<n} P_m(x)^2 over the orthonormal P_m of _orthonormal_last."""
+def _gauss_jacobi(n: int, a: float) -> np.ndarray:
+    """n-point Gauss nodes for the weight (1-x^2)^a on [-1, 1], a > -1.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric Jacobi matrix of the monic orthogonal polynomials, zero on
+    the diagonal with off-diagonal sqrt(b_m), b_m = m(m+2a)/((2m+2a)^2 - 1),
+    polished by one Newton step on P_n.
+    """
+    off, mass = _jacobi_recurrence(n, a)
+    x = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    p, dp = _orthonormal_last(x, off, mass)
+    return x - p / dp
+
+
+def _christoffel_weights(x: np.ndarray, a: float) -> np.ndarray:
+    """Gauss weights at the nodes x = _gauss_jacobi(len(x), a): Christoffel numbers 1 / sum_{m<n} P_m(x)^2.
+
+    The P_m are the orthonormal polynomials of _orthonormal_last.  A sum of positive terms keeps the
+    small weights near +/-1 accurate, where the first eigenvector components would not.
+    """
+    off, mass = _jacobi_recurrence(len(x), a)
     prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
     total = np.zeros_like(x)
     for m, c in enumerate(off):
         total += cur * cur
         below = off[m - 1] if m else 0.0
         prev, cur = cur, (x * cur - below * prev) / c
-    return total
-
-
-def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss nodes and weights for the weight (1-x^2)^a on [-1, 1], a > -1.
-
-    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
-    the symmetric Jacobi matrix of the monic orthogonal polynomials, zero on
-    the diagonal with off-diagonal sqrt(b_m), b_m = m(m+2a)/((2m+2a)^2 - 1),
-    polished by one Newton step on P_n.  Each weight is the Christoffel number
-    1 / sum_{m<n} P_m(x)^2 over the orthonormal P_m: a sum of positive terms,
-    so the small weights near +/-1 keep their relative accuracy, where the
-    first eigenvector components would not.
-    """
-    m = np.arange(2, n + 1, dtype=float)
-    # b_1 = 1/(2a + 3) has the factor 2a + 1 cancelled, which vanishes for Chebyshev (a = -1/2).
-    off = np.sqrt(np.concatenate(([1.0 / (2.0 * a + 3.0)],
-                                  m * (m + 2.0 * a) / ((2.0 * m + 2.0 * a) ** 2 - 1.0))))
-    x = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-    mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)  # integral of the weight
-    p, dp = _orthonormal_last(x, off, mass)
-    x = x - p / dp
-    return x, 1.0 / _christoffel_sum(x, off, mass)
+    return 1.0 / total
 
 
 #: Nodes per axis of a quadrature grid beyond the degree it resolves.
@@ -284,9 +301,9 @@ def quadrature_grid(sig: Signature, jdeg: int, kdeg: int) -> QuadratureGrid:
     The weight on each axis is (1-x^2)^{(d-2)/2}, matching the zonal measure
     sin^{d-1}(theta) d theta.
     """
-    x, wx = _gauss_jacobi(jdeg + GRID_MARGIN, 0.5 * (sig.p - 2))
-    y, wy = _gauss_jacobi(kdeg + GRID_MARGIN, 0.5 * (sig.q - 2))
-    return QuadratureGrid(sig, x, wx, y, wy, jdeg, kdeg,
+    x = _gauss_jacobi(jdeg + GRID_MARGIN, 0.5 * (sig.p - 2))
+    y = _gauss_jacobi(kdeg + GRID_MARGIN, 0.5 * (sig.q - 2))
+    return QuadratureGrid(sig, x, y, jdeg, kdeg,
                           _poly_matrix(sig.p, jdeg, x), _deriv_matrix(sig.p, jdeg, x),
                           _poly_matrix(sig.q, kdeg, y), _deriv_matrix(sig.q, kdeg, y))
 

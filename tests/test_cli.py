@@ -395,7 +395,8 @@ SUBCOMMANDS = st.one_of(
     st.tuples(st.just("spectrum"), st.sampled_from([[], ["--format", "json"]])),
     st.tuples(st.just("verify"), st.sampled_from([["--all"], ["--check", "inversion", "--seed", "3"],
                                                   ["--check", "intertwining"],
-                                                  ["--check", "method-agreement"]])),
+                                                  ["--check", "method-agreement"],
+                                                  ["--check", "lemma1", "--seed", str(2**70)]])),
 )
 
 
@@ -405,6 +406,7 @@ SUBCOMMANDS = st.one_of(
                                                                 st.just(kmax))))
 @example(subcommand=("verify", ["--check", "intertwining"]), p=2, q=3, r=300.3, window=(400, 2))
 @example(subcommand=("spectrum", []), p=2, q=3, r=250.5, window=(600, 2))
+@example(subcommand=("verify", ["--all", "--seed", str(2**64 - 1)]), p=2, q=3, r=0.37, window=(3, 3))  # seed + 4 wraps
 def test_cli_never_raises(subcommand, p, q, r, window):
     # jmax reaches 600 only in windows at most 4 K-types wide in k
     command, flags = subcommand
@@ -414,6 +416,14 @@ def test_cli_never_raises(subcommand, p, q, r, window):
         warnings.simplefilter("error", RuntimeWarning)
         code, _, err = _call(argv)
     assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p,q", [(343, 3), (3, 343)])
+def test_lemma1_beyond_the_gamma_range(p, q):
+    # the Gauss-Jacobi weight's integral needs Gamma beyond the float range from sphere dimension 343 on
+    code, out, err = _call(["verify", "--p", str(p), "--q", str(q), "--jmax", "3", "--kmax", "3",
+                            "--check", "lemma1"])
+    assert (code, err) == (0, "") and out.startswith("lemma1: ") and out.endswith(" PASS\n")
 
 
 def reference_payload(window: cli.SpectrumWindow, sig: Signature, r: float) -> dict:

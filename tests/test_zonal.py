@@ -8,6 +8,7 @@ from intertwinor.geometry import KType, Signature, bochner_eigenvalue, neighbors
 from intertwinor.zonal import (
     GridTooCoarse,
     _cos_matrix,
+    _christoffel_weights,
     _deriv_matrix,
     _gauss_jacobi,
     _poly_matrix,
@@ -144,10 +145,22 @@ class TestKernelsAgainstScipy:
     def test_gauss_jacobi_nodes_and_weights(self, d):
         a = 0.5 * (d - 2)
         for n in range(1, 141):
-            x, w = _gauss_jacobi(n, a)
+            x = _gauss_jacobi(n, a)
+            w = _christoffel_weights(x, a)
             ref_x, ref_w = roots_jacobi(n, a, a)
             assert np.max(np.abs(x - ref_x)) <= 1e-15, n
             assert np.max(np.abs(w / ref_w - 1.0)) <= (1e-13 if n <= 16 else 1e-10), n
+
+
+@pytest.mark.parametrize("d", [342, 343, 400])
+def test_gauss_jacobi_beyond_the_gamma_range(d):
+    # from d = 343 on, Gamma(a + 3/2) of the weight's integral overflows a float
+    a = 0.5 * (d - 2)
+    for n in (1, 2, 5, 40):
+        x = _gauss_jacobi(n, a)
+        ref_x, ref_w = roots_jacobi(n, a, a)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15, n
+        assert np.max(np.abs(_christoffel_weights(x, a) / ref_w - 1.0)) <= 1e-12, n
 
 
 class TestGridVandermondes:
