@@ -32,7 +32,7 @@ from intertwinor.verify import (
     run_suite,
     seeded_stack,
 )
-from intertwinor.zonal import basis_element, quadrature_grid
+from intertwinor.zonal import ZonalFunction, basis_element, quadrature_grid
 
 
 def test_intertwining_r_zero_is_exact():
@@ -215,7 +215,7 @@ def test_run_suite_stack_slices_are_seeded_functions(monkeypatch):
     received = []
     for name in ("check_lemma1", "check_intertwining"):
         def spy(sig, *args, _original=getattr(verify, name), **kwargs):
-            received.append(next(arg for arg in args if hasattr(arg, "coeffs")))
+            received.append(next(arg for arg in args if isinstance(arg, ZonalFunction)))
             return _original(sig, *args, **kwargs)
         monkeypatch.setattr(verify, name, spy)
     sig = Signature(3, 2)
@@ -324,8 +324,6 @@ def test_intertwining_residual_stable_under_truncation_growth():
     f = random_zonal(sig, 6, 6, 2)
     big = np.zeros((13, 13))
     big[:7, :7] = f.coeffs
-    from intertwinor.zonal import ZonalFunction
-
     rep_small = check_intertwining(sig, 0.37, f)
     rep_big = check_intertwining(sig, 0.37, ZonalFunction(sig, big))
     assert abs(rep_small.max_residual - rep_big.max_residual) < 1e-12
