@@ -198,8 +198,11 @@ def apply_T_via_lemma(f: ZonalFunction) -> ZonalFunction:
     coefficient space.
     """
     vf = multiply_by_varpi(f)
-    commutator = apply_N(vf) - multiply_by_varpi(apply_N(f))
-    return 0.5 * commutator - (f.sig.n / 2.0) * vf
+    out = apply_N(vf).coeffs  # updated in place: fewer transients the size of a stack
+    out -= multiply_by_varpi(apply_N(f)).coeffs
+    out *= 0.5
+    out -= (f.sig.n / 2.0) * vf.coeffs
+    return ZonalFunction(f.sig, out)
 
 
 @dataclass(eq=False, frozen=True)
@@ -369,5 +372,8 @@ def apply_T_numeric(f: ZonalFunction, grid: QuadratureGrid) -> np.ndarray:
     fy = Vx @ f.coeffs @ Dy.T
     x = grid.x[:, None]
     y = grid.y[None, :]
-    return -y * (1.0 - x**2) * fx - x * (1.0 - y**2) * fy
+    fx *= -y * (1.0 - x**2)  # in place, as in apply_T_via_lemma
+    fy *= x * (1.0 - y**2)
+    fx -= fy
+    return fx
 
