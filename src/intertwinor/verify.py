@@ -144,7 +144,8 @@ def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
 
     ``spectrum`` is z_spectral_grid over a window containing f's; every
     entry depends only on its own K-type, so its leading block is f's.  A
-    pole at a present coefficient raises, for the first function of a stack.
+    pole under a present coefficient raises, at the first such K-type of the
+    first function of a stack that has one.
     """
     mu, poles = (grid[: f.jmax + 1, : f.kmax + 1] for grid in spectrum)
     present = f.coeffs != 0.0
