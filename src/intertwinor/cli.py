@@ -2,14 +2,17 @@
 
 Exit codes: 0 success / all checks pass, 1 failed check or unwritable
 output, 2 invalid configuration, including an order beyond MAX_ABS_ORDER or
-too large for floating point.  Output is byte-deterministic for a given flag set.
+too large for floating point, and a window too large for memory.  Output is
+byte-deterministic for a given flag set.
 
-``spectrum`` writes one fixed schema, each column formatted once over the
-whole window.  CSV cells print floats with "%.17g" ('.' decimal, 17
-significant digits) and integers with str.  JSON is exactly what
-json.dumps(indent=2, sort_keys=True) prints: sorted keys, two-space indent,
-floats as float.__repr__, and NaN, Infinity and -Infinity for non-finite
-floats.  ``verify`` status lines print floats with "%.17g".
+``spectrum`` writes one fixed schema.  CSV cells print floats with "%.17g"
+('.' decimal, 17 significant digits) and integers with str.  JSON is exactly
+what json.dumps(indent=2, sort_keys=True) prints: sorted keys, two-space
+indent, floats as float.__repr__, and NaN, Infinity and -Infinity for
+non-finite floats.  A float column is one map of that formatter; then, by
+index, JSON's tokens replace "nan", "inf" and "-inf" where the column holds
+one, and labels replace the hidden cells, so a hidden value never prints.
+``verify`` status lines print floats with "%.17g".
 
 Singular table entries are first-class values, rendered as "pole" (closed
 form undefined) or "zero-denominator" (recursion blocked), never as NaN.
@@ -210,33 +213,35 @@ _JSON_DOCUMENT = (
 
 
 def _spectrum_text(window: SpectrumWindow, fmt: str, sig: Signature, r: float) -> str:
-    """The CSV or JSON table of ``window``, row (j, k) in order of j, then k.
-
-    Each column is formatted once over the whole window: CSV floats with
-    "%.17g", JSON floats as json.dumps prints them, integers with str, and
-    labels as constant strings, quoted once for JSON.
-    """
-    number = "%.17g".__mod__ if fmt == "csv" else _json_float
+    """The CSV or JSON table of ``window``, row (j, k) in order of j, then k, each column formatted at once."""
+    number = "%.17g".__mod__ if fmt == "csv" else float.__repr__
     quote = str if fmt == "csv" else json.dumps
     nj, nk = len(window.half_j), len(window.half_k)
 
-    def column(values, shown, label):
-        label = quote(label)
-        return [number(v) if s else label
-                for v, s in zip(values.ravel().tolist(), shown.ravel().tolist())]
+    def column(values, hidden=None, label=""):
+        values = np.asarray(values, dtype=float)
+        cells = list(map(number, values.ravel().tolist()))
+        if fmt == "json" and not np.isfinite(values).all():
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                cells[i] = _JSON_SPECIAL[cells[i]]
+        if hidden is not None and hidden.any():
+            label = quote(label)
+            for i in np.flatnonzero(hidden).tolist():
+                cells[i] = label
+        return cells
 
     factorized = window.factorized
+    parity = [[str((j + k) % 2) for k in range(nk)] for j in (0, 1)]  # row j of the column is row j % 2
     cells = {
-        "j": [str(j) for j in range(nj) for _ in range(nk)],
+        "j": [text for text in map(str, range(nj)) for _ in range(nk)],
         "k": [str(k) for k in range(nk)] * nj,
-        "J": [half for half in map(number, window.half_j) for _ in range(nk)],
-        "K": list(map(number, window.half_k)) * nj,
-        "parity": [str((j + k) % 2) for j in range(nj) for k in range(nk)],
-        "mu_recursion": column(window.recursion, window.reached, "zero-denominator"),
-        "mu_closed_form": column(window.closed, ~window.poles, "pole"),
-        "mu_factorized_or_blank": ([quote("")] * (nj * nk) if factorized is None
-                                   else list(map(number, factorized.ravel().tolist()))),
-        "max_rel_disagreement": column(window.disagreement, window.compared, ""),
+        "J": [half for half in column(window.half_j) for _ in range(nk)],
+        "K": column(window.half_k) * nj,
+        "parity": [text for j in range(nj) for text in parity[j % 2]],
+        "mu_recursion": column(window.recursion, ~window.reached, "zero-denominator"),
+        "mu_closed_form": column(window.closed, window.poles, "pole"),
+        "mu_factorized_or_blank": [quote("")] * (nj * nk) if factorized is None else column(factorized),
+        "max_rel_disagreement": column(window.disagreement, ~window.compared, ""),
     }
     if fmt == "csv":
         rows = map(",".join, zip(*(cells[name] for name in CSV_COLUMNS)))
@@ -295,6 +300,10 @@ def main(argv=None) -> int:
         return command(args, parser)
     except (OverflowError, FloatingPointError) as exc:  # nothing is written before the values are complete
         print(f"error: r = {args.r} overflows floating point: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the window jmax = {args.jmax}, kmax = {args.kmax} is too large for memory: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -94,13 +94,16 @@ def _uniform_coefficients(seed: int, count: int, jmax: int, kmax: int) -> np.nda
     state = np.arange(count, dtype=np.uint64) + np.uint64(seed % 2**64)
     steps = np.arange(1, (jmax + 1) * (kmax + 1) + 1, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA)
     z = state[:, None] + steps
-    z ^= z >> 30
+    t = np.empty_like(z)  # the one buffer of every shift: no temporary the size of the stack
+    z ^= np.right_shift(z, 30, out=t)
     z *= _MIX1
-    z ^= z >> 27
+    z ^= np.right_shift(z, 27, out=t)
     z *= _MIX2
-    z ^= z >> 31
+    z ^= np.right_shift(z, 31, out=t)
     z >>= 11
-    return (z.astype(float) * 2.0**-52 - 1.0).reshape(count, jmax + 1, kmax + 1)
+    u = np.multiply(z, 2.0**-52, out=t.view(float))  # the floats reuse the shift buffer
+    u -= 1.0
+    return u.reshape(count, jmax + 1, kmax + 1)
 
 
 def random_zonal(sig: Signature, jmax: int, kmax: int, seed: int) -> ZonalFunction:

@@ -85,44 +85,47 @@ def gegenbauer_norm(d: int, j: int) -> float:
     )
 
 
-def _gegenbauer_columns(lam: float, deg: int, x: np.ndarray) -> np.ndarray:
-    """V[a, j] = C_j^lam(x_a), j <= deg, for lam > 0.
+def _three_term_columns(families) -> list[np.ndarray]:
+    """V[a, j] = G_j(x_a), j <= deg, for each (lam, deg, x) of ``families``, in one pass stacked over them.
 
-    Three-term recurrence (DLMF 18.9.1): C_0 = 1, C_1 = 2 lam x,
-    (j+1) C_{j+1} = 2(j+lam) x C_j - (j+2lam-1) C_{j-1}.
+    G is C^lam for lam > 0 (DLMF 18.9.1): G_1 = 2 lam x, (j+1) G_{j+1} = 2(j+lam) x G_j - (j+2lam-1) G_{j-1};
+    for lam = 0 it is Chebyshev T: G_1 = x, G_{j+1} = 2x G_j - G_{j-1}, the same step with exact unit
+    factors.  Rows are padded to the longest family with zero nodes and zero coefficients.
     """
-    V = np.empty((len(x), deg + 1))
-    V[:, 0] = 1.0
-    if deg >= 1:
-        V[:, 1] = 2.0 * lam * x
-    for j in range(1, deg):
-        V[:, j + 1] = (2.0 * (j + lam) * x * V[:, j] - (j + 2.0 * lam - 1.0) * V[:, j - 1]) / (j + 1)
-    return V
+    rows, steps = len(families), max(0, *(deg for _, deg, _ in families))
+    X, first = np.zeros((rows, max(len(x) for _, _, x in families))), np.zeros((rows, 1))
+    # Step-major: A[j] and V[j] hold step j and column j of every family, so each step is contiguous.
+    A, B, C = np.zeros((steps, rows, 1)), np.zeros((steps, rows, 1)), np.ones((steps, rows, 1))
+    for row, (lam, deg, x) in enumerate(families):
+        X[row, : len(x)] = x
+        j = np.arange(max(deg, 0), dtype=float)
+        factors = (2.0 * lam, 2.0 * (j + lam), j + 2.0 * lam - 1.0, j + 1.0) if lam > 0 else (1.0, 2.0, 1.0, 1.0)
+        first[row], A[: len(j), row, 0], B[: len(j), row, 0], C[: len(j), row, 0] = factors
+    V = np.empty((steps + 1,) + X.shape)
+    V[0] = 1.0
+    if steps:
+        V[1] = first * X
+    for j in range(1, steps):
+        V[j + 1] = (A[j] * X * V[j] - B[j] * V[j - 1]) / C[j]
+    return [np.ascontiguousarray(V[: deg + 1, row, : len(x)].T) for row, (_, deg, x) in enumerate(families)]
+
+
+def _derivative_columns(lam: float, C: np.ndarray) -> np.ndarray:
+    """d/dx G_j from C[:, j] = C_j^{lam+1}(x_a): 2 lam C_{j-1}^{lam+1}, or j U_{j-1} = j C_{j-1}^1 for Chebyshev."""
+    D = np.zeros((len(C), C.shape[1] + 1))
+    D[:, 1:] = (2.0 * lam if lam > 0 else np.arange(1.0, C.shape[1] + 1)) * C
+    return D
 
 
 def _poly_matrix(d: int, deg: int, x: np.ndarray) -> np.ndarray:
     """Vandermonde V[a, j] = G_j(x_a) for the d-sphere zonal basis."""
-    lam = gegenbauer_index(d)
-    if lam > 0:
-        return _gegenbauer_columns(lam, deg, x)
-    # Chebyshev T (DLMF 18.9.1): T_0 = 1, T_1 = x, T_{j+1} = 2x T_j - T_{j-1}.
-    V = np.empty((len(x), deg + 1))
-    V[:, 0] = 1.0
-    if deg >= 1:
-        V[:, 1] = x
-    for j in range(1, deg):
-        V[:, j + 1] = 2.0 * x * V[:, j] - V[:, j - 1]
-    return V
+    return _three_term_columns([(gegenbauer_index(d), deg, x)])[0]
 
 
 def _deriv_matrix(d: int, deg: int, x: np.ndarray) -> np.ndarray:
-    """Vandermonde of d/dx G_j: 2 lam C_{j-1}^{lam+1}, or j U_{j-1} = j C_{j-1}^1 for Chebyshev."""
+    """Vandermonde of d/dx G_j for the d-sphere zonal basis."""
     lam = gegenbauer_index(d)
-    D = np.zeros((len(x), deg + 1))
-    if deg >= 1:
-        scale = 2.0 * lam if lam > 0 else np.arange(1.0, deg + 1)
-        D[:, 1:] = scale * _gegenbauer_columns(lam + 1.0, deg - 1, x)
-    return D
+    return _derivative_columns(lam, _three_term_columns([(lam + 1.0, deg - 1, x)])[0])
 
 
 @dataclass(eq=False, frozen=True)
@@ -212,8 +215,10 @@ class QuadratureGrid:
     ``Vx``, ``Dx`` (``Vy``, ``Dy``) are the value and derivative Vandermondes
     of the zonal basis at the nodes up to ``max_degree_x`` (``max_degree_y``).
     Column j of a recurrence depends only on the columns before it, so the
-    first m + 1 columns are the Vandermonde of degree m, bit for bit.  The
-    weights are computed on first use: only ``project`` reads them.
+    first m + 1 columns are the Vandermonde of degree m, bit for bit.  Two
+    stacked passes build them: the Newton pass of both axes' nodes, then the
+    three-term pass of all four Vandermondes.  The weights are computed on
+    first use: only ``project`` reads them.
     """
 
     sig: Signature
@@ -248,39 +253,45 @@ def _jacobi_recurrence(n: int, a: float) -> tuple[np.ndarray, float]:
     return off, mass
 
 
-def _orthonormal_last(x: np.ndarray, off: np.ndarray, mass: float):
-    """(P_n(x), P_n'(x)) for the orthonormal P_m of the Jacobi matrix.
-
-    ``off`` holds sqrt(b_1), ..., sqrt(b_n); the recurrence is
-    sqrt(b_{m+1}) P_{m+1} = x P_m - sqrt(b_m) P_{m-1}, P_0 = mass^(-1/2).
-    """
-    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
-    dprev, dcur = np.zeros_like(x), np.zeros_like(x)
-    for m, c in enumerate(off):
-        below = off[m - 1] if m else 0.0
-        prev, cur, dprev, dcur = (cur, (x * cur - below * prev) / c,
-                                  dcur, (cur + x * dcur - below * dprev) / c)
-    return cur, dcur
-
-
-def _gauss_jacobi(n: int, a: float) -> np.ndarray:
-    """n-point Gauss nodes for the weight (1-x^2)^a on [-1, 1], a > -1.
+def _gauss_jacobi_axes(axes) -> list[np.ndarray]:
+    """n-point Gauss nodes for the weight (1-x^2)^a on [-1, 1], a > -1, for each (n, a) of ``axes``.
 
     Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
     the symmetric Jacobi matrix of the monic orthogonal polynomials, zero on
     the diagonal with off-diagonal sqrt(b_m), b_m = m(m+2a)/((2m+2a)^2 - 1),
-    polished by one Newton step on P_n.
+    polished by one Newton step on the orthonormal P_n of the recurrence
+    sqrt(b_{m+1}) P_{m+1} = x P_m - sqrt(b_m) P_{m-1}, P_0 = mass^(-1/2).
+    One pass runs it for all axes, padded to the longest: row i takes P_n, P_n' at its own n.
     """
-    off, mass = _jacobi_recurrence(n, a)
-    x = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-    p, dp = _orthonormal_last(x, off, mass)
-    return x - p / dp
+    size = max(n for n, _ in axes)
+    X, cur = np.zeros((len(axes), size)), np.empty((len(axes), size))
+    scale, below = np.ones((len(axes), size)), np.zeros((len(axes), size))
+    for row, (n, a) in enumerate(axes):
+        off, mass = _jacobi_recurrence(n, a)
+        X[row, :n] = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+        scale[row, :n], below[row, 1:n] = off, off[:-1]
+        cur[row] = 1.0 / math.sqrt(mass)
+    scale, below = scale.T[:, :, None], below.T[:, :, None]  # step-major: row m holds the factors of step m
+    prev, dprev, dcur = np.zeros_like(X), np.zeros_like(X), np.zeros_like(X)
+    nodes = [None] * len(axes)
+    for m in range(size):
+        prev, cur, dprev, dcur = (cur, (X * cur - below[m] * prev) / scale[m],
+                                  dcur, (cur + X * dcur - below[m] * dprev) / scale[m])
+        for row, (n, _) in enumerate(axes):
+            if n == m + 1:
+                nodes[row] = X[row, :n] - cur[row, :n] / dcur[row, :n]
+    return nodes
+
+
+def _gauss_jacobi(n: int, a: float) -> np.ndarray:
+    """n-point Gauss nodes for the weight (1-x^2)^a on [-1, 1]: one axis of _gauss_jacobi_axes."""
+    return _gauss_jacobi_axes([(n, a)])[0]
 
 
 def _christoffel_weights(x: np.ndarray, a: float) -> np.ndarray:
     """Gauss weights at the nodes x = _gauss_jacobi(len(x), a): Christoffel numbers 1 / sum_{m<n} P_m(x)^2.
 
-    The P_m are the orthonormal polynomials of _orthonormal_last.  A sum of positive terms keeps the
+    The P_m are the orthonormal polynomials of _gauss_jacobi_axes.  A sum of positive terms keeps the
     small weights near +/-1 accurate, where the first eigenvector components would not.
     """
     off, mass = _jacobi_recurrence(len(x), a)
@@ -304,11 +315,13 @@ def quadrature_grid(sig: Signature, jdeg: int, kdeg: int) -> QuadratureGrid:
     The weight on each axis is (1-x^2)^{(d-2)/2}, matching the zonal measure
     sin^{d-1}(theta) d theta.
     """
-    x = _gauss_jacobi(jdeg + GRID_MARGIN, 0.5 * (sig.p - 2))
-    y = _gauss_jacobi(kdeg + GRID_MARGIN, 0.5 * (sig.q - 2))
+    lp, lq = gegenbauer_index(sig.p), gegenbauer_index(sig.q)
+    x, y = _gauss_jacobi_axes([(jdeg + GRID_MARGIN, 0.5 * (sig.p - 2)),
+                               (kdeg + GRID_MARGIN, 0.5 * (sig.q - 2))])
+    Vx, Cx, Vy, Cy = _three_term_columns([(lp, jdeg, x), (lp + 1.0, jdeg - 1, x),
+                                          (lq, kdeg, y), (lq + 1.0, kdeg - 1, y)])
     return QuadratureGrid(sig, x, y, jdeg, kdeg,
-                          _poly_matrix(sig.p, jdeg, x), _deriv_matrix(sig.p, jdeg, x),
-                          _poly_matrix(sig.q, kdeg, y), _deriv_matrix(sig.q, kdeg, y))
+                          Vx, _derivative_columns(lp, Cx), Vy, _derivative_columns(lq, Cy))
 
 
 def _leading(V: np.ndarray, deg: int) -> np.ndarray:

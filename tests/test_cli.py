@@ -246,6 +246,15 @@ class TestExitCodes:
         assert [line for line in lines if "error:" in line] == lines[-1:]
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
+    @pytest.mark.parametrize("command", [["spectrum"], ["verify", "--check", "lemma1"],
+                                         ["verify", "--check", "inversion"]])
+    def test_window_beyond_memory_exits_2(self, command):
+        # numpy refuses the TiB-scale arrays of a 10^6 x 10^6 window before it touches memory
+        code, out, err = _call([*command, "--p", "2", "--q", "3", "--jmax", "1000000", "--kmax", "1000000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the window jmax = 1000000, kmax = 1000000 is too large for memory: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("r", ["-1e16", "-1e20", "-1e300"])
     def test_order_beyond_bound_exits_2(self, capsys, command, r):
@@ -509,6 +518,33 @@ def test_writer_formats_special_values_as_reference():
                 assert text == reference_text(w, fmt, sig, r)
                 assert all(label in text for label in ("pole", "zero-denominator"))
             assert all(token in text for token in ("NaN", "-Infinity", "Infinity", '""', "5e-324"))
+
+    finite = special[np.isfinite(special)]
+
+    def finite_values(shift):
+        return finite[(cells + shift) % len(finite)]
+
+    # Non-finite values only under labels: none of them may leak into the text.
+    hidden_only = window._replace(
+        recursion=np.where(window.reached, finite_values(0), np.nan),
+        closed=np.where(window.poles, np.inf, finite_values(5)),
+        factorized=finite_values(3),
+        disagreement=np.where(window.compared, finite_values(9), -np.inf),
+    )
+    # No label and no non-finite value: the path that patches no cell.
+    plain = window._replace(
+        recursion=finite_values(0), reached=np.ones(shape, bool),
+        closed=finite_values(5), poles=np.zeros(shape, bool), factorized=finite_values(3),
+        disagreement=finite_values(9), compared=np.ones(shape, bool),
+    )
+    for w, labels in ((hidden_only, ("pole", "zero-denominator")), (plain, ())):
+        for factorized in (None, w.factorized):
+            for fmt in ("csv", "json"):
+                text = cli._spectrum_text(w._replace(factorized=factorized), fmt, sig, 0.37)
+                assert text == reference_text(w._replace(factorized=factorized), fmt, sig, 0.37)
+                assert not any(token in text for token in ("NaN", "Infinity", "nan", "inf"))
+                assert all(label in text for label in labels)
+                assert labels or not any(label in text for label in ("pole", "zero-denominator"))
 
 
 def test_large_json_table_loads_to_reference_payload(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,13 @@ from scipy.integrate import quad
 
 from intertwinor.geometry import KType, Signature, bochner_eigenvalue, neighbors
 from intertwinor.zonal import (
+    GRID_MARGIN,
     GridTooCoarse,
     _cos_matrix,
     _christoffel_weights,
     _deriv_matrix,
     _gauss_jacobi,
+    _jacobi_recurrence,
     _poly_matrix,
     ZonalFunction,
     apply_N,
@@ -161,6 +165,69 @@ def test_gauss_jacobi_beyond_the_gamma_range(d):
         ref_x, ref_w = roots_jacobi(n, a, a)
         assert np.max(np.abs(x - ref_x)) <= 1e-15, n
         assert np.max(np.abs(_christoffel_weights(x, a) / ref_w - 1.0)) <= 1e-12, n
+
+
+def reference_gegenbauer_columns(lam, deg, x):
+    """V[a, j] = C_j^lam(x_a), one recurrence column per loop step, as the grid was built before its stacked pass."""
+    V = np.empty((len(x), deg + 1))
+    V[:, 0] = 1.0
+    if deg >= 1:
+        V[:, 1] = 2.0 * lam * x
+    for j in range(1, deg):
+        V[:, j + 1] = (2.0 * (j + lam) * x * V[:, j] - (j + 2.0 * lam - 1.0) * V[:, j - 1]) / (j + 1)
+    return V
+
+
+def reference_poly_matrix(d, deg, x):
+    lam = 0.5 * (d - 1)
+    if lam > 0:
+        return reference_gegenbauer_columns(lam, deg, x)
+    V = np.empty((len(x), deg + 1))
+    V[:, 0] = 1.0
+    if deg >= 1:
+        V[:, 1] = x
+    for j in range(1, deg):
+        V[:, j + 1] = 2.0 * x * V[:, j] - V[:, j - 1]
+    return V
+
+
+def reference_deriv_matrix(d, deg, x):
+    lam = 0.5 * (d - 1)
+    D = np.zeros((len(x), deg + 1))
+    if deg >= 1:
+        scale = 2.0 * lam if lam > 0 else np.arange(1.0, deg + 1)
+        D[:, 1:] = scale * reference_gegenbauer_columns(lam + 1.0, deg - 1, x)
+    return D
+
+
+def reference_gauss_jacobi(n, a):
+    """Golub-Welsch nodes with one Newton step, the recurrence for P_n and P_n' run for one axis alone."""
+    off, mass = _jacobi_recurrence(n, a)
+    x = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
+    dprev, dcur = np.zeros_like(x), np.zeros_like(x)
+    for m, c in enumerate(off):
+        below = off[m - 1] if m else 0.0
+        prev, cur, dprev, dcur = (cur, (x * cur - below * prev) / c,
+                                  dcur, (cur + x * dcur - below * dprev) / c)
+    return x - cur / dcur
+
+
+GRID_DEGREES = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (2, 0), (3, 11), (17, 6), (24, 24)]
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 8) for q in range(1, 8)] + [(343, 3), (2, 343)])
+def test_quadrature_grid_equals_per_axis_loops(p, q):
+    # the stacked Newton and three-term passes against one loop per axis and family, bit for bit
+    for jdeg, kdeg in GRID_DEGREES:
+        grid = quadrature_grid.__wrapped__(Signature(p, q), jdeg, kdeg)
+        x = reference_gauss_jacobi(jdeg + GRID_MARGIN, 0.5 * (p - 2))
+        y = reference_gauss_jacobi(kdeg + GRID_MARGIN, 0.5 * (q - 2))
+        expected = (x, y, reference_poly_matrix(p, jdeg, x), reference_deriv_matrix(p, jdeg, x),
+                    reference_poly_matrix(q, kdeg, y), reference_deriv_matrix(q, kdeg, y))
+        actual = (grid.x, grid.y, grid.Vx, grid.Dx, grid.Vy, grid.Dy)
+        for name, got, want in zip(("x", "y", "Vx", "Dx", "Vy", "Dy"), actual, expected):
+            assert got.shape == want.shape and np.array_equal(got, want), (name, jdeg, kdeg)
 
 
 class TestGridVandermondes:
