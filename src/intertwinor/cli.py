@@ -31,10 +31,9 @@ import numpy as np
 
 from .closedform import (
     PoleAtKType,
-    factorized_grid,
+    _closed_form,  # z_spectral_grid and, at integer r, factorized_grid from one evaluation
     z_gamma_ratio,  # unused here; perfbench/tracing.py rebinds this name
     z_spectral,  # unused here; perfbench/tracing.py rebinds this name
-    z_spectral_grid,
 )
 from .geometry import KType, Signature, doubled_shifts
 from .spectrum import SpectralOrder, at_class_base, recursion_spectrum, relative_difference
@@ -73,8 +72,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@functools.cache  # built once per process: parse_args leaves the parser as it was
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built once per process: parsing leaves the parsers as they were
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by command name, its subparsers."""
     parser = argparse.ArgumentParser(
         prog="intertwinor",
         description="Eigenvalues of conformally invariant operators on S^p x S^q.",
@@ -100,7 +100,20 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--check", action="append", choices=DEFAULT_CHECKS,
                         help="run a named check (repeatable)")
     verify.add_argument("--output", default=None, help="write the JSON report bundle here")
-    return parser
+    return parser, {"spectrum": spectrum, "verify": verify}
+
+
+def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """(parser, parser.parse_args(argv)) with the same output, but a known command parsed by its subparser
+    alone; leftover tokens end in the top-level "unrecognized arguments" error, as in parse_args."""
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser, parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return parser, args
 
 
 #: The tokens that start with "-" and that argparse still reads as option values.
@@ -174,7 +187,7 @@ class SpectrumWindow(NamedTuple):
 def _spectrum_window(sig: Signature, order: SpectralOrder, jmax: int, kmax: int) -> SpectrumWindow:
     # The closed form runs first: where the order is too large for floats it
     # raises OverflowError before the recursion overflows with warnings.
-    closed, poles = z_spectral_grid(sig, order, jmax, kmax)
+    closed, poles, factorized = _closed_form(sig, order, KType(0, 0), jmax + 1, kmax + 1)
     table = recursion_spectrum(sig, order, jmax, kmax)
     # Adding 0.0 turns -0.0 into 0.0 (IEEE 754), so no cell prints a negative zero.
     recursion, closed = table.values + 0.0, closed + 0.0
@@ -184,14 +197,12 @@ def _spectrum_window(sig: Signature, order: SpectralOrder, jmax: int, kmax: int)
     compared = table.reached & ~poles & ~at_class_base(poles) & (zbase != 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disagreement = relative_difference(closed / zbase, recursion)
-    factorized = None
-    if order.is_positive_integer:
-        factorized = factorized_grid(sig, order.as_integer, jmax, kmax) + 0.0
     return SpectrumWindow(
         half_j=[doubled_shifts(sig, KType(j, 0))[0] / 2.0 for j in range(jmax + 1)],
         half_k=[doubled_shifts(sig, KType(0, k))[1] / 2.0 for k in range(kmax + 1)],
         recursion=recursion, reached=table.reached, closed=closed, poles=poles,
-        factorized=factorized, disagreement=disagreement, compared=compared,
+        factorized=None if factorized is None else factorized + 0.0,
+        disagreement=disagreement, compared=compared,
     )
 
 
@@ -293,8 +304,7 @@ def cmd_verify(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_order_values(sys.argv[1:] if argv is None else argv))
+    parser, args = _parse(_join_order_values(sys.argv[1:] if argv is None else argv))
     command = cmd_spectrum if args.command == "spectrum" else cmd_verify
     try:
         return command(args, parser)

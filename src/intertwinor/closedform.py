@@ -19,12 +19,14 @@ ratio develops matched pole/zero pairs, so integer orders dispatch to it.
 
 All Gamma arguments are half-integer lattice translates of +/- r/2, so they
 can sit on a pole only when 2r is an integer; poles are then detected exactly
-from the integer 4x.  Both routes are evaluated over whole windows; the
-scalar functions are the same kernels at one K-type.
+from the integer 4x.  Pair 1 lives on the line j + k, pair 2 on k - j and
+pairs 3-4 on the parity: both routes evaluate each pair once per line value,
+and a window, or one K-type, gathers its entries from the lines by index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,11 +65,6 @@ class SignedLogValue:
         if self.sign == 0:
             return 0.0
         return self.sign * math.exp(self.log_magnitude)
-
-
-def _pole_mask(four_x):
-    """Where Gamma(x) sits on a pole, from 4x as exact integers; ints or integer arrays."""
-    return (four_x <= 0) & (four_x % 4 == 0)
 
 
 #: Below this |x|, log |Gamma(x)| is taken as log |math.gamma(x)|: against
@@ -118,69 +115,90 @@ def _argument(order: SpectralOrder, fourc, s):
     Poles need an integer 2r; the mask is all False otherwise.
     """
     x = (fourc + s * 2.0 * order.r) / 4.0
-    if order.two_r is None:
+    two_r = order.two_r
+    if two_r is None:
         return x, np.zeros(np.shape(x), dtype=bool)
-    return x, _pole_mask(fourc + s * order.two_r)
+    four_x = fourc + s * two_r  # Gamma(x) has a pole where 4x is an integer multiple of 4, at most 0
+    return x, (four_x <= 0) & (four_x % 4 == 0)
 
 
-def _gamma_arguments(sig: Signature, order: SpectralOrder, tj, tk, eps):
-    """The eight Gamma arguments as (side, fourc, sign, x, pole), pair by pair, numerator first."""
-    for fourc, sigma in _gamma_pairs(sig, tj, tk, eps):
-        for side, s in (("numerator", sigma), ("denominator", -sigma)):
-            yield side, fourc, s, *_argument(order, fourc, s)
+#: Windows of at most this many K-types keep their gather index in the cache of _line_index, whose
+#: 256 entries then hold at most 2.6 MB; larger windows build it per call.
+CACHED_WINDOW = 256
 
 
-def _exp(x) -> np.ndarray:
-    """math.exp elementwise; numpy's exp differs from it in the last bit on some inputs."""
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.exp, x.ravel()), float, x.size).reshape(x.shape)
+@functools.lru_cache(maxsize=256)  # windows repeat: 340 of the 471 calls of a request-mix pass hit
+def _line_index(nj: int, nk: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, parity) of an nj x nk window: see _lines."""
+    a = np.arange(nj)[:, None]
+    s = a + np.arange(nk)
+    n = nj + nk - 1
+    parity = s % 2
+    index = np.stack([s, s - 2 * a + (n + nj - 1), parity + 2 * n, parity + 2 * n + min(n, 2)])
+    index.flags.writeable = parity.flags.writeable = False
+    return index, parity
 
 
-def _gamma_ratio(sig: Signature, order: SpectralOrder, tj, tk, eps):
-    """(values, poles) of the eight-Gamma ratio; values are nan at poles.
+def _lines(sig: Signature, corner: KType, nj: int, nk: int):
+    """(4c, s, parities, index, parity): the Gamma pairs over the nj x nk window at ``corner`` = (j0, k0),
+    each on its line, and where each K-type of the window reads them.
 
-    log-Gamma runs once per distinct argument, not once per entry: the
-    range of 4c of each of the four pairs forms one table (a window of side n
-    has O(n) values of 4c, against O(n^2) entries), and each pair gathers
-    from it.
+    Pair 1 depends on a K-type only through j + k, pair 2 through k - j and pairs 3-4 through the parity,
+    so each is evaluated once per line value: pair 1 on (j0, k0 + i) and pair 2 on (j0 + nj - 1, k0 + i),
+    i < nj + nk - 1, pairs 3-4 on the parities of j0 + k0 + i, i < 2.  The lines are concatenated in pair
+    order; s holds the sign of 2r in each argument, numerator row (sigma) over denominator row (-sigma).
+    ``index``, shaped (4, nj, nk), holds for K-type (j0 + a, k0 + b) entry a + b of pair 1, b - a + nj - 1
+    of pair 2 and parity = (a + b) % 2 of pairs 3-4, each plus its line's offset.  It is built first, so a
+    window too large for memory fails before any line is evaluated.
     """
-    pairs = _gamma_pairs(sig, tj, tk, eps)
-    arrays = np.broadcast_arrays(*(fourc for fourc, _ in pairs))
-    fourc = np.stack(arrays).reshape(4, -1)
-    lows = fourc.min(axis=1)
-    # The 4c of one pair share a parity, so each pair's span steps by 2.
-    spans = [range(low, high + 1, 2) for low, high in zip(lows.tolist(), fourc.max(axis=1).tolist())]
-    starts = list(itertools.accumulate((len(span) for span in spans), initial=0))[:4]
-    index = (np.array(starts)[:, None] + (fourc - lows[:, None]) // 2).reshape(4, *arrays[0].shape)
-    distinct = np.array([c for span in spans for c in span])
-    side = np.repeat([sigma for _, sigma in pairs], [len(span) for span in spans])
-    x, pole = _argument(order, distinct, np.array([side, -side]))  # numerator row, denominator row
-    (num_log, den_log), (num_sign, den_sign) = \
-        np.array([_log_gamma(v) for v in x.ravel().tolist()]).T.reshape(2, *x.shape)
+    index, parity = (_line_index if nj * nk <= CACHED_WINDOW else _line_index.__wrapped__)(nj, nk)
+    n = nj + nk - 1
+    _, k, tj, tk = window(sig, corner.j + nj - 1, corner.k + n - 1)
+    parities = (corner.parity + k[0, : min(n, 2)]) % 2
+    (first, s1), (second, s2), (third, s3), (fourth, s4) = \
+        _gamma_pairs(sig, tj[[corner.j, -1]], tk[:, corner.k:], parities)
+    lines = (first[0], second[1], third, fourth)
+    sides = np.array([[s1, s2, s3, s4], [-s1, -s2, -s3, -s4]]).repeat([line.size for line in lines], axis=1)
+    return np.concatenate(lines), sides, parities, index, parity
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp elementwise; numpy's exp differs from it in the last bit on some inputs."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _gamma_ratio(order: SpectralOrder, lines):
+    """(values, poles) of the eight-Gamma ratio over the window of ``lines``; nan at poles.
+
+    log-Gamma runs once per argument of the lines, O(n) calls for a window of
+    side n; each K-type gathers its four pairs' log differences, signs and poles.
+    """
+    x, poles = _argument(order, *lines[:2])  # numerator row, denominator row
+    logs, signs = (np.array(v).reshape(x.shape) for v in zip(*map(_log_gamma, x.ravel().tolist())))
+    index = lines[3]
     with np.errstate(invalid="ignore"):  # inf - inf at poles; masked below
-        log_total = (num_log - den_log)[index].sum(axis=0)  # pair by pair, in order
-    sign = (num_sign * den_sign)[index].prod(axis=0)
-    poles = (pole[0] | pole[1])[index].any(axis=0)
-    return np.where(poles, np.nan, sign * _exp(log_total)), poles
+        log_total = (logs[0] - logs[1])[index].sum(axis=0)  # ((pair 1 + pair 2) + pair 3) + pair 4
+    poles = (poles[0] | poles[1])[index].any(axis=0)
+    return np.where(poles, np.nan, (signs[0] * signs[1])[index].prod(axis=0) * _exp(log_total)), poles
 
 
 def z_gamma_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """The eight-Gamma ratio over [0, jmax] x [0, kmax] as (values, poles); nan at poles."""
-    j, k, tj, tk = window(sig, jmax, kmax)
-    return _gamma_ratio(sig, SpectralOrder.coerce(r), tj, tk, (j + k) % 2)
+    return _gamma_ratio(SpectralOrder.coerce(r), _lines(sig, KType(0, 0), jmax + 1, kmax + 1))
 
 
 def z_gamma_ratio(sig: Signature, r, v: KType) -> float:
     """The raw eight-Gamma route; raises PoleAtKType on any argument pole."""
     order = SpectralOrder.coerce(r)
-    tj, tk = doubled_shifts(sig, v)
-    value, pole = _gamma_ratio(sig, order, tj, tk, v.parity)
-    if pole:
-        side, fourx, s, x, _ = next(a for a in _gamma_arguments(sig, order, tj, tk, v.parity) if a[-1])
-        raise PoleAtKType(f"Gamma pole in {side} at K-type {v}: argument "
-                          f"({fourx} {'+' if s > 0 else '-'} 2r)/4 with r = {order.r}",
-                          ktype=v, argument=x)
-    return float(value)
+    lines = _lines(sig, v, 1, 1)
+    value, pole = _gamma_ratio(order, lines)
+    if pole[0, 0]:  # name the first pole argument, pair by pair, numerator first
+        side, fourc, s, x = next((side, c, s, x) for c, sigma in zip(lines[0].tolist(), lines[1][0].tolist())
+                                 for side, s in (("numerator", sigma), ("denominator", -sigma))
+                                 for x, at_pole in [_argument(order, c, s)] if at_pole)
+        raise PoleAtKType(f"Gamma pole in {side} at K-type {v}: argument ({fourc} {'+' if s > 0 else '-'} 2r)/4 "
+                          f"with r = {order.r}", ktype=v, argument=x)
+    return float(value[0, 0])
 
 
 def numerator_pole_grid(sig: Signature, r, jmax: int, kmax: int) -> np.ndarray:
@@ -189,9 +207,9 @@ def numerator_pole_grid(sig: Signature, r, jmax: int, kmax: int) -> np.ndarray:
     The closed form is infinite or undefined there; a K-type whose poles all
     sit in the denominator has eigenvalue 0.
     """
-    j, k, tj, tk = window(sig, jmax, kmax)
-    args = _gamma_arguments(sig, SpectralOrder.coerce(r), tj, tk, (j + k) % 2)
-    return np.logical_or.reduce([pole for side, *_, pole in args if side == "numerator"])
+    fourc, sides, _, index, _ = _lines(sig, KType(0, 0), jmax + 1, kmax + 1)
+    _, poles = _argument(SpectralOrder.coerce(r), fourc, sides[0])
+    return poles[index].any(axis=0)
 
 
 def singular_ktypes(sig: Signature, r, parity: int, jmax: int, kmax: int) -> set[KType]:
@@ -219,10 +237,12 @@ def _factorized_numerator(sig: Signature, tj, tk, eps, r: int):
     return math.prod(_pochhammer(fourc - 2 * r, r) for fourc, _ in _gamma_pairs(sig, tj, tk, eps)[:2])
 
 
-def _factorized_float(sig: Signature, tj, tk, eps, r: int) -> np.ndarray:
-    """The polynomial rounded once from its exact value; ints or integer arrays."""
-    tj, tk = np.asarray(tj, dtype=object), np.asarray(tk, dtype=object)
-    return np.asarray(_factorized_numerator(sig, tj, tk, eps, r) / 4**r, dtype=float)
+def _factorized_float(lines, r: int) -> np.ndarray:
+    """The polynomial over the window of ``lines``: N1 N2 / 4**r rounded once, N1 and N2 exact
+    Python ints along the lines of pairs 1-2."""
+    fourc, _, parities, index, _ = lines
+    numbers = _pochhammer(fourc[: -2 * parities.size].astype(object) - 2 * r, r)  # the lines of pairs 1-2
+    return np.asarray(numbers[index[0]] * numbers[index[1]] / 4**r, dtype=float)
 
 
 def factorized_eigenvalue_exact(sig: Signature, r: int, v: KType) -> Fraction:
@@ -233,8 +253,7 @@ def factorized_eigenvalue_exact(sig: Signature, r: int, v: KType) -> Fraction:
 
 def factorized_grid(sig: Signature, r: int, jmax: int, kmax: int) -> np.ndarray:
     """float(factorized_eigenvalue_exact) over [0, jmax] x [0, kmax]."""
-    j, k, tj, tk = window(sig, jmax, kmax)
-    return _factorized_float(sig, tj, tk, (j + k) % 2, int(r))
+    return _factorized_float(_lines(sig, KType(0, 0), jmax + 1, kmax + 1), int(r))
 
 
 def parity_constant(sig: Signature, r: int, parity: int) -> float:
@@ -260,24 +279,20 @@ def parity_constant(sig: Signature, r: int, parity: int) -> float:
     return 0.5 * (above + below)
 
 
-def _polynomial_route(sig: Signature, r: int, tj, tk, eps) -> np.ndarray:
-    """parity_constant * factorized polynomial; ints or integer arrays."""
-    scale = np.zeros(np.shape(eps))
-    for parity in (0, 1):
-        members = eps == parity
-        if np.any(members):
-            scale = np.where(members, parity_constant(sig, r, parity), scale)
-    return scale * _factorized_float(sig, tj, tk, eps, r)
+def _closed_form(sig: Signature, order: SpectralOrder, corner: KType, nj: int, nk: int):
+    """(values, poles, factorized) of z_spectral over the nj x nk window at ``corner``: at a positive
+    integer r parity_constant times the factorized polynomial, and the polynomial; else the Gamma route, None."""
+    lines = _lines(sig, corner, nj, nk)
+    if not order.is_positive_integer:
+        return *_gamma_ratio(order, lines), None
+    factorized = _factorized_float(lines, order.as_integer)
+    scale = np.array([parity_constant(sig, order.as_integer, parity) for parity in lines[2].tolist()])
+    return scale[lines[4]] * factorized, np.zeros(factorized.shape, dtype=bool), factorized
 
 
 def z_spectral_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """z_spectral over [0, jmax] x [0, kmax] as (values, poles); values are nan at poles."""
-    order = SpectralOrder.coerce(r)
-    if not order.is_positive_integer:
-        return z_gamma_grid(sig, order, jmax, kmax)
-    j, k, tj, tk = window(sig, jmax, kmax)
-    values = _polynomial_route(sig, order.as_integer, tj, tk, (j + k) % 2)
-    return values, np.zeros(values.shape, dtype=bool)
+    return _closed_form(sig, SpectralOrder.coerce(r), KType(0, 0), jmax + 1, kmax + 1)[:2]
 
 
 def z_spectral(sig: Signature, r, v: KType) -> float:
@@ -290,7 +305,7 @@ def z_spectral(sig: Signature, r, v: KType) -> float:
     order = SpectralOrder.coerce(r)
     if not order.is_positive_integer:
         return z_gamma_ratio(sig, order, v)
-    return float(_polynomial_route(sig, order.as_integer, *doubled_shifts(sig, v), v.parity))
+    return float(_closed_form(sig, order, v, 1, 1)[0][0, 0])
 
 
 def conformal_laplacian_eigenvalue_exact(sig: Signature, v: KType) -> Fraction:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -255,6 +256,17 @@ class TestExitCodes:
         assert err.startswith("error: the window jmax = 1000000, kmax = 1000000 is too large for memory: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("side", ["1000000", "10000000"])
+    @pytest.mark.parametrize("r", ["0.37", "2"])
+    def test_window_beyond_memory_exits_2_at_once(self, side, r):
+        # the closed form asks for its window-sized gather index before it evaluates the O(n) lines,
+        # so the refusal comes before any per-line Python work
+        start = time.perf_counter()
+        code, out, err = _call(["spectrum", "--p", "2", "--q", "3", "--r", r, "--jmax", side, "--kmax", side])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the window jmax = {side}, kmax = {side} is too large for memory: ")
+
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("r", ["-1e16", "-1e20", "-1e300"])
     def test_order_beyond_bound_exits_2(self, capsys, command, r):
@@ -342,6 +354,41 @@ def test_reused_parser_matches_fresh_parser():
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 2, 2, 0, 2, 0]
     assert reused[0] == reused[-1]
     assert reused[2][1] == reused[1][1].splitlines(keepends=True)[0]  # --check does not accumulate
+
+
+def test_unrecognized_arguments_print_top_level_usage():
+    # a known command is parsed by its subparser alone; leftover tokens still end in the top-level error
+    code, out, err = _call(["spectrum", "--p", "2", "--q", "3", "--bogus", "1"])
+    assert (code, out) == (2, "")
+    assert err == "usage: intertwinor [-h] {spectrum,verify} ...\nintertwinor: error: unrecognized arguments: --bogus 1\n"
+
+
+def test_subcommand_help_prints_subcommand_usage():
+    code, out, err = _call(["spectrum", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: intertwinor spectrum [-h] --p P --q Q")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--p", "2", "--q", "3"], ["verify", "--q", "3", "--p", "1", "--all", "--seed", "4"],
+    ["verify", "--p", "1", "--q", "2", "--check", "inversion", "--check", "lemma1", "--output", "x.json"],
+    ["spectrum", "--p", "2", "--q", "3", "extra"], ["verify", "--p", "2", "--q", "3", "--bogus"],
+    ["spectrum", "--p", "2"], ["spectrum", "--p", "2", "--q", "3", "--format", "xml"], ["spectrum", "-h"],
+    ["verify", "--help"], ["spectrum", "--p", "2", "--q", "3", "--", "--r", "1"], [], ["-h"], ["spectra"],
+])
+def test_subparser_parse_matches_full_parse(argv):
+    # cli._parse gives what the top-level parse_args gives: the same namespace, or the same exit and output
+    def outcome(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    parser, _ = cli._build_parser()
+    assert outcome(lambda a: cli._parse(a)[1]) == outcome(parser.parse_args)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import mpmath
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intertwinor import closedform
 from intertwinor.closedform import (
     PoleAtGamma,
     PoleAtKType,
@@ -24,7 +25,8 @@ from intertwinor.closedform import (
     z_spectral_grid,
 )
 from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, neighbors
-from intertwinor.spectrum import SpectralOrder, edge_arrays, recursion_spectrum, transition_ratio
+from intertwinor.geometry import doubled_shifts
+from intertwinor.spectrum import SpectralOrder, edge_arrays, recursion_spectrum, transition_ratio, window
 
 
 class TestSignedLogGamma:
@@ -447,3 +449,146 @@ class TestSingularSet:
             if (j + k) % 2 == 1 and j - k >= 3
         }
         assert poles == expected
+
+
+def _reference_gamma_ratio(sig, order, tj, tk, eps):
+    """The Gamma route before the line tables, kept as the reference: one log-Gamma table per pair over
+    the span of its 4c, gathered by a (4, ...) index and summed over axis 0; (values, poles), nan at poles."""
+    pairs = closedform._gamma_pairs(sig, tj, tk, eps)
+    arrays = np.broadcast_arrays(*(fourc for fourc, _ in pairs))
+    fourc = np.stack(arrays).reshape(4, -1)
+    lows = fourc.min(axis=1)
+    spans = [range(low, high + 1, 2) for low, high in zip(lows.tolist(), fourc.max(axis=1).tolist())]
+    starts = list(accumulate((len(span) for span in spans), initial=0))[:4]
+    index = (np.array(starts)[:, None] + (fourc - lows[:, None]) // 2).reshape(4, *arrays[0].shape)
+    distinct = np.array([c for span in spans for c in span])
+    side = np.repeat([sigma for _, sigma in pairs], [len(span) for span in spans])
+    x, pole = closedform._argument(order, distinct, np.array([side, -side]))
+    (num_log, den_log), (num_sign, den_sign) = \
+        np.array([closedform._log_gamma(v) for v in x.ravel().tolist()]).T.reshape(2, *x.shape)
+    with np.errstate(invalid="ignore"):
+        log_total = np.asarray((num_log - den_log)[index].sum(axis=0))
+    sign = (num_sign * den_sign)[index].prod(axis=0)
+    poles = (pole[0] | pole[1])[index].any(axis=0)
+    exp = np.fromiter(map(math.exp, log_total.ravel()), float, log_total.size).reshape(log_total.shape)
+    return np.where(poles, np.nan, sign * exp), poles
+
+
+def _reference_gamma_grid(sig, r, jmax, kmax):
+    j, k, tj, tk = window(sig, jmax, kmax)
+    return _reference_gamma_ratio(sig, SpectralOrder.coerce(r), tj, tk, (j + k) % 2)
+
+
+def _reference_numerator_poles(sig, r, jmax, kmax):
+    j, k, tj, tk = window(sig, jmax, kmax)
+    order = SpectralOrder.coerce(r)
+    return np.logical_or.reduce([closedform._argument(order, fourc, sigma)[1]
+                                 for fourc, sigma in closedform._gamma_pairs(sig, tj, tk, (j + k) % 2)])
+
+
+def _reference_gamma_ratio_at(sig, r, v):
+    """The scalar route before the line tables: raises PoleAtKType at the first pole, pair by pair, numerator first."""
+    order = SpectralOrder.coerce(r)
+    tj, tk = doubled_shifts(sig, v)
+    value, pole = _reference_gamma_ratio(sig, order, tj, tk, v.parity)
+    if pole:
+        for fourc, sigma in closedform._gamma_pairs(sig, tj, tk, v.parity):
+            for side, s in (("numerator", sigma), ("denominator", -sigma)):
+                x, at_pole = closedform._argument(order, fourc, s)
+                if at_pole:
+                    raise PoleAtKType(f"Gamma pole in {side} at K-type {v}: argument "
+                                      f"({fourc} {'+' if s > 0 else '-'} 2r)/4 with r = {order.r}",
+                                      ktype=v, argument=x)
+    return float(value)
+
+
+def _reference_factorized_grid(sig, r, jmax, kmax):
+    """Each entry's exact polynomial N1 N2 from object arrays over the window, divided by 4**r once."""
+    j, k, tj, tk = window(sig, jmax, kmax)
+    numerator = closedform._factorized_numerator(sig, tj.astype(object), tk.astype(object), (j + k) % 2, r)
+    return np.asarray(numerator / 4**r, dtype=float)
+
+
+def _reference_spectral_grid(sig, r, jmax, kmax):
+    order = SpectralOrder.coerce(r)
+    if not order.is_positive_integer:
+        return _reference_gamma_grid(sig, order, jmax, kmax)
+    j, k, _, _ = window(sig, jmax, kmax)
+    eps = (j + k) % 2
+    scale = np.zeros(eps.shape)
+    for parity in (0, 1):
+        if np.any(eps == parity):
+            scale = np.where(eps == parity, parity_constant(sig, order.as_integer, parity), scale)
+    values = scale * _reference_factorized_grid(sig, order.as_integer, jmax, kmax)
+    return values, np.zeros(values.shape, dtype=bool)
+
+
+def _assert_same_outcome(fn, reference, *args):
+    """fn(*args) equals reference(*args) bit for bit: every array (values with nan and sign bits, or
+    masks), a scalar's float.hex, or the type, message, K-type and argument of what both raise."""
+    def outcome(f):
+        try:
+            result = f(*args)
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc), getattr(exc, "ktype", None), float.hex(getattr(exc, "argument", 0.0))
+        if isinstance(result, float):
+            return float.hex(result)
+        arrays = [np.asarray(a) for a in (result if isinstance(result, tuple) else (result,))]
+        return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+    assert outcome(fn) == outcome(reference)
+
+
+def _order(r: float) -> float:
+    # The integer route multiplies 2r exact factors per entry; the CLI caps positive integer orders at 100.
+    return -r if SpectralOrder(r).is_positive_integer and r > 12 else r
+
+
+#: Generic, half-integer and integer orders, orders within TWO_R_TOL of a half-integer, +/-0.0, the
+#: smallest subnormals and |r| up to 2**51.
+LINE_ORDERS = st.one_of(
+    st.floats(-6, 6),
+    st.integers(-12, 12).map(lambda n: n / 2),
+    st.tuples(st.integers(-12, 12), st.floats(-4e-10, 4e-10)).map(lambda t: t[0] / 2 + t[1]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320]),
+    st.floats(-2.0**51, 2.0**51).filter(lambda r: abs(r) >= 1e3),
+    st.integers(-2**52, 2**52).map(lambda n: n / 2),
+).map(_order)
+
+
+@settings(max_examples=250, deadline=None)
+@given(p=st.integers(1, 7), q=st.integers(1, 7), jmax=st.integers(0, 14), kmax=st.integers(0, 14),
+       r=LINE_ORDERS, data=st.data())
+def test_line_tables_match_reference(p, q, jmax, kmax, r, data):
+    # Each Gamma pair evaluated once per line value and gathered gives the reference route bit for bit:
+    # values, poles and sign bits of every window kernel, and the scalar route's value or pole message.
+    sig = Signature(p, q)
+    window_args = (sig, r, jmax, kmax)
+    _assert_same_outcome(z_gamma_grid, _reference_gamma_grid, *window_args)
+    _assert_same_outcome(numerator_pole_grid, _reference_numerator_poles, *window_args)
+    _assert_same_outcome(z_spectral_grid, _reference_spectral_grid, *window_args)
+    order = SpectralOrder(r)
+    if order.is_positive_integer:
+        _assert_same_outcome(factorized_grid, _reference_factorized_grid, sig, order.as_integer, jmax, kmax)
+    v = KType(data.draw(st.integers(0, jmax)), data.draw(st.integers(0, kmax)))
+    _assert_same_outcome(z_gamma_ratio, _reference_gamma_ratio_at, sig, r, v)
+
+
+@pytest.mark.parametrize("p,q,r,jmax,kmax", [(2, 3, 0.37, 80, 80), (2, 3, 2.0, 80, 80), (1, 4, 0.5, 150, 3),
+                                             (3, 1, 1.5, 4, 150), (6, 6, 3.0, 40, 40), (2, 3, -1e12 - 0.37, 60, 60)])
+def test_line_tables_match_reference_on_large_windows(p, q, r, jmax, kmax):
+    window_args = (Signature(p, q), r, jmax, kmax)
+    _assert_same_outcome(z_gamma_grid, _reference_gamma_grid, *window_args)
+    _assert_same_outcome(numerator_pole_grid, _reference_numerator_poles, *window_args)
+    _assert_same_outcome(z_spectral_grid, _reference_spectral_grid, *window_args)
+
+
+def test_only_small_windows_keep_their_gather_index():
+    # the index cache holds windows of at most CACHED_WINDOW K-types, so its memory stays bounded
+    closedform._line_index.cache_clear()
+    sig = Signature(2, 3)
+    for jmax, kmax in [(80, 80), (16, 16), (12, 12), (0, 0), (12, 12)]:  # 81^2 and 17^2 > CACHED_WINDOW
+        z_gamma_grid(sig, 0.37, jmax, kmax)
+    assert closedform._line_index.cache_info()[:2] == (1, 2)  # (hits, misses): 13 x 13 and 1 x 1 only
+    index, parity = closedform._line_index(13, 13)
+    assert not index.flags.writeable and not parity.flags.writeable

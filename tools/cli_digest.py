@@ -38,6 +38,10 @@ VERIFY_ORDERS = ["0.37", "-1.3", "2", "0.5", "-0.0", "1e-320", "-2.5", "7.25"]
 VERIFY_CHECKS = [["--all"], ["--check", "inversion", "--check", "loop-consistency"],
                  ["--check", "method-agreement"], ["--check", "intertwining", "--seed", "3"]]
 
+#: Tables at the scale of the spectrum-large benchmark: (p, q, r, jmax, kmax, format), each written with --output.
+LARGE_SPECTRA = [(2, 3, "0.37", 80, 80, "csv"), (2, 3, "2", 80, 80, "json"), (1, 4, "0.5", 60, 20, "csv"),
+                 (6, 6, "3", 40, 40, "json"), (1, 1, "2.000000002", 80, 3, "csv")]
+
 #: Invalid flags, unwritable outputs and orders too large for floats.
 ERROR_CALLS = [
     [], ["spectrum"], ["spectrum", "--p", "2"], ["spectrum", "--p", "2", "--q", "3", "--bogus", "1"],
@@ -76,6 +80,9 @@ def calls(tmp: str) -> list[list[str]]:
             for checks in VERIFY_CHECKS:
                 argvs.append(["verify", *sig, "--r", r, *window, *checks])
         argvs.append(["verify", *sig, "--r", VERIFY_ORDERS[i % 8], "--all", "--output", f"{tmp}/verify.json"])
+    for p, q, r, jmax, kmax, fmt in LARGE_SPECTRA:
+        argvs.append(["spectrum", "--p", str(p), "--q", str(q), "--r", r, "--jmax", str(jmax), "--kmax", str(kmax),
+                      "--format", fmt, "--output", f"{tmp}/large.{fmt}"])
     return argvs + ERROR_CALLS
 
 
