@@ -6,12 +6,10 @@ integer orders -- plus a zonal-function calculus that machine-verifies the
 defining operator identities on band-limited functions.
 """
 
-from .geometry import DIRECTIONS, KType, Signature, bochner_eigenvalue, \
-    laplacian_eigenvalue, n_difference, neighbors, scalar_curvature
+from .geometry import DIRECTIONS, KType, Signature, scalar_curvature
 from .spectrum import SpectralOrder, SpectrumTable, ZeroDenominator, \
     PathInconsistency, recursion_spectrum, transition_ratio, max_loop_deviation
-from .closedform import PoleAtGamma, PoleAtKType, \
-    SignedLogValue, signed_log_gamma, z_spectral, z_spectral_grid, \
+from .closedform import PoleAtKType, z_spectral, z_spectral_grid, \
     factorized_eigenvalue_exact, parity_constant, conformal_laplacian_eigenvalue_exact
 from .zonal import GridTooCoarse, QuadratureGrid, ZonalFunction, \
     apply_N, apply_T_numeric, apply_T_via_lemma, basis_element, evaluate, \

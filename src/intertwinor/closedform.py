@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,10 +40,6 @@ from .spectrum import SpectralOrder, window
 LIMIT_STEP = 1e-6
 
 
-class PoleAtGamma(ArithmeticError):
-    """Gamma evaluated at a nonpositive integer."""
-
-
 class PoleAtKType(ArithmeticError):
     """A Gamma-argument pole makes the spectral function undefined here."""
 
@@ -52,19 +47,6 @@ class PoleAtKType(ArithmeticError):
         super().__init__(message)
         self.ktype = ktype
         self.argument = argument
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """log |x| together with sign(x); sign 0 encodes an exact zero."""
-
-    log_magnitude: float
-    sign: int
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
 
 
 #: Below this |x|, log |Gamma(x)| is taken as log |math.gamma(x)|: against
@@ -84,14 +66,6 @@ def _log_gamma(x: float) -> tuple[float, float]:
     except (ValueError, OverflowError):  # x a nonpositive integer, or |x| near the float limit
         return math.inf, 1.0
     return log_magnitude, -1.0 if x < 0 and math.floor(x) % 2 else 1.0
-
-
-def signed_log_gamma(x: float) -> SignedLogValue:
-    """log |Gamma(x)| and the sign of Gamma(x) for real x other than 0, -1, -2, ..."""
-    if x <= 0 and float(x).is_integer():
-        raise PoleAtGamma(f"Gamma pole at x = {x}")
-    log_magnitude, sign = _log_gamma(x)
-    return SignedLogValue(log_magnitude, int(sign))
 
 
 def _gamma_pairs(sig: Signature, tj, tk, eps):

@@ -19,9 +19,6 @@ DIRECTIONS = ("++", "+-", "-+", "--")
 #: (dj, dk) for each direction tag.
 STEPS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 
-FIRST = "first"
-SECOND = "second"
-
 
 @dataclass(frozen=True, order=True)
 class Signature:
@@ -41,13 +38,6 @@ class Signature:
     def n(self) -> int:
         """Total dimension p + q."""
         return self.p + self.q
-
-    def sphere_dimension(self, sphere: str) -> int:
-        if sphere == FIRST:
-            return self.p
-        if sphere == SECOND:
-            return self.q
-        raise ValueError(f"sphere must be 'first' or 'second', got {sphere!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -72,28 +62,6 @@ def doubled_shifts(sig: Signature, v: KType) -> tuple[int, int]:
     return 2 * v.j + sig.p - 1, 2 * v.k + sig.q - 1
 
 
-def laplacian_eigenvalue(sig: Signature, sphere: str, order: int) -> int:
-    """Laplacian eigenvalue m(d - 1 + m) of the order-m harmonics on one factor."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    d = sig.sphere_dimension(sphere)
-    return order * (d - 1 + order)
-
-
-def bochner_eigenvalue(sig: Signature, v: KType) -> int:
-    """Connection-Laplacian eigenvalue on V(j, k): j(p-1+j) + k(q-1+k)."""
-    return laplacian_eigenvalue(sig, FIRST, v.j) + laplacian_eigenvalue(sig, SECOND, v.k)
-
-
-def n_difference(sig: Signature, alpha: KType, beta: KType) -> int:
-    """Bochner eigenvalue jump from ``alpha`` to ``beta``.
-
-    Across a lattice edge in quadrant (sj, sk) this equals
-    2(sj*J + sk*K + 1) evaluated at ``alpha``.
-    """
-    return bochner_eigenvalue(sig, beta) - bochner_eigenvalue(sig, alpha)
-
-
 def neighbor(v: KType, direction: str) -> KType | None:
     """The neighbor of ``v`` in the given quadrant, or None if off-lattice."""
     dj, dk = STEPS[direction]
@@ -101,16 +69,6 @@ def neighbor(v: KType, direction: str) -> KType | None:
     if j < 0 or k < 0:
         return None
     return KType(j, k)
-
-
-def neighbors(v: KType) -> list[tuple[KType, str]]:
-    """All on-lattice neighbors (j +/- 1, k +/- 1) of ``v`` with quadrant tags."""
-    out = []
-    for tag in DIRECTIONS:
-        w = neighbor(v, tag)
-        if w is not None:
-            out.append((w, tag))
-    return out
 
 
 def scalar_curvature(sig: Signature) -> int:

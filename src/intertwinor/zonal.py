@@ -117,17 +117,6 @@ def _derivative_columns(lam: float, C: np.ndarray) -> np.ndarray:
     return D
 
 
-def _poly_matrix(d: int, deg: int, x: np.ndarray) -> np.ndarray:
-    """Vandermonde V[a, j] = G_j(x_a) for the d-sphere zonal basis."""
-    return _three_term_columns([(gegenbauer_index(d), deg, x)])[0]
-
-
-def _deriv_matrix(d: int, deg: int, x: np.ndarray) -> np.ndarray:
-    """Vandermonde of d/dx G_j for the d-sphere zonal basis."""
-    lam = gegenbauer_index(d)
-    return _derivative_columns(lam, _three_term_columns([(lam + 1.0, deg - 1, x)])[0])
-
-
 @dataclass(eq=False, frozen=True)
 class ZonalFunction:
     """Dense coefficient array over the tensor-product zonal basis.
@@ -283,13 +272,8 @@ def _gauss_jacobi_axes(axes) -> list[np.ndarray]:
     return nodes
 
 
-def _gauss_jacobi(n: int, a: float) -> np.ndarray:
-    """n-point Gauss nodes for the weight (1-x^2)^a on [-1, 1]: one axis of _gauss_jacobi_axes."""
-    return _gauss_jacobi_axes([(n, a)])[0]
-
-
 def _christoffel_weights(x: np.ndarray, a: float) -> np.ndarray:
-    """Gauss weights at the nodes x = _gauss_jacobi(len(x), a): Christoffel numbers 1 / sum_{m<n} P_m(x)^2.
+    """Christoffel numbers 1 / sum_{m<n} P_m(x)^2: the weights at the n = len(x) Gauss nodes x of (1-x^2)^a.
 
     The P_m are the orthonormal polynomials of _gauss_jacobi_axes.  A sum of positive terms keeps the
     small weights near +/-1 accurate, where the first eigenvector components would not.

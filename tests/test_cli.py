@@ -167,6 +167,10 @@ class TestVerifyCommand:
         lines = [line for line in out.splitlines() if ":" in line]
         assert len(lines) >= 6
         assert all("PASS" in line for line in lines)
+        # each status line prints its check's gate: the table under CLI in the README
+        gates = {line.split(":")[0]: float(line.split(" tol=")[1].split()[0]) for line in lines}
+        assert gates == {"lemma1": 1e-8, "intertwining": 1e-9, "method-agreement": 1e-10,
+                         "conformal-laplacian": 0.0, "inversion": 1e-12, "loop-consistency": 1e-12}
 
     def test_single_check(self, capsys):
         code, out, _ = run_cli(
@@ -227,8 +231,13 @@ class TestExitCodes:
         # the intertwining terms overflow a float where the eigenvalues do not
         ["verify", "--p", "2", "--q", "3", "--r", "300.3", "--jmax", "400", "--kmax", "2",
          "--check", "intertwining"],
+        # the first integer order above MAX_INTEGER_ORDER = 100
+        ["spectrum", "--p", "2", "--q", "3", "--r", "101", "--jmax", "2", "--kmax", "2"],
     ])
     def test_large_order_exits_2_at_once(self, argv):
+        bound = "integer order must satisfy r <= 100"
+        expected = {"1e300": bound, "101": bound, "100": "overflows floating point",
+                    "300.3": "overflows floating point", "250.5": "overflows floating point"}
         script = (
             "import sys, time\n"
             "from intertwinor.cli import main\n"
@@ -245,6 +254,7 @@ class TestExitCodes:
         assert int(code) == 2 and float(seconds) < 1.0
         lines = done.stderr.splitlines()
         assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert expected[argv[argv.index("--r") + 1]] in lines[-1]
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
     @pytest.mark.parametrize("command", [["spectrum"], ["verify", "--check", "lemma1"],

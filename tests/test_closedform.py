@@ -10,67 +10,82 @@ from hypothesis import strategies as st
 
 from intertwinor import closedform
 from intertwinor.closedform import (
-    PoleAtGamma,
+    GAMMA_DIRECT,
     PoleAtKType,
+    _log_gamma,
     conformal_laplacian_eigenvalue_exact,
     factorized_eigenvalue_exact,
     factorized_grid,
     numerator_pole_grid,
     parity_constant,
-    signed_log_gamma,
     singular_ktypes,
     z_gamma_grid,
     z_gamma_ratio,
     z_spectral,
     z_spectral_grid,
 )
-from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, neighbors
+from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, neighbor
 from intertwinor.geometry import doubled_shifts
 from intertwinor.spectrum import SpectralOrder, edge_arrays, recursion_spectrum, transition_ratio, window
 
 
+def neighbors(v):
+    return [(w, tag) for tag in DIRECTIONS if (w := neighbor(v, tag)) is not None]
+
+
 class TestSignedLogGamma:
+    """closedform._log_gamma: log |Gamma(x)| and the sign of Gamma(x)."""
+
     def test_trivial_values(self):
-        v = signed_log_gamma(1.0)
-        assert v.log_magnitude == pytest.approx(0.0, abs=1e-15)
-        assert v.sign == 1
-        assert signed_log_gamma(0.5).log_magnitude == pytest.approx(
-            math.log(math.sqrt(math.pi)), rel=1e-14
-        )
+        log_magnitude, sign = _log_gamma(1.0)
+        assert log_magnitude == pytest.approx(0.0, abs=1e-15)
+        assert sign == 1.0
+        assert _log_gamma(0.5)[0] == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
 
     def test_negative_argument_via_recurrence_oracle(self):
         # Gamma(-1.5) = Gamma(0.5) / ((-1.5) * (-0.5)) = 4 sqrt(pi) / 3
-        v = signed_log_gamma(-1.5)
-        assert v.sign == 1
-        assert v.value() == pytest.approx(4 * math.sqrt(math.pi) / 3, rel=1e-13)
+        log_magnitude, sign = _log_gamma(-1.5)
+        assert sign == 1.0
+        assert sign * math.exp(log_magnitude) == pytest.approx(4 * math.sqrt(math.pi) / 3, rel=1e-13)
 
     def test_against_mpmath(self):
         xs = [0.1, 0.37, 1.0, 2.5, 7.3, -0.4, -1.2, -2.7, -6.9, 10.0]
         for x in xs:
-            got = signed_log_gamma(x)
+            log_magnitude, sign = _log_gamma(x)
             ref = mpmath.gamma(x)
-            assert got.sign == (1 if ref > 0 else -1)
-            assert got.log_magnitude == pytest.approx(float(mpmath.log(abs(ref))), rel=1e-12)
+            assert sign == (1 if ref > 0 else -1)
+            assert log_magnitude == pytest.approx(float(mpmath.log(abs(ref))), rel=1e-12)
 
     def test_poles(self):
         for x in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleAtGamma):
-                signed_log_gamma(x)
+            assert _log_gamma(x) == (math.inf, 1.0)
 
     def test_sign_rule_and_log_against_mpmath(self):
         # Negative non-integers on both sides of every pole down to -12, points
-        # 1e-9 and 1e-13 from a pole (only exact poles raise), and large
+        # 1e-9 and 1e-13 from a pole (only exact poles are infinite), and large
         # arguments of both signs, on both sides of GAMMA_DIRECT.
         xs = [-n + d for n in range(13) for d in (-0.5, -1e-9, 1e-9, 0.25, 0.5, 0.75)]
         xs += [-n + d for n in (0, 3, 7) for d in (-1e-13, 1e-13)]
         xs += [1e-9, 0.5, 1.5, 2.0, 33.3, 149.9, 170.5, 1234.5, -149.5, -160.5, -200.25]
         with mpmath.workdps(40):
             for x in xs:
-                got = signed_log_gamma(x)
+                log_magnitude, sign = _log_gamma(x)
                 ref = mpmath.gamma(mpmath.mpf(x))  # the float x exactly
-                assert got.sign == (1 if ref > 0 else -1), x
+                assert sign == (1 if ref > 0 else -1), x
                 ref_log = float(mpmath.log(abs(ref)))
-                assert abs(got.log_magnitude - ref_log) <= 1e-14 * max(1.0, abs(ref_log)), x
+                assert abs(log_magnitude - ref_log) <= 1e-14 * max(1.0, abs(ref_log)), x
+
+    def test_direct_and_lgamma_paths(self):
+        # below GAMMA_DIRECT the log is taken of math.gamma, from it on math.lgamma is used;
+        # the two paths differ in the last bit on some arguments of each side
+        below, above = (0.37, 2.5, 33.3), (150.5, 160.5)
+        assert max(below) < GAMMA_DIRECT <= min(above)
+        for x in below:
+            assert _log_gamma(x)[0] == math.log(abs(math.gamma(x))), x
+        for x in above:
+            assert _log_gamma(x)[0] == math.lgamma(x), x
+        assert any(math.log(abs(math.gamma(x))) != math.lgamma(x) for x in below)
+        assert any(math.log(abs(math.gamma(x))) != math.lgamma(x) for x in above)
 
 
 class TestZSpectral:

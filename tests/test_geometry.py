@@ -5,14 +5,14 @@ from intertwinor.geometry import (
     STEPS,
     KType,
     Signature,
-    bochner_eigenvalue,
     doubled_shifts,
-    laplacian_eigenvalue,
-    n_difference,
     neighbor,
-    neighbors,
     scalar_curvature,
 )
+
+
+def neighbors(v):
+    return [(w, tag) for tag in DIRECTIONS if (w := neighbor(v, tag)) is not None]
 
 
 def test_signature_validation():
@@ -27,26 +27,6 @@ def test_ktype_validation():
     with pytest.raises(ValueError):
         KType(-1, 0)
     assert KType(1, 2).parity == 1
-
-
-def test_laplacian_eigenvalue_examples():
-    assert laplacian_eigenvalue(Signature(3, 1), "first", 0) == 0
-    assert laplacian_eigenvalue(Signature(3, 1), "first", 1) == 3
-    assert laplacian_eigenvalue(Signature(1, 3), "second", 2) == 8  # 2*(3-1+2)
-
-
-def test_bochner_eigenvalue_examples():
-    assert bochner_eigenvalue(Signature(1, 3), KType(0, 0)) == 0
-    assert bochner_eigenvalue(Signature(1, 3), KType(2, 1)) == 7  # 4 + 3
-    assert bochner_eigenvalue(Signature(2, 2), KType(1, 1)) == 4  # 2 + 2
-
-
-def test_n_difference_examples():
-    sig = Signature(1, 1)
-    assert n_difference(sig, KType(2, 3), KType(2, 3)) == 0
-    assert n_difference(sig, KType(0, 0), KType(1, 1)) == 2
-    sig13 = Signature(1, 3)
-    assert n_difference(sig13, KType(1, 1), KType(0, 2)) == 4
 
 
 def test_neighbors_examples():
@@ -77,8 +57,8 @@ def test_parity_preserved_across_edges():
 
 
 def test_n_difference_matches_transition_denominators():
-    # across the edge in quadrant (sj, sk) the Bochner jump is
-    # 2(sj*J + sk*K + 1) = sj*2J + sk*2K + 2 evaluated at the source
+    # across the edge in quadrant (sj, sk) the jump of the Bochner eigenvalue
+    # j(p-1+j) + k(q-1+k) is 2(sj*J + sk*K + 1) = sj*2J + sk*2K + 2 at the source
     for p in range(1, 6):
         for q in range(1, 6):
             sig = Signature(p, q)
@@ -88,15 +68,8 @@ def test_n_difference_matches_transition_denominators():
                     tj, tk = doubled_shifts(sig, v)
                     for w, tag in neighbors(v):
                         sj, sk = STEPS[tag]
-                        assert n_difference(sig, v, w) == sj * tj + sk * tk + 2
-
-
-def test_bochner_strictly_increasing():
-    sig = Signature(2, 3)
-    for j in range(10):
-        for k in range(10):
-            assert bochner_eigenvalue(sig, KType(j + 1, k)) > bochner_eigenvalue(sig, KType(j, k))
-            assert bochner_eigenvalue(sig, KType(j, k + 1)) > bochner_eigenvalue(sig, KType(j, k))
+                        jump = w.j * (p - 1 + w.j) + w.k * (q - 1 + w.k) - j * (p - 1 + j) - k * (q - 1 + k)
+                        assert jump == sj * tj + sk * tk + 2
 
 
 def test_scalar_curvature():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertwinor import spectrum
-from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, n_difference, neighbor, neighbors
+from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, neighbor
 from intertwinor.spectrum import (
     REL_TOL,
     PathInconsistency,
@@ -27,6 +27,10 @@ from intertwinor.spectrum import (
 )
 
 GENERIC_R = (0.37, 1.5, -0.8)
+
+
+def neighbors(v):
+    return [(w, tag) for tag in DIRECTIONS if (w := neighbor(v, tag)) is not None]
 
 
 def test_spectral_order_flags():
@@ -456,8 +460,8 @@ def test_loop_deviation_peaks_below_brute_force():
 
 
 def test_transition_ratio_is_bochner_jump_law():
-    # the recursion's h is half the Bochner eigenvalue jump across the edge:
-    # mu_beta / mu_alpha = (dN/2 + r)/(dN/2 - r) with dN = n_difference
+    # the recursion's h is half the jump of the Bochner eigenvalue j(p-1+j) + k(q-1+k)
+    # across the edge: mu_beta / mu_alpha = (dN/2 + r)/(dN/2 - r)
     for p in range(1, 6):
         for q in range(1, 6):
             sig = Signature(p, q)
@@ -466,5 +470,6 @@ def test_transition_ratio_is_bochner_jump_law():
                     for k in range(7):
                         alpha = KType(j, k)
                         for beta, tag in neighbors(alpha):
-                            h = n_difference(sig, alpha, beta) / 2
+                            h = (beta.j * (p - 1 + beta.j) + beta.k * (q - 1 + beta.k)
+                                 - j * (p - 1 + j) - k * (q - 1 + k)) / 2
                             assert transition_ratio(sig, alpha, tag, r) == (h + r) / (h - r)
