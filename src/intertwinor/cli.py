@@ -31,7 +31,7 @@ import numpy as np
 
 from .closedform import (
     PoleAtKType,
-    _closed_form,  # z_spectral_grid and, at integer r, factorized_grid from one evaluation
+    _closed_form,  # z_spectral_grid and, at integer r, the factorized polynomial from one evaluation
     z_gamma_ratio,  # unused here; perfbench/tracing.py rebinds this name
     z_spectral,  # unused here; perfbench/tracing.py rebinds this name
 )

@@ -225,11 +225,6 @@ def factorized_eigenvalue_exact(sig: Signature, r: int, v: KType) -> Fraction:
     return Fraction(_factorized_numerator(sig, *doubled_shifts(sig, v), v.parity, r), 4**r)
 
 
-def factorized_grid(sig: Signature, r: int, jmax: int, kmax: int) -> np.ndarray:
-    """float(factorized_eigenvalue_exact) over [0, jmax] x [0, kmax]."""
-    return _factorized_float(_lines(sig, KType(0, 0), jmax + 1, kmax + 1), int(r))
-
-
 def parity_constant(sig: Signature, r: int, parity: int) -> float:
     """Ratio of the Gamma-ratio route to the polynomial, constant per parity class.
 

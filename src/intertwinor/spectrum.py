@@ -11,14 +11,15 @@ across an edge is (h + r)/(h - r).  Every edge keeps the parity of j + k, so
 the even and odd K-types are two disjoint classes with bases (0, 0) and
 (1, 0).  The window fixes one spanning tree of both classes: the parent of
 (j, k) is (j - 1, k - 1) when j, k >= 1, (1, k - 1) when j = 0 and
-(j - 1, 1) when k = 0.  Each value is a cumulative product of ratios along
-the tree, taken over the boundary zigzags (rows k <= 1, columns j <= 1) and
-then the "++" diagonals.  All edges of one direction between two lines of
-constant j + k or j - k share one h, so a singular edge (h = r) cuts off a
-whole half-plane, and a K-type is reached exactly when its tree path crosses
-no singular edge.  Agreement along different lattice paths is guaranteed and
-is rechecked here over every edge as a free consistency test.  Edges of a
-window are held as arrays; the scalar functions are their single-point form.
+(j - 1, 1) when k = 0.  Each value is its parent's times the ratio of the
+edge between them, row by row: rows j = 0 and 1 together, k by k, then each
+later row j from row j - 1 alone.  All edges of one direction between two
+lines of constant j + k or j - k share one h, so a singular edge (h = r)
+cuts off a whole half-plane, and a K-type is reached exactly when its tree
+path crosses no singular edge.  Agreement along different lattice paths is
+guaranteed and is rechecked here over every edge as a free consistency test.
+Edges of a window are held as arrays; the scalar functions are their
+single-point form.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ class SpectralOrder:
 
     def __neg__(self) -> "SpectralOrder":
         return SpectralOrder(-self.r)
-
-    def __float__(self) -> float:
-        return self.r
 
 
 def window(sig: Signature, jmax: int, kmax: int):
@@ -196,8 +194,6 @@ class SpectrumTable:
     ``values`` covers the whole window and is meaningful where ``reached``.
     """
 
-    sig: Signature
-    r: SpectralOrder
     values: np.ndarray
     reached: np.ndarray
     singular_edges: tuple = ()
@@ -211,29 +207,15 @@ class SpectrumTable:
         }
 
 
-def _zigzag(step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and reached flags on lane 0 of a two-lane boundary strip.
-
-    ``step[lane, i]`` is the ratio of the tree edge into K-type i of the lane,
-    nan where that edge is unusable, and 1.0 at a class base and before a
-    path starts.  Tree edges cross the strip, so the two tree paths through it
-    zigzag: path c visits lane (i + c) % 2 at i, and lane 0's K-type i lies
-    on path i % 2.
-    """
-    i = np.arange(step.shape[1])
-    chains = step[(i + np.arange(2)[:, None]) % 2, i]
-    values = np.multiply.accumulate(chains, axis=1)
-    reached = np.logical_and.accumulate(~np.isnan(chains), axis=1)
-    return values[i % 2, i], reached[i % 2, i]
-
-
 def _tree_products(ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, reached) of the window from the edge_arrays ratios, along the fixed spanning tree.
 
     Each value is its parent's times the ratio of the tree edge between them,
-    accumulated from 1.0 at the class base.  Rows k in {0, 1} and columns
-    j in {0, 1} are zigzag paths; every other K-type hangs on a "++" diagonal
-    that starts on row 0 (j >= k) or on column 0 (j < k).
+    from 1.0 at the class bases.  An unusable edge has a nan ratio and no
+    other ratio is infinite (|h - r| > 5e-10 off the singular edges, see
+    TWO_R_TOL), so a product is nan exactly when its tree path crosses an
+    unusable edge, or when it is 0 * inf below an ancestor that overflowed,
+    which recursion_spectrum rejects.
     """
     nj, nk = ratio.shape[1:]
     if min(nj, nk) == 1:  # no edge has both ends in a one-wide window: only the bases are reached
@@ -241,34 +223,17 @@ def _tree_products(ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reached[:2, 0] = True
         return reached.astype(float), reached
     plus, down, up = ratio[:3]  # "++", "+-", "-+"
-    # rows: (j, 1) from (j - 1, 0) by "++"; (j, 0) from (j - 1, 1) by "+-", except the base (1, 0)
-    rows = np.ones((2, nj))
-    rows[0, 2:] = down[1:-1, 1]
-    rows[1, 1:] = plus[:-1, 0]
-    # columns: (1, k) from (0, k - 1) by "++"; (0, k) from (1, k - 1) by "-+"
-    columns = np.ones((2, nk))
-    columns[0, 1:] = up[1, :-1]
-    columns[1, 1:] = plus[0, :-1]
-    row_values, row_reached = _zigzag(rows)
-    column_values, column_reached = _zigzag(columns)
-
-    # [d, m]: the K-type (j0 + m, k0 + m) on diagonal d, which starts at (j0, k0) = (d, 0)
-    # for d < nj and at (0, d - nj + 1) after that
-    m = np.arange(min(nj, nk))
-    j = np.concatenate([np.arange(nj), np.zeros(nk - 1, dtype=int)])[:, None] + m
-    k = np.concatenate([np.zeros(nj, dtype=int), np.arange(1, nk)])[:, None] + m
-    inside = (j < nj) & (k < nk)
-    along = inside & (m > 0)
-    chains = np.ones(j.shape)  # 1.0 past the window's edge
-    chains[:, 0] = np.concatenate([row_values, column_values[1:]])
-    chains[along] = plus[j[along] - 1, k[along] - 1]
-    usable = ~np.isnan(chains)
-    usable[:, 0] = np.concatenate([row_reached, column_reached[1:]])
-    at = j[inside], k[inside]
-    values = np.zeros((nj, nk))
-    reached = np.zeros((nj, nk), dtype=bool)
-    reached[at] = np.logical_and.accumulate(usable, axis=1)[inside]
-    values[at] = np.multiply.accumulate(chains, axis=1)[inside]
+    # (0, k) from (1, k - 1) by "-+" and (1, k) from (0, k - 1) by "++", in Python floats (IEEE doubles, as numpy)
+    rows = [(1.0, 1.0)]
+    for up_ratio, plus_ratio in zip(up[1, :-1].tolist(), plus[0, :-1].tolist()):
+        zero, one = rows[-1]
+        rows.append((one * up_ratio, zero * plus_ratio))
+    values = np.empty((nj, nk))
+    values[:2] = np.transpose(rows)
+    for j in range(2, nj):  # (j, 0) from (j - 1, 1) by "+-" and (j, k) from (j - 1, k - 1) by "++"
+        values[j, 0] = values[j - 1, 1] * down[j - 1, 1]
+        np.multiply(values[j - 1, :-1], plus[j - 1, :-1], out=values[j, 1:])
+    reached = ~np.isnan(values)
     values[~reached] = 0.0
     return values, reached
 
@@ -288,7 +253,10 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
     Values are products of transition ratios along one spanning tree that the
     window fixes: the parent of (j, k) is (j - 1, k - 1) by "++" when
     j, k >= 1, (1, k - 1) by "-+" when j = 0 and (j - 1, 1) by "+-" when
-    k = 0; the bases are (0, 0) and (1, 0) (only (0, 0) when jmax = 0).  No
+    k = 0; the bases are (0, 0) and (1, 0) (only (0, 0) when jmax = 0).  The
+    rule runs row by row: rows j = 0 and 1 read each other at k - 1 and are
+    filled together, k by k, and each later row is one product of the row
+    before it with its "++" ratios, after its k = 0 entry by "+-".  No
     edge joins the two parity classes, so each is filled exactly as from its
     own base alone.  Only "++" raises j + k, only "+-" raises j - k and only
     "-+" lowers it, and every edge of one direction between two such lines has
@@ -317,17 +285,11 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
             )
 
     edges = np.argwhere((singular & reached).transpose(1, 2, 0)).tolist()
-    return SpectrumTable(
-        sig=sig,
-        r=order,
-        values=values,
-        reached=reached,
-        singular_edges=tuple((KType(j, k), DIRECTIONS[d]) for j, k, d in edges),
-    )
+    return SpectrumTable(values, reached, tuple((KType(j, k), DIRECTIONS[d]) for j, k, d in edges))
 
 
-def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = MAX_LOOP_LENGTH) -> float:
-    """Max |product - 1| over all closed lattice walks of length <= max_len.
+def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int) -> float:
+    """Max |product - 1| over all closed lattice walks of length <= MAX_LOOP_LENGTH.
 
     A walk is a start in the [0, jmax] x [0, kmax] window and a sequence of
     diagonal steps; its product multiplies the transition ratios of its steps
@@ -345,7 +307,7 @@ def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int, max_len: int = M
     No product overflows: off the singular edges |h - r| > 5e-10 (see
     TWO_R_TOL), so each ratio is below 1 + 4e9 |h| in size.
     """
-    depth = max(max_len, 0) // 2 * 2  # the longest closed walk
+    depth = MAX_LOOP_LENGTH // 2 * 2  # the longest closed walk
     nj, nk = jmax + 1, kmax + 1
     # After i steps, a walk that can still close within depth steps is at an offset (a, b) from its
     # start with |a|, |b| <= min(i, depth - i) and a = b = i (mod 2); with |a| > jmax or |b| > kmax it

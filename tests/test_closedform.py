@@ -15,7 +15,6 @@ from intertwinor.closedform import (
     _log_gamma,
     conformal_laplacian_eigenvalue_exact,
     factorized_eigenvalue_exact,
-    factorized_grid,
     numerator_pole_grid,
     parity_constant,
     singular_ktypes,
@@ -166,8 +165,8 @@ class TestFactorized:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             factorized_eigenvalue_exact(Signature(1, 1), 0, KType(0, 0))
-        with pytest.raises(ValueError):
-            factorized_grid(Signature(1, 1), 0, 2, 2)
+        # the window route prints no factorized column at a nonpositive order
+        assert _factorized_grid(Signature(1, 1), 0, 2, 2) is None
 
     def test_neighbor_ratio_law_where_nonsingular(self):
         # integer-r coherence away from zero denominators
@@ -442,7 +441,7 @@ class TestGammaGrid:
     def test_factorized_grid_is_exact_value_rounded(self):
         sig = Signature(3, 2)
         for r in (1, 2, 5):
-            grid = factorized_grid(sig, r, 9, 9)
+            grid = _factorized_grid(sig, r, 9, 9)
             for j in range(10):
                 for k in range(10):
                     assert grid[j, k] == float(factorized_eigenvalue_exact(sig, r, KType(j, k)))
@@ -517,6 +516,11 @@ def _reference_gamma_ratio_at(sig, r, v):
     return float(value)
 
 
+def _factorized_grid(sig, r, jmax, kmax):
+    """The factorized polynomial over [0, jmax] x [0, kmax] as the spectrum command prints it, or None."""
+    return closedform._closed_form(sig, SpectralOrder(r), KType(0, 0), jmax + 1, kmax + 1)[2]
+
+
 def _reference_factorized_grid(sig, r, jmax, kmax):
     """Each entry's exact polynomial N1 N2 from object arrays over the window, divided by 4**r once."""
     j, k, tj, tk = window(sig, jmax, kmax)
@@ -584,7 +588,7 @@ def test_line_tables_match_reference(p, q, jmax, kmax, r, data):
     _assert_same_outcome(z_spectral_grid, _reference_spectral_grid, *window_args)
     order = SpectralOrder(r)
     if order.is_positive_integer:
-        _assert_same_outcome(factorized_grid, _reference_factorized_grid, sig, order.as_integer, jmax, kmax)
+        _assert_same_outcome(_factorized_grid, _reference_factorized_grid, sig, order.as_integer, jmax, kmax)
     v = KType(data.draw(st.integers(0, jmax)), data.draw(st.integers(0, kmax)))
     _assert_same_outcome(z_gamma_ratio, _reference_gamma_ratio_at, sig, r, v)
 

@@ -40,7 +40,7 @@ def test_spectral_order_flags():
     assert SpectralOrder(1.5).two_r == 3
     assert SpectralOrder(0.37).two_r is None
     assert not SpectralOrder(-1.0).is_positive_integer
-    assert float(-SpectralOrder(0.5)) == -0.5
+    assert (-SpectralOrder(0.5)).r == -0.5
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -337,7 +337,7 @@ def test_recursion_overflow_raises():
             recursion_spectrum(Signature(2, 3), r, 600, 2)
 
 
-def test_loop_consistency_examples():
+def test_loop_consistency_examples(monkeypatch):
     sig = Signature(2, 2)
 
     def walk_product(tags, start):
@@ -349,20 +349,23 @@ def test_loop_consistency_examples():
         return product
 
     assert walk_product([], KType(1, 1)) == 1.0
-    assert max_loop_deviation(sig, 0.37, 1, 1, max_len=0) == 0.0
+    monkeypatch.setattr(spectrum, "MAX_LOOP_LENGTH", 0)
+    assert max_loop_deviation(sig, 0.37, 1, 1) == 0.0
     # forwards then backwards
     assert walk_product(["++", "--"], KType(0, 0)) == pytest.approx(1.0, rel=1e-14)
-    assert max_loop_deviation(sig, 0.37, 1, 1, max_len=2) <= 1e-14
+    monkeypatch.setattr(spectrum, "MAX_LOOP_LENGTH", 2)
+    assert max_loop_deviation(sig, 0.37, 1, 1) <= 1e-14
     # a genuine square loop, (1,1) -> (2,2) -> (3,1) -> (2,0) -> (1,1)
     product = walk_product(["++", "+-", "--", "-+"], KType(1, 1))
     assert product == pytest.approx(1.0, rel=1e-13)
-    assert max_loop_deviation(sig, 0.37, 3, 2, max_len=4) <= 1e-13
+    monkeypatch.setattr(spectrum, "MAX_LOOP_LENGTH", 4)
+    assert max_loop_deviation(sig, 0.37, 3, 2) <= 1e-13
 
 
 def test_loop_products_sweep_small():
     for p, q in [(1, 1), (2, 3)]:
         for r in GENERIC_R:
-            dev = max_loop_deviation(Signature(p, q), r, 10, 10, max_len=8)
+            dev = max_loop_deviation(Signature(p, q), r, 10, 10)
             assert dev <= 1e-12
 
 
@@ -415,7 +418,9 @@ def _reference_loop_deviation(sig, r, jmax, kmax, max_len=8):
 def test_loop_deviation_equals_brute_force(p, q, jmax, kmax, max_len, r):
     # the extremal products are those of single walks, formed in walk order, so the floats are identical
     sig = Signature(p, q)
-    got = max_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "MAX_LOOP_LENGTH", max_len)
+        got = max_loop_deviation(sig, r, jmax, kmax)
     assert got == _reference_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
 
 
@@ -427,12 +432,13 @@ SWAPPING_ORDERS = [(2, 3, 4.21, False), (2, 3, -2.5, True), (2, 2, 3.0, True), (
 
 @pytest.mark.parametrize("p, q, r, zeros", SWAPPING_ORDERS)
 @pytest.mark.parametrize("jmax, kmax", [(0, 6), (6, 0), (1, 10), (10, 1), (1, 1), (5, 4)])
-def test_loop_deviation_with_sign_changes_equals_brute_force(p, q, r, zeros, jmax, kmax):
+def test_loop_deviation_with_sign_changes_equals_brute_force(monkeypatch, p, q, r, zeros, jmax, kmax):
     sig = Signature(p, q)
     ratio = edge_arrays(sig, r, 5, 4)[1]
     assert (ratio < 0).any() and (ratio == 0).any() == zeros
     for max_len in (8, 10):
-        got = max_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
+        monkeypatch.setattr(spectrum, "MAX_LOOP_LENGTH", max_len)
+        got = max_loop_deviation(sig, r, jmax, kmax)
         assert got == _reference_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
 
 
@@ -450,7 +456,7 @@ def test_loop_deviation_peaks_below_brute_force():
     for deviation in (_reference_loop_deviation, max_loop_deviation):
         tracemalloc.start()
         try:
-            deviation(sig, 0.37, 10, 10, max_len=8)
+            deviation(sig, 0.37, 10, 10)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -276,6 +276,11 @@ def test_inversion_and_loops():
     assert check_loop_consistency(sig, 0.37, 8, 8).passed
 
 
+def test_loop_length_is_eight():
+    # the report states the length it checked, written here as a literal so a shorter walk fails
+    assert check_loop_consistency(Signature(2, 3), 0.37, 4, 4).extra["max_loop_length"] == 8
+
+
 def test_report_roundtrips_to_json():
     rep = check_method_agreement(Signature(1, 2), 0.37, 6, 6)
     blob = json.dumps(rep.to_dict())

@@ -231,6 +231,12 @@ def test_quadrature_grid_equals_per_axis_loops(p, q):
             assert got.shape == want.shape and np.array_equal(got, want), (name, jdeg, kdeg)
 
 
+def test_grid_margin_is_four_nodes():
+    # degrees (8, 5) take 8 + 4 nodes on x and 5 + 4 on y, written as literals so a smaller margin fails
+    grid = quadrature_grid(Signature(2, 3), 8, 5)
+    assert (grid.x.size, grid.y.size) == (12, 9)
+
+
 class TestGridVandermondes:
     """The grid-held Vandermondes, sliced, against matrices built from scratch."""
 

@@ -62,6 +62,14 @@ ERROR_CALLS = [
 ] + [[command, "--p", "2", "--q", "3", "--jmax", "3", "--kmax", "3", f"--r={r}"]
      for command in ("spectrum", "verify") for r in ("nan", "inf", "-inf", "-1e16", "1e300", "2251799813685249")]
 
+#: --r and a value that starts with "-" as two tokens, which the CLI joins before argparse reads them;
+#: kept after the others so that the earlier calls keep their line numbers.
+SEPARATE_ORDER_CALLS = [
+    ["spectrum", "--p", "2", "--q", "3", "--jmax", "3", "--kmax", "3", "--r", "-1e-08"],
+    ["verify", "--p", "2", "--q", "3", "--jmax", "3", "--kmax", "3", "--r", "-1e-08", "--all"],
+    ["spectrum", "--p", "2", "--q", "3", "--jmax", "3", "--kmax", "3", "--r", "-inf"],
+]
+
 
 def calls(tmp: str) -> list[list[str]]:
     """The fixed argv list; ``tmp`` is the directory the --output files go to."""
@@ -83,7 +91,7 @@ def calls(tmp: str) -> list[list[str]]:
     for p, q, r, jmax, kmax, fmt in LARGE_SPECTRA:
         argvs.append(["spectrum", "--p", str(p), "--q", str(q), "--r", r, "--jmax", str(jmax), "--kmax", str(kmax),
                       "--format", fmt, "--output", f"{tmp}/large.{fmt}"])
-    return argvs + ERROR_CALLS
+    return argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS
 
 
 def run(main, argv: list[str], tmp: str) -> tuple[str, str | None]:
