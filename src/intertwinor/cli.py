@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / all checks pass, 1 failed check or unwritable
 output, 2 invalid configuration, including an order beyond MAX_ABS_ORDER or
-too large for floating point, and a window too large for memory.  Output is
-byte-deterministic for a given flag set.
+too large for floating point, and a window too large for memory (estimated
+at WINDOW_BYTES_PER_KTYPE per K-type against physical memory, before any
+allocation).  Output is byte-deterministic for a given flag set.
 
 ``spectrum`` writes one fixed schema.  CSV cells print floats with "%.17g"
 ('.' decimal, 17 significant digits) and integers with str.  JSON is exactly
@@ -12,6 +13,8 @@ indent, floats as float.__repr__, and NaN, Infinity and -Infinity for
 non-finite floats.  A float column is one map of that formatter; then, by
 index, JSON's tokens replace "nan", "inf" and "-inf" where the column holds
 one, and labels replace the hidden cells, so a hidden value never prints.
+JSON rows are one join per table, each cell after the text of its key; CSV
+rows are one "," join per row.
 ``verify`` status lines print floats with "%.17g".
 
 Singular table entries are first-class values, rendered as "pole" (closed
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from typing import NamedTuple
@@ -58,6 +62,11 @@ MAX_INTEGER_ORDER = 100
 #: |r|/2 log|r|: against 60-digit mpmath, 1.2e-12 at |r| ~ 1e3, 2e-9 at 1e6,
 #: 7.6e-6 at 1e9 and 3.9e-3 at 1e12 on (2, 3).  Those values are unlabelled.
 MAX_ABS_ORDER = 2**51
+
+#: Peak bytes per K-type of the window, the largest over the commands: tracemalloc peaks of one warm call at
+#: (2, 3), jmax = kmax = 40, over r in {0.37, 2, -1.3, 0.5}, were 1,133 for a JSON table (r = 2), 583 for a
+#: CSV table and at most 342 for any verify check (intertwining; loop-consistency has a fixed window).
+WINDOW_BYTES_PER_KTYPE = 1133
 
 CSV_COLUMNS = (
     "j", "k", "J", "K", "parity",
@@ -160,7 +169,25 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
         parser.error(f"integer order must satisfy r <= {MAX_INTEGER_ORDER}, got r = {args.r}")
     if abs(order.r) > MAX_ABS_ORDER:
         parser.error(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
+    # Refused before any allocation: a window whose first arrays fit can still outgrow memory later.
+    estimate, memory = window_peak_bytes(args.jmax, args.kmax), _physical_memory()
+    if memory is not None and estimate > memory:
+        raise MemoryError(f"an estimated {estimate} bytes at peak, beyond the {memory} bytes of physical memory")
     return Signature(args.p, args.q), order
+
+
+def window_peak_bytes(jmax: int, kmax: int) -> int:
+    """Estimated peak memory of one command over the window [0, jmax] x [0, kmax]."""
+    return WINDOW_BYTES_PER_KTYPE * (jmax + 1) * (kmax + 1)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name on this platform
+        return None
+    return page * pages if page > 0 and pages > 0 else None  # sysconf answers -1 for "indeterminate"
 
 
 class SpectrumWindow(NamedTuple):
@@ -215,11 +242,15 @@ def _json_float(x: float) -> str:
     return _JSON_SPECIAL.get(text, text)
 
 
-#: A row object and the whole document as json.dumps(indent=2, sort_keys=True) prints them.
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{key}": %s' for key in sorted(CSV_COLUMNS)) + "\n    }"
+#: The rows and the whole document as json.dumps(indent=2, sort_keys=True) prints them: each cell of a row
+#: follows the text of its key, in sorted key order, and each row but the last ends in the separator; the
+#: document closes the last row.
+_JSON_KEYS = sorted(CSV_COLUMNS)
+_JSON_KEY_TEXT = ['    {\n      "%s": ' % _JSON_KEYS[0], *(',\n      "%s": ' % key for key in _JSON_KEYS[1:])]
+_JSON_ROW_SEPARATOR = "\n    },\n"
 _JSON_DOCUMENT = (
     '{\n  "jmax": %d,\n  "kmax": %d,\n  "p": %d,\n  "q": %d,\n  "r": %s,\n'
-    '  "rows": [\n%s\n  ],\n  "schema_version": %d\n}\n'
+    '  "rows": [\n%s\n    }\n  ],\n  "schema_version": %d\n}\n'
 )
 
 
@@ -257,9 +288,13 @@ def _spectrum_text(window: SpectrumWindow, fmt: str, sig: Signature, r: float) -
     if fmt == "csv":
         rows = map(",".join, zip(*(cells[name] for name in CSV_COLUMNS)))
         return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
-    rows = map(_JSON_ROW.__mod__, zip(*(cells[key] for key in sorted(CSV_COLUMNS))))
-    return _JSON_DOCUMENT % (nj - 1, nk - 1, sig.p, sig.q, _json_float(r), ",\n".join(rows),
-                             SCHEMA_VERSION)
+    # One join for the whole table: a row takes 2 slots per key and one for its separator.
+    n, width = nj * nk, 2 * len(_JSON_KEYS) + 1
+    parts = [_JSON_ROW_SEPARATOR] * (n * width - 1)
+    for i, key in enumerate(_JSON_KEYS):
+        parts[2 * i::width] = [_JSON_KEY_TEXT[i]] * n
+        parts[2 * i + 1::width] = cells[key]
+    return _JSON_DOCUMENT % (nj - 1, nk - 1, sig.p, sig.q, _json_float(r), "".join(parts), SCHEMA_VERSION)
 
 
 def _write_output(path: str, text: str) -> int:

@@ -277,6 +277,35 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: the window jmax = {side}, kmax = {side} is too large for memory: ")
 
+    def test_window_peak_estimate(self):
+        # per K-type, linear in the window; never run the 3,000,000 x 30 call itself, which the
+        # out-of-memory killer ends with no error line on a machine of 8 GiB where nothing refuses it
+        assert cli.window_peak_bytes(3, 2) == 12 * cli.WINDOW_BYTES_PER_KTYPE
+        assert cli.window_peak_bytes(3_000_000, 30) == 3_000_001 * 31 * cli.WINDOW_BYTES_PER_KTYPE > 64 * 2**30
+        # the largest windows that the CLI digest, the benchmark and these tests expect to run fit in 256 MiB
+        assert max(cli.window_peak_bytes(128, 128), cli.window_peak_bytes(600, 2)) < 256 * 2**20
+        memory = cli._physical_memory()
+        assert memory is None or memory > 2**20
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["verify", "--check", "method-agreement"]])
+    def test_window_beyond_physical_memory_exits_2(self, monkeypatch, command):
+        window = ["--p", "2", "--q", "3", "--jmax", "3", "--kmax", "2"]
+        monkeypatch.setattr(cli, "_physical_memory", lambda: cli.window_peak_bytes(3, 2) - 1)
+        code, out, err = _call([*command, *window])
+        assert (code, out) == (2, "")
+        assert err == (f"error: the window jmax = 3, kmax = 2 is too large for memory: an estimated "
+                       f"{cli.window_peak_bytes(3, 2)} bytes at peak, beyond the "
+                       f"{cli.window_peak_bytes(3, 2) - 1} bytes of physical memory\n")
+        for memory in (cli.window_peak_bytes(3, 2), None):  # a window that fits, and no answer from sysconf
+            monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+            assert _call([*command, *window])[0] == 0
+
+    def test_physical_memory_unknown(self, monkeypatch):
+        monkeypatch.setattr(os, "sysconf", lambda name: -1)
+        assert cli._physical_memory() is None
+        monkeypatch.delattr(os, "sysconf")
+        assert cli._physical_memory() is None
+
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("r", ["-1e16", "-1e20", "-1e300"])
     def test_order_beyond_bound_exits_2(self, capsys, command, r):
@@ -602,6 +631,16 @@ def test_writer_formats_special_values_as_reference():
                 assert not any(token in text for token in ("NaN", "Infinity", "nan", "inf"))
                 assert all(label in text for label in labels)
                 assert labels or not any(label in text for label in ("pole", "zero-denominator"))
+
+
+@pytest.mark.parametrize("r, fmt", [(0.37, "csv"), (2.0, "json")])
+def test_benchmark_tables_match_reference_bytes(r, fmt):
+    # the two 81 x 81 tables of the spectrum-large benchmark, byte for byte
+    code, out, err = _call(["spectrum", "--p", "2", "--q", "3", "--r", repr(r), "--jmax", "80", "--kmax", "80",
+                            "--format", fmt])
+    assert (code, err) == (0, "")
+    sig, order = Signature(2, 3), SpectralOrder(r)
+    assert out == reference_text(cli._spectrum_window(sig, order, 80, 80), fmt, sig, order.r)
 
 
 def test_large_json_table_loads_to_reference_payload(capsys):
