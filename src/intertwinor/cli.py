@@ -1,8 +1,9 @@
 """Command-line front end: spectrum tables and verification suites.
 
 Exit codes: 0 success / all checks pass, 1 failed check or unwritable
-output, 2 invalid configuration, including an order beyond MAX_ABS_ORDER or
-too large for floating point, and a window too large for memory (estimated
+output, 2 invalid configuration, including a sphere dimension beyond
+MAX_DIMENSION, an order beyond MAX_ABS_ORDER or too large for floating
+point, and a window too large for memory (estimated
 at WINDOW_BYTES_PER_KTYPE per K-type against physical memory, before any
 allocation).  Output is byte-deterministic for a given flag set.
 
@@ -62,6 +63,12 @@ MAX_INTEGER_ORDER = 100
 #: |r|/2 log|r|: against 60-digit mpmath, 1.2e-12 at |r| ~ 1e3, 2e-9 at 1e6,
 #: 7.6e-6 at 1e9 and 3.9e-3 at 1e12 on (2, 3).  Those values are unlabelled.
 MAX_ABS_ORDER = 2**51
+
+#: Largest sphere dimension p or q accepted.  Within it, and with |r| <= MAX_ABS_ORDER, the largest 4c of a
+#: Gamma argument plus 2|r|, p + q + 2(j + k) + 2 + 2|r|, stays below 2**53 for any window that fits memory,
+#: so every Gamma argument, every 2h and every int64 sum of the doubled shifts is exact.  Without a bound,
+#: p = q = 2**62 - 1 wraps 4c in int64 and the closed form prints nan.
+MAX_DIMENSION = 2**50
 
 #: Peak bytes per K-type of the window, the largest over the commands: tracemalloc peaks of one warm call at
 #: (2, 3), jmax = kmax = 40, over r in {0.37, 2, -1.3, 0.5}, were 1,133 for a JSON table (r = 2), 583 for a
@@ -157,6 +164,8 @@ def _is_float(text: str) -> bool:
 def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
     if args.p < 1 or args.q < 1:
         parser.error(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({args.p}, {args.q})")
+    if max(args.p, args.q) > MAX_DIMENSION:
+        parser.error(f"sphere dimensions must satisfy p, q <= 2**50 = {MAX_DIMENSION}, got ({args.p}, {args.q})")
     if args.jmax < 1 or args.kmax < 1:
         parser.error(f"truncation must satisfy jmax >= 1 and kmax >= 1, got ({args.jmax}, {args.kmax})")
     if args.command == "verify" and args.seed < 0:

@@ -43,11 +43,6 @@ LIMIT_STEP = 1e-6
 class PoleAtKType(ArithmeticError):
     """A Gamma-argument pole makes the spectral function undefined here."""
 
-    def __init__(self, message, ktype=None, argument=None):
-        super().__init__(message)
-        self.ktype = ktype
-        self.argument = argument
-
 
 #: Below this |x|, log |Gamma(x)| is taken as log |math.gamma(x)|: against
 #: mpmath on the Gamma arguments of the closed form its absolute error is
@@ -142,53 +137,51 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_ratio(order: SpectralOrder, lines):
-    """(values, poles) of the eight-Gamma ratio over the window of ``lines``; nan at poles.
+    """(values, poles, flags) of the eight-Gamma ratio over the window of ``lines``; nan at poles.
 
     log-Gamma runs once per argument of the lines, O(n) calls for a window of
     side n; each K-type gathers its four pairs' log differences, signs and poles.
+    ``flags`` holds the pole of each argument, shaped like the lines'
+    arguments: numerator row over denominator row.
     """
-    x, poles = _argument(order, *lines[:2])  # numerator row, denominator row
+    x, flags = _argument(order, *lines[:2])  # numerator row, denominator row
     logs, signs = (np.array(v).reshape(x.shape) for v in zip(*map(_log_gamma, x.ravel().tolist())))
     index = lines[3]
     with np.errstate(invalid="ignore"):  # inf - inf at poles; masked below
         log_total = (logs[0] - logs[1])[index].sum(axis=0)  # ((pair 1 + pair 2) + pair 3) + pair 4
-    poles = (poles[0] | poles[1])[index].any(axis=0)
-    return np.where(poles, np.nan, (signs[0] * signs[1])[index].prod(axis=0) * _exp(log_total)), poles
+    poles = (flags[0] | flags[1])[index].any(axis=0)
+    values = np.where(poles, np.nan, (signs[0] * signs[1])[index].prod(axis=0) * _exp(log_total))
+    return values, poles, flags
 
 
-def z_gamma_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eight-Gamma ratio over [0, jmax] x [0, kmax] as (values, poles); nan at poles."""
-    return _gamma_ratio(SpectralOrder.coerce(r), _lines(sig, KType(0, 0), jmax + 1, kmax + 1))
+def z_gamma_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eight-Gamma ratio over [0, jmax] x [0, kmax] as (values, poles, infinite); nan at poles.
+
+    ``infinite`` marks the poles with a numerator Gamma argument among them,
+    where the ratio is infinite or undefined; a pole whose arguments all sit
+    in the denominator is a zero of the ratio.
+    """
+    lines = _lines(sig, KType(0, 0), jmax + 1, kmax + 1)
+    values, poles, flags = _gamma_ratio(SpectralOrder.coerce(r), lines)
+    return values, poles, flags[0][lines[3]].any(axis=0)
 
 
 def z_gamma_ratio(sig: Signature, r, v: KType) -> float:
     """The raw eight-Gamma route; raises PoleAtKType on any argument pole."""
     order = SpectralOrder.coerce(r)
-    lines = _lines(sig, v, 1, 1)
-    value, pole = _gamma_ratio(order, lines)
+    lines = _lines(sig, v, 1, 1)  # one argument per pair and side
+    value, pole, flags = _gamma_ratio(order, lines)
     if pole[0, 0]:  # name the first pole argument, pair by pair, numerator first
-        side, fourc, s, x = next((side, c, s, x) for c, sigma in zip(lines[0].tolist(), lines[1][0].tolist())
-                                 for side, s in (("numerator", sigma), ("denominator", -sigma))
-                                 for x, at_pole in [_argument(order, c, s)] if at_pole)
-        raise PoleAtKType(f"Gamma pole in {side} at K-type {v}: argument ({fourc} {'+' if s > 0 else '-'} 2r)/4 "
-                          f"with r = {order.r}", ktype=v, argument=x)
+        pair, row = np.argwhere(flags.T)[0].tolist()
+        fourc, s = lines[0][pair].tolist(), lines[1][row, pair].tolist()
+        raise PoleAtKType(f"Gamma pole in {('numerator', 'denominator')[row]} at K-type {v}: argument "
+                          f"({fourc} {'+' if s > 0 else '-'} 2r)/4 with r = {order.r}")
     return float(value[0, 0])
-
-
-def numerator_pole_grid(sig: Signature, r, jmax: int, kmax: int) -> np.ndarray:
-    """Where a numerator Gamma argument has a pole over [0, jmax] x [0, kmax].
-
-    The closed form is infinite or undefined there; a K-type whose poles all
-    sit in the denominator has eigenvalue 0.
-    """
-    fourc, sides, _, index, _ = _lines(sig, KType(0, 0), jmax + 1, kmax + 1)
-    _, poles = _argument(SpectralOrder.coerce(r), fourc, sides[0])
-    return poles[index].any(axis=0)
 
 
 def singular_ktypes(sig: Signature, r, parity: int, jmax: int, kmax: int) -> set[KType]:
     """K-types of the parity class where the raw Gamma ratio has an argument pole."""
-    _, poles = z_gamma_grid(sig, r, jmax, kmax)
+    _, poles, _ = z_gamma_grid(sig, r, jmax, kmax)
     return {KType(j, k) for j, k in np.argwhere(poles).tolist() if (j + k) % 2 == parity}
 
 
@@ -253,7 +246,7 @@ def _closed_form(sig: Signature, order: SpectralOrder, corner: KType, nj: int, n
     integer r parity_constant times the factorized polynomial, and the polynomial; else the Gamma route, None."""
     lines = _lines(sig, corner, nj, nk)
     if not order.is_positive_integer:
-        return *_gamma_ratio(order, lines), None
+        return *_gamma_ratio(order, lines)[:2], None
     factorized = _factorized_float(lines, order.as_integer)
     scale = np.array([parity_constant(sig, order.as_integer, parity) for parity in lines[2].tolist()])
     return scale[lines[4]] * factorized, np.zeros(factorized.shape, dtype=bool), factorized

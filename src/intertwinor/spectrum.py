@@ -49,11 +49,6 @@ MAX_LOOP_LENGTH = 8
 class ZeroDenominator(ArithmeticError):
     """The edge denominator h - r vanished: the eigenvalue quotient is singular."""
 
-    def __init__(self, message, alpha=None, direction=None):
-        super().__init__(message)
-        self.alpha = alpha
-        self.direction = direction
-
 
 class PathInconsistency(RuntimeError):
     """Two lattice paths produced incompatible eigenvalues (implementation bug)."""
@@ -167,11 +162,7 @@ def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
         raise ValueError(f"K-type {alpha} has no neighbor in direction {direction!r}")
     order = SpectralOrder.coerce(r)
     if is_singular_edge(sig, alpha, direction, order):
-        raise ZeroDenominator(
-            f"transition ratio singular at edge {alpha} -> {direction}: h = r = {order.r}",
-            alpha=alpha,
-            direction=direction,
-        )
+        raise ZeroDenominator(f"transition ratio singular at edge {alpha} -> {direction}: h = r = {order.r}")
     return _ratio(_two_h(*doubled_shifts(sig, alpha), *STEPS[direction]), order.r)
 
 

@@ -17,7 +17,6 @@ from .closedform import (
     _factorized_numerator,
     conformal_laplacian_eigenvalue_exact,  # unused here; perfbench/tracing.py rebinds this name
     factorized_eigenvalue_exact,  # unused here; perfbench/tracing.py rebinds this name
-    numerator_pole_grid,
     singular_ktypes,  # unused here; perfbench/tracing.py rebinds this name
     z_gamma_grid,
     z_gamma_ratio,  # unused here; perfbench/tracing.py rebinds this name
@@ -35,7 +34,6 @@ from .spectrum import (
     window,
 )
 from .zonal import (
-    QuadratureGrid,
     ZonalFunction,
     apply_T_numeric,
     apply_T_via_lemma,
@@ -126,7 +124,7 @@ def _worst(delta: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(np.abs(delta[idx])), tuple(int(i) for i in idx)
 
 
-def _seeded_report(name: str, sig: Signature, r, f: ZonalFunction, delta: np.ndarray, tolerance: float,
+def _seeded_report(name: str, r, f: ZonalFunction, delta: np.ndarray, tolerance: float,
                    seed: int | None) -> VerificationReport:
     """Report on the worst function of a stack, by residual relative to its coefficient sup-norm.
 
@@ -135,7 +133,7 @@ def _seeded_report(name: str, sig: Signature, r, f: ZonalFunction, delta: np.nda
     scale = np.maximum(np.max(np.abs(f.coeffs), axis=(-2, -1), keepdims=True), 1e-14)
     residual, (index, j, k) = _worst((delta / scale).reshape((-1,) + delta.shape[-2:]))
     return VerificationReport(
-        name=name, p=sig.p, q=sig.q, r=r,
+        name=name, p=f.sig.p, q=f.sig.q, r=r,
         jmax=f.jmax, kmax=f.kmax,
         max_residual=residual, tolerance=tolerance, worst_location=(j, k),
         extra={} if seed is None else {"seed": seed + index},
@@ -158,24 +156,21 @@ def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
     return ZonalFunction(f.sig, np.where(present, f.coeffs * mu, 0.0))
 
 
-def check_intertwining(sig: Signature, r, f: ZonalFunction, seed: int | None = None,
-                       spectrum=None) -> VerificationReport:
+def check_intertwining(r, f: ZonalFunction, seed: int | None = None) -> VerificationReport:
     """Residual of A(T + (n/2 - r) varpi) f = (T + (n/2 + r) varpi) A f.
 
-    A acts diagonally by the closed-form eigenvalues.  The residual is
+    A acts diagonally by the closed-form eigenvalues, z_spectral_grid over
+    the window one degree beyond f's in j and in k.  The residual is
     measured on interior coefficients (j <= jmax - 1, k <= kmax - 1 of the
     input truncation), relative to the coefficient sup-norm of f.  ``f`` may
     be a stack of functions along leading axes, such as seeded_stack; the
-    report names the worst one (see _seeded_report).  ``spectrum`` is
-    z_spectral_grid(sig, r, jmax', kmax') over any window with
-    jmax' > f.jmax and kmax' > f.kmax; without it the check evaluates its
-    own.  The varpi matrices are built once per degree and cached.  A term
-    beyond the float range raises FloatingPointError.
+    report names the worst one (see _seeded_report).  The varpi matrices
+    are built once per degree and cached.  A term beyond the float range
+    raises FloatingPointError.
     """
     order = SpectralOrder.coerce(r)
-    if spectrum is None:
-        spectrum = z_spectral_grid(sig, order, f.jmax + 1, f.kmax + 1)
-    half_n = sig.n / 2.0
+    spectrum = z_spectral_grid(f.sig, order, f.jmax + 1, f.kmax + 1)
+    half_n = f.sig.n / 2.0
     with np.errstate(over="raise"):
         left = _apply_eigenvalues(
             apply_T_via_lemma(f) + (half_n - order.r) * multiply_by_varpi(f), order, spectrum
@@ -183,15 +178,18 @@ def check_intertwining(sig: Signature, r, f: ZonalFunction, seed: int | None = N
         af = _apply_eigenvalues(f, order, spectrum)
         right = apply_T_via_lemma(af) + (half_n + order.r) * multiply_by_varpi(af)
         delta = (left - right).coeffs[..., : max(f.jmax, 1), : max(f.kmax, 1)]
-        return _seeded_report("intertwining", sig, order.r, f, delta, 1e-9, seed)
+        return _seeded_report("intertwining", order.r, f, delta, 1e-9, seed)
 
 
-def check_lemma1(sig: Signature, f: ZonalFunction, grid: QuadratureGrid,
-                 seed: int | None = None) -> VerificationReport:
-    """Commutator route vs derivative route for the conformal vector field, on f or a stack (see _seeded_report)."""
+def check_lemma1(f: ZonalFunction, seed: int | None = None) -> VerificationReport:
+    """Commutator route vs derivative route for the conformal vector field, on f or a stack (see _seeded_report).
+
+    Both sides are evaluated on quadrature_grid one degree beyond f's in j and in k.
+    """
+    grid = quadrature_grid(f.sig, f.jmax + 1, f.kmax + 1)
     lhs = apply_T_numeric(f, grid)
     rhs = evaluate(apply_T_via_lemma(f), grid)
-    return _seeded_report("lemma1", sig, None, f, lhs - rhs, 1e-8, seed)
+    return _seeded_report("lemma1", None, f, lhs - rhs, 1e-8, seed)
 
 
 def check_method_agreement(sig: Signature, r, jmax: int, kmax: int) -> VerificationReport:
@@ -199,13 +197,14 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int) -> Verificat
 
     Entries with a numerator Gamma-argument pole, where the closed form is
     infinite, and entries that no window edge joins to their class base are
-    the predicted exclusions: skipped and counted, and the skipped set must
-    coincide with the prediction.  Entries whose poles all sit in the
-    denominator are compared at mu = 0.
+    the predicted exclusions: skipped and counted, and the recursion must
+    reach exactly the other entries of each normalized class.  Entries whose
+    poles all sit in the denominator are compared at mu = 0.  The worst
+    entry is the first in (j, k) order of the even class, then of the odd
+    one; a nan comparison is the worst and fails.
     """
     order = SpectralOrder.coerce(r)
-    gamma, poles = z_gamma_grid(sig, order, jmax, kmax)
-    infinite = numerator_pole_grid(sig, order, jmax, kmax)
+    gamma, poles, infinite = z_gamma_grid(sig, order, jmax, kmax)
     mu = np.where(poles & ~infinite, 0.0, gamma)
     table = recursion_spectrum(sig, order, jmax, kmax)
     # A class whose base is singular, or outside the window (the odd class
@@ -217,19 +216,13 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int) -> Verificat
     # no edges, and in any wider window the edges join each class.
     j, k = np.indices(poles.shape)
     joined = (min(jmax, kmax) >= 1) | ((j < 2) & (k == 0))
-    predicted = normalized & (infinite | ~joined)
-    missing = normalized & joined & ~infinite & ~table.reached
-    prediction_ok = not (predicted & table.reached).any() and not missing.any()
+    prediction_ok = not (normalized & (table.reached != (joined & ~infinite))).any()
     comparable = normalized & ~infinite & table.reached
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(comparable, relative_difference(mu / at_class_base(mu, outside=np.nan), table.values), 0.0)
-    parity = np.indices(rel.shape).sum(axis=0) % 2
-    residual = 0.0
-    where = None
-    for klass in (0, 1):  # the worst entry, the even class first on ties
-        worst, location = _worst(np.where(parity == klass, rel, 0.0))
-        if worst > residual:
-            residual, where = worst, location
+    by_class = np.where((j + k) % 2 == np.arange(2)[:, None, None], rel, 0.0)  # even class first
+    residual, (_, *worst) = _worst(by_class)
+    where = tuple(worst) if residual else None
     report = VerificationReport(
         name="method-agreement", p=sig.p, q=sig.q, r=order.r,
         jmax=jmax, kmax=kmax,
@@ -272,8 +265,8 @@ def check_conformal_laplacian(sig: Signature, jmax: int, kmax: int) -> Verificat
 def check_inversion(sig: Signature, r, jmax: int, kmax: int) -> VerificationReport:
     """Z(r) * Z(-r) = 1 wherever both factors are finite."""
     order = SpectralOrder.coerce(r)
-    forward, forward_poles = z_gamma_grid(sig, order, jmax, kmax)
-    backward, backward_poles = z_gamma_grid(sig, -order, jmax, kmax)
+    forward, forward_poles, _ = z_gamma_grid(sig, order, jmax, kmax)
+    backward, backward_poles, _ = z_gamma_grid(sig, -order, jmax, kmax)
     finite = ~(forward_poles | backward_poles)
     residual, where = _worst(np.where(finite, forward * backward - 1.0, 0.0))
     compared = int(finite.sum())
@@ -301,11 +294,9 @@ def check_loop_consistency(sig: Signature, r, jmax: int, kmax: int) -> Verificat
 #: looks its callees up in this module's globals when called, so a name rebound here (as by
 #: perfbench/tracing.py) takes effect.  Loops stay within an 11 x 11 window.
 CHECKS = {
-    "lemma1": lambda sig, r, jmax, kmax, seed: check_lemma1(
-        sig, seeded_stack(sig, jmax, kmax, seed), quadrature_grid(sig, jmax + 1, kmax + 1), seed=seed),
+    "lemma1": lambda sig, r, jmax, kmax, seed: check_lemma1(seeded_stack(sig, jmax, kmax, seed), seed=seed),
     "intertwining": lambda sig, r, jmax, kmax, seed: check_intertwining(
-        sig, r, seeded_stack(sig, jmax, kmax, seed), seed=seed,
-        spectrum=z_spectral_grid(sig, r, jmax + 1, kmax + 1)),
+        r, seeded_stack(sig, jmax, kmax, seed), seed=seed),
     "method-agreement": lambda sig, r, jmax, kmax, seed: check_method_agreement(sig, r, jmax, kmax),
     "conformal-laplacian": lambda sig, r, jmax, kmax, seed: check_conformal_laplacian(sig, jmax, kmax),
     "inversion": lambda sig, r, jmax, kmax, seed: check_inversion(sig, r, jmax, kmax),

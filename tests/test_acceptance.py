@@ -153,9 +153,8 @@ def test_04_conformal_laplacian_exact():
 def test_05_conformal_field_commutator():
     worst = 0.0
     for sig in SMALL_SIGS:
-        grid = quadrature_grid(sig, 9, 9)
         for seed in range(20):
-            rep = check_lemma1(sig, random_zonal(sig, 8, 8, seed), grid)
+            rep = check_lemma1(random_zonal(sig, 8, 8, seed))
             worst = max(worst, rep.max_residual)
             assert rep.passed, (sig, seed, rep.max_residual)
     report(5, "conformal-field commutator identity", worst <= 1e-8, f"max_resid={worst:.3e}")
@@ -171,12 +170,12 @@ def test_06_intertwining_relation():
                 # spectral multiplier is undefined there, which must surface
                 # as an explicit pole error rather than a wrong number
                 with pytest.raises(PoleAtKType):
-                    check_intertwining(sig, r, random_zonal(sig, 8, 8, 0), seed=0)
+                    check_intertwining(r, random_zonal(sig, 8, 8, 0), seed=0)
                 pole_signatures += 1
                 continue
             for seed in range(20):
                 rep = check_intertwining(
-                    sig, r, random_zonal(sig, 8, 8, seed), seed=seed
+                    r, random_zonal(sig, 8, 8, seed), seed=seed
                 )
                 worst = max(worst, rep.max_residual)
                 assert rep.passed, (sig, r, seed, rep.max_residual)

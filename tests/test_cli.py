@@ -326,6 +326,24 @@ class TestExitCodes:
                                "--jmax", "12", "--kmax", "12", *checks)
         assert code == 0 and "nan" not in out
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("p, q", [(2**50 + 1, 3), (3, 2**50 + 1), (2**62 - 1, 2**62 - 1)])
+    def test_dimension_beyond_bound_exits_2(self, capsys, command, p, q):
+        # beyond the bound a Gamma argument can leave the exact float range, and near 2**62 4c wraps in int64
+        with pytest.raises(SystemExit) as err:
+            main([command, "--p", str(p), "--q", str(q), "--r", "0.37", "--jmax", "2", "--kmax", "2"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert f"error: sphere dimensions must satisfy p, q <= 2**50 = {2**50}, got ({p}, {q})" in stderr
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_dimension_at_bound_prints_no_nan(self, capsys, command):
+        n = str(cli.MAX_DIMENSION)
+        checks = ["--check", "inversion", "--check", "loop-consistency"] if command == "verify" else []
+        code, out, _ = run_cli(capsys, command, "--p", n, "--q", n, "--jmax", "2", "--kmax", "2", *checks)
+        assert code == 0 and "nan" not in out
+
     @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed=-5"]])
     def test_negative_seed_exits_2(self, capsys, flag):
         with pytest.raises(SystemExit) as err:

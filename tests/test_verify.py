@@ -6,18 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intertwinor import verify
+from intertwinor import closedform, verify
 from intertwinor.cli import main
 from intertwinor.closedform import (
     PoleAtKType,
     conformal_laplacian_eigenvalue_exact,
     factorized_eigenvalue_exact,
-    numerator_pole_grid,
     z_gamma_grid,
     z_gamma_ratio,
 )
 from intertwinor.geometry import KType, Signature, scalar_curvature
-from intertwinor.spectrum import recursion_spectrum
+from intertwinor.spectrum import SpectrumTable, recursion_spectrum
 from intertwinor.verify import (
     DEFAULT_CHECKS,
     SEEDED_FUNCTIONS,
@@ -32,41 +31,39 @@ from intertwinor.verify import (
     run_suite,
     seeded_stack,
 )
-from intertwinor.zonal import ZonalFunction, basis_element, quadrature_grid
+from intertwinor.zonal import ZonalFunction, basis_element
 
 
 def test_intertwining_r_zero_is_exact():
     # at order zero the operator is the identity on pole-free modes
     sig = Signature(1, 3)
-    rep = check_intertwining(sig, 0.0, basis_element(sig, 0, 0, jmax=2, kmax=2))
+    rep = check_intertwining(0.0, basis_element(sig, 0, 0, jmax=2, kmax=2))
     assert rep.max_residual < 1e-13
     assert rep.passed
 
 
 def test_intertwining_single_mode():
     sig = Signature(2, 3)
-    rep = check_intertwining(sig, 0.73, basis_element(sig, 0, 0, jmax=3, kmax=3))
+    rep = check_intertwining(0.73, basis_element(sig, 0, 0, jmax=3, kmax=3))
     assert rep.max_residual <= 1e-12
 
 
 def test_intertwining_random():
     sig = Signature(1, 3)
-    rep = check_intertwining(sig, 0.37, random_zonal(sig, 8, 8, 0), seed=0)
+    rep = check_intertwining(0.37, random_zonal(sig, 8, 8, 0), seed=0)
     assert rep.passed
     assert rep.to_dict()["seed"] == 0
 
 
 def test_lemma1_constant():
     sig = Signature(2, 2)
-    grid = quadrature_grid(sig, 4, 4)
-    rep = check_lemma1(sig, basis_element(sig, 0, 0, jmax=3, kmax=3), grid)
+    rep = check_lemma1(basis_element(sig, 0, 0, jmax=3, kmax=3))
     assert rep.max_residual < 1e-14
 
 
 def test_lemma1_random():
     sig = Signature(2, 2)
-    grid = quadrature_grid(sig, 9, 9)
-    rep = check_lemma1(sig, random_zonal(sig, 8, 8, 4), grid)
+    rep = check_lemma1(random_zonal(sig, 8, 8, 4))
     assert rep.passed
 
 
@@ -81,8 +78,8 @@ def test_method_agreement_compares_denominator_only_poles_at_zero():
     sig = Signature(1, 4)
     rep = check_method_agreement(sig, 0.5, 9, 9)
     assert rep.passed and rep.extra["skipped_matches_prediction"]
-    _, poles = z_gamma_grid(sig, 0.5, 9, 9)
-    zeros = poles & ~numerator_pole_grid(sig, 0.5, 9, 9)
+    _, poles, infinite = z_gamma_grid(sig, 0.5, 9, 9)
+    zeros = poles & ~infinite
     assert zeros.any()
     table = recursion_spectrum(sig, 0.5, 9, 9)
     assert table.reached[zeros].all() and (table.values[zeros] == 0.0).all()
@@ -114,6 +111,125 @@ def test_method_agreement_one_k_type_wide(r, other):
         bases = min(jmax, 1) + 1
         assert rep.passed and rep.extra["skipped_matches_prediction"]
         assert (rep.extra["compared"], rep.extra["skipped"]) == (bases, (jmax + 1) * (kmax + 1) - bases)
+
+
+def _flip_reached(monkeypatch, sig, r, jmax, kmax, flip):
+    """Let verify's recursion table mark ``flip`` reached (value 1.0) when it is not, and unreached when it is."""
+    table = recursion_spectrum(sig, r, jmax, kmax)
+    values, reached = table.values.copy(), table.reached.copy()
+    reached[flip] = not reached[flip]
+    values[flip] = float(reached[flip])
+    monkeypatch.setattr(verify, "recursion_spectrum", lambda *args: SpectrumTable(values, reached))
+
+
+@pytest.mark.parametrize("sig, r, jmax, kmax, flip, more_compared", [
+    (Signature(2, 3), 0.37, 6, 6, (3, 2), -1),  # a joined K-type the recursion no longer reaches
+    (Signature(1, 2), 1.5, 7, 7, (4, 1), 0),  # a numerator pole of the odd class, now reached
+    (Signature(2, 3), 2.0, 0, 4, (0, 2), 1),  # a K-type no edge joins to its base, now reached
+])
+def test_method_agreement_fails_when_reached_leaves_the_prediction(monkeypatch, sig, r, jmax, kmax, flip,
+                                                                   more_compared):
+    # the skipped set must coincide with the prediction; a reached numerator pole is still not compared
+    before = check_method_agreement(sig, r, jmax, kmax)
+    assert before.passed and before.extra["skipped_matches_prediction"]
+    _flip_reached(monkeypatch, sig, r, jmax, kmax, flip)
+    rep = check_method_agreement(sig, r, jmax, kmax)
+    assert not rep.extra["skipped_matches_prediction"] and not rep.passed
+    assert rep.extra["compared"] == before.extra["compared"] + more_compared
+    assert np.isfinite(rep.max_residual)
+
+
+def _scaled_gamma_grid(monkeypatch, where, factor):
+    """Let verify's z_gamma_grid return its value at ``where`` times ``factor``."""
+    def scaled(*args, _original=z_gamma_grid):
+        values, poles, infinite = _original(*args)
+        values = values.copy()
+        values[where] *= factor
+        return values, poles, infinite
+    monkeypatch.setattr(verify, "z_gamma_grid", scaled)
+
+
+def test_method_agreement_fails_on_nan(monkeypatch):
+    # a nan comparison is the worst entry, and a nan residual fails
+    _scaled_gamma_grid(monkeypatch, (2, 3), np.nan)
+    rep = check_method_agreement(Signature(2, 3), 0.37, 6, 6)
+    assert np.isnan(rep.max_residual) and rep.worst_location == (2, 3)
+    assert rep.extra["skipped_matches_prediction"] and not rep.passed
+
+
+def test_method_agreement_ties_go_to_the_even_class(monkeypatch):
+    # a zero table value against a nonzero closed form gives a residual of exactly 1: at odd (1, 2) and at
+    # even (3, 3), later in (j, k) order, the even class wins the tie
+    sig = Signature(2, 3)
+    table = recursion_spectrum(sig, 0.37, 6, 6)
+    values = table.values.copy()
+    values[1, 2] = values[3, 3] = 0.0
+    monkeypatch.setattr(verify, "recursion_spectrum", lambda *args: SpectrumTable(values, table.reached))
+    rep = check_method_agreement(sig, 0.37, 6, 6)
+    assert (rep.max_residual, rep.worst_location, rep.passed) == (1.0, (3, 3), False)
+
+
+@pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
+def test_method_agreement_gate_boundary(monkeypatch, factor, passed):
+    # a relative error of factor times the 1e-10 gate at one compared K-type
+    error = factor * 1e-10
+    _scaled_gamma_grid(monkeypatch, (4, 3), 1.0 + error)
+    rep = check_method_agreement(Signature(2, 3), 0.37, 6, 6)
+    assert rep.passed is passed and rep.worst_location == (4, 3)
+    assert rep.max_residual == pytest.approx(error, rel=1e-3)
+
+
+@pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
+def test_intertwining_gate_boundary(monkeypatch, factor, passed):
+    # the residual is linear in an error of the eigenvalue at one K-type: measured at a large error, then
+    # set to factor times the 1e-9 gate
+    sig, original = Signature(2, 3), verify.z_spectral_grid
+    f = seeded_stack(sig, 6, 6, 0)
+
+    def with_error(error):
+        def scaled(*args):
+            values, poles = original(*args)
+            values = values.copy()
+            values[2, 3] *= 1.0 + error
+            return values, poles
+        monkeypatch.setattr(verify, "z_spectral_grid", scaled)
+        return check_intertwining(0.37, f, seed=0)
+
+    slope = with_error(1e-4).max_residual / 1e-4
+    rep = with_error(factor * 1e-9 / slope)
+    assert rep.passed is passed
+    assert rep.max_residual == pytest.approx(factor * 1e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
+def test_lemma1_gate_boundary(monkeypatch, factor, passed):
+    # an error of factor times the 1e-8 gate, relative to each function's coefficient sup-norm, at every node
+    error = factor * 1e-8
+
+    def shifted(f, grid, _original=verify.apply_T_numeric):
+        return _original(f, grid) + error * np.max(np.abs(f.coeffs), axis=(-2, -1), keepdims=True)
+
+    monkeypatch.setattr(verify, "apply_T_numeric", shifted)
+    rep = check_lemma1(seeded_stack(Signature(2, 3), 6, 6, 0), seed=0)
+    assert rep.passed is passed
+    assert rep.max_residual == pytest.approx(error, rel=1e-3)
+
+
+@pytest.mark.parametrize("r", [0.37, -1.3, 7.25])
+def test_scaled_log_gamma_fails_method_agreement(monkeypatch, r):
+    # log |Gamma| off by a relative 1e-9: Z(-r) has Z(r)'s denominator arguments as its numerator ones, so
+    # inversion sees every log-Gamma value cancel, and an error linear in x is constant per parity class;
+    # method agreement compares against the recursion, which uses no Gamma function, and fails
+    sig = Signature(2, 3)
+    assert check_method_agreement(sig, r, 20, 20).passed
+
+    def scaled(x, _original=closedform._log_gamma):
+        log_magnitude, sign = _original(x)
+        return log_magnitude * (1.0 + 1e-9), sign
+
+    monkeypatch.setattr(closedform, "_log_gamma", scaled)
+    rep = check_method_agreement(sig, r, 20, 20)
+    assert not rep.passed and rep.max_residual > 1e-9
 
 
 def test_conformal_laplacian():
@@ -179,7 +295,7 @@ def test_shared_spectrum_matches_per_seed_checks(r):
     for sig, jmax, kmax, seed in ((Signature(2, 3), 8, 8, 0), (Signature(1, 4), 5, 11, 7),
                                   (Signature(3, 3), 0, 6, 2)):
         suite, = run_suite(sig, r, jmax=jmax, kmax=kmax, seed=seed, checks=("intertwining",))
-        alone = max((check_intertwining(sig, r, random_zonal(sig, jmax, kmax, seed + i), seed=seed + i)
+        alone = max((check_intertwining(r, random_zonal(sig, jmax, kmax, seed + i), seed=seed + i)
                      for i in range(5)), key=lambda rep: rep.max_residual)
         assert suite.to_dict() == alone.to_dict()
 
@@ -214,9 +330,9 @@ def test_run_suite_stack_slices_are_seeded_functions(monkeypatch):
     # both seeded checks receive one stack whose slice i is random_zonal(..., seed + i)
     received = []
     for name in ("check_lemma1", "check_intertwining"):
-        def spy(sig, *args, _original=getattr(verify, name), **kwargs):
+        def spy(*args, _original=getattr(verify, name), **kwargs):
             received.append(next(arg for arg in args if isinstance(arg, ZonalFunction)))
-            return _original(sig, *args, **kwargs)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(verify, name, spy)
     sig = Signature(3, 2)
     run_suite(sig, 0.37, jmax=6, kmax=4, seed=11, checks=("lemma1", "intertwining"))
@@ -243,13 +359,12 @@ def test_stacked_checks_report_the_worst_single_function(p, q, jmax, kmax, r, se
     # the stacked checks of run_suite against one check per seeded function: the largest residual,
     # bit for bit, the lowest seed on ties, the same location, and the same first pole
     sig = Signature(p, q)
-    grid = quadrature_grid(sig, jmax + 1, kmax + 1)
     singles = [(random_zonal(sig, jmax, kmax, seed + i), seed + i) for i in range(SEEDED_FUNCTIONS)]
     suite, = run_suite(sig, r, jmax=jmax, kmax=kmax, seed=seed, checks=("lemma1",))
-    alone = max((check_lemma1(sig, f, grid, seed=s) for f, s in singles), key=lambda rep: rep.max_residual)
+    alone = max((check_lemma1(f, seed=s) for f, s in singles), key=lambda rep: rep.max_residual)
     assert suite.to_dict() == alone.to_dict()
     try:
-        alone = max((check_intertwining(sig, r, f, seed=s) for f, s in singles),
+        alone = max((check_intertwining(r, f, seed=s) for f, s in singles),
                     key=lambda rep: rep.max_residual)
     except PoleAtKType as exc:
         with pytest.raises(PoleAtKType) as stacked:
@@ -264,7 +379,7 @@ def test_shared_spectrum_raises_the_same_pole():
     message = "Gamma pole in denominator at K-type KType(j=1, k=0): argument (1 - 2r)/4 with r = 0.5"
     sig = Signature(2, 3)
     with pytest.raises(PoleAtKType) as alone:
-        check_intertwining(sig, 0.5, random_zonal(sig, 8, 8, 0))
+        check_intertwining(0.5, random_zonal(sig, 8, 8, 0))
     with pytest.raises(PoleAtKType) as suite:
         run_suite(sig, 0.5, checks=("intertwining",))
     assert str(alone.value) == str(suite.value) == message
@@ -329,8 +444,8 @@ def test_intertwining_residual_stable_under_truncation_growth():
     f = random_zonal(sig, 6, 6, 2)
     big = np.zeros((13, 13))
     big[:7, :7] = f.coeffs
-    rep_small = check_intertwining(sig, 0.37, f)
-    rep_big = check_intertwining(sig, 0.37, ZonalFunction(sig, big))
+    rep_small = check_intertwining(0.37, f)
+    rep_big = check_intertwining(0.37, ZonalFunction(sig, big))
     assert abs(rep_small.max_residual - rep_big.max_residual) < 1e-12
 
 

@@ -70,6 +70,13 @@ SEPARATE_ORDER_CALLS = [
     ["spectrum", "--p", "2", "--q", "3", "--jmax", "3", "--kmax", "3", "--r", "-inf"],
 ]
 
+#: Sphere dimensions beyond cli.MAX_DIMENSION, whose int64 doubled shifts would wrap; after the others.
+DIMENSION_CALLS = [
+    ["spectrum", "--p", "4611686018427387903", "--q", "4611686018427387903", "--r", "0.37", "--jmax", "2",
+     "--kmax", "2"],
+    ["verify", "--p", str(2**50 + 1), "--q", "3", "--jmax", "2", "--kmax", "2", "--check", "method-agreement"],
+]
+
 
 def calls(tmp: str) -> list[list[str]]:
     """The fixed argv list; ``tmp`` is the directory the --output files go to."""
@@ -91,7 +98,7 @@ def calls(tmp: str) -> list[list[str]]:
     for p, q, r, jmax, kmax, fmt in LARGE_SPECTRA:
         argvs.append(["spectrum", "--p", str(p), "--q", str(q), "--r", r, "--jmax", str(jmax), "--kmax", str(kmax),
                       "--format", fmt, "--output", f"{tmp}/large.{fmt}"])
-    return argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS
+    return argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS
 
 
 def run(main, argv: list[str], tmp: str) -> tuple[str, str | None]:

@@ -65,6 +65,15 @@ MUTANTS = [
            '_JSON_ROW_SEPARATOR = "\\n    }\\n"', (CLI,)),
     Mutant("JSON last row keeps its separator", "cli.py", "[_JSON_ROW_SEPARATOR] * (n * width - 1)",
            "[_JSON_ROW_SEPARATOR] * (n * width)", (CLI,)),
+    Mutant("method-agreement prediction forced true", "verify.py",
+           "prediction_ok = not (normalized & (table.reached != (joined & ~infinite))).any()",
+           "prediction_ok = True", (VERIFY,)),
+    Mutant("method-agreement ties to the odd class", "verify.py", "== np.arange(2)[:, None, None]",
+           "== np.arange(1, -1, -1)[:, None, None]", (VERIFY,)),
+    Mutant("method-agreement compares numerator poles", "verify.py",
+           "comparable = normalized & ~infinite & table.reached", "comparable = normalized & table.reached",
+           (VERIFY,)),
+    Mutant("MAX_DIMENSION 2**50 -> 2**62", "cli.py", "MAX_DIMENSION = 2**50", "MAX_DIMENSION = 2**62", (CLI,)),
     Mutant("LIMIT_STEP 1e-6 -> 1e-4", "closedform.py", "LIMIT_STEP = 1e-6", "LIMIT_STEP = 1e-4", (CLOSEDFORM, CLI),
            survives="removed by ROADMAP item 3"),
 ]

@@ -30,7 +30,6 @@ EXPECTED = {
     "cli.entry": "the console-script hook of pyproject.toml; the digest calls cli.main",
     "spectrum.transition_ratio": TRACED,
     "spectrum.is_singular_edge": TRACED,
-    "spectrum.ZeroDenominator.__init__": "raised only by transition_ratio, " + TRACED,
     "geometry.neighbor": TRACED,
     "closedform.singular_ktypes": TRACED,
     "closedform.conformal_laplacian_eigenvalue_exact": TRACED,
