@@ -3,9 +3,8 @@
 Exit codes: 0 success / all checks pass, 1 failed check or unwritable
 output, 2 invalid configuration, including a sphere dimension beyond
 MAX_DIMENSION, an order beyond MAX_ABS_ORDER or too large for floating
-point, and a window too large for memory (estimated
-at WINDOW_BYTES_PER_KTYPE per K-type against physical memory, before any
-allocation).  Output is byte-deterministic for a given flag set.
+point, and a window too large for memory (see window_peak_bytes; refused
+before any allocation).  Output is byte-deterministic for a given flag set.
 
 ``spectrum`` writes one fixed schema.  CSV cells print floats with "%.17g"
 ('.' decimal, 17 significant digits) and integers with str.  JSON is exactly
@@ -74,6 +73,10 @@ MAX_DIMENSION = 2**50
 #: (2, 3), jmax = kmax = 40, over r in {0.37, 2, -1.3, 0.5}, were 1,133 for a JSON table (r = 2), 583 for a
 #: CSV table and at most 342 for any verify check (intertwining; loop-consistency has a fixed window).
 WINDOW_BYTES_PER_KTYPE = 1133
+
+#: Peak bytes of verify per (side + 1)**2 of each side, for the dense per-axis matrices of lemma1 and intertwining:
+#: cold peaks at (2, 3), one side 250 to 2,000 and the other 1, were 49.9 to 48.2 (lemma1) per squared long side.
+VERIFY_BYTES_PER_SQUARED_SIDE = 50
 
 CSV_COLUMNS = (
     "j", "k", "J", "K", "parity",
@@ -179,15 +182,16 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
     if abs(order.r) > MAX_ABS_ORDER:
         parser.error(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
     # Refused before any allocation: a window whose first arrays fit can still outgrow memory later.
-    estimate, memory = window_peak_bytes(args.jmax, args.kmax), _physical_memory()
+    estimate, memory = window_peak_bytes(args.jmax, args.kmax, args.command), _physical_memory()
     if memory is not None and estimate > memory:
         raise MemoryError(f"an estimated {estimate} bytes at peak, beyond the {memory} bytes of physical memory")
     return Signature(args.p, args.q), order
 
 
-def window_peak_bytes(jmax: int, kmax: int) -> int:
-    """Estimated peak memory of one command over the window [0, jmax] x [0, kmax]."""
-    return WINDOW_BYTES_PER_KTYPE * (jmax + 1) * (kmax + 1)
+def window_peak_bytes(jmax: int, kmax: int, command: str = "spectrum") -> int:
+    """Estimated peak memory of one command, "spectrum" or "verify", over the window [0, jmax] x [0, kmax]."""
+    squares = (jmax + 1) ** 2 + (kmax + 1) ** 2 if command == "verify" else 0
+    return WINDOW_BYTES_PER_KTYPE * (jmax + 1) * (kmax + 1) + VERIFY_BYTES_PER_SQUARED_SIDE * squares
 
 
 def _physical_memory() -> int | None:

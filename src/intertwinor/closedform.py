@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import KType, Signature, doubled_shifts
-from .spectrum import SpectralOrder, window
+from .spectrum import SpectralOrder, check_window, window
 
 #: Step of the limit convention for a parity constant with a class Gamma pole.
 LIMIT_STEP = 1e-6
@@ -118,8 +118,9 @@ def _lines(sig: Signature, corner: KType, nj: int, nk: int):
     order; s holds the sign of 2r in each argument, numerator row (sigma) over denominator row (-sigma).
     ``index``, shaped (4, nj, nk), holds for K-type (j0 + a, k0 + b) entry a + b of pair 1, b - a + nj - 1
     of pair 2 and parity = (a + b) % 2 of pairs 3-4, each plus its line's offset.  It is built first, so a
-    window too large for memory fails before any line is evaluated.
+    window too large for memory fails before any line is evaluated, and an empty one raises ValueError.
     """
+    check_window(nj - 1, nk - 1, 0)
     index, parity = (_line_index if nj * nk <= CACHED_WINDOW else _line_index.__wrapped__)(nj, nk)
     n = nj + nk - 1
     _, k, tj, tk = window(sig, corner.j + nj - 1, corner.k + n - 1)

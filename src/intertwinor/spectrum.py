@@ -92,6 +92,12 @@ class SpectralOrder:
         return SpectralOrder(-self.r)
 
 
+def check_window(jmax: int, kmax: int, least: int) -> None:
+    """Raise ValueError unless jmax, kmax >= least: 0 for closed-form windows, 1 for the recursion route."""
+    if jmax < least or kmax < least:
+        raise ValueError(f"truncation must satisfy jmax >= {least} and kmax >= {least}, got ({jmax}, {kmax})")
+
+
 def window(sig: Signature, jmax: int, kmax: int):
     """Index grids j, k and doubled shifts 2J, 2K of [0, jmax] x [0, kmax] (column, row arrays)."""
     j = np.arange(jmax + 1)[:, None]
@@ -135,10 +141,9 @@ def edge_arrays(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np
     Entry [d, j, k] describes the edge from (j, k) in direction DIRECTIONS[d].
     Only edges whose head lies in the window count: ``singular`` marks those
     with h = r, and ``ratio`` holds (h + r)/(h - r) on the others and nan
-    everywhere else.  A negative jmax or kmax raises ValueError.
+    everywhere else.  jmax or kmax below 1 raises ValueError.
     """
-    if jmax < 0 or kmax < 0:
-        raise ValueError(f"truncation must be nonnegative, got ({jmax}, {kmax})")
+    check_window(jmax, kmax, 1)
     order = SpectralOrder.coerce(r)
     j, k, tj, tk = window(sig, jmax, kmax)
     inside = (0 <= j + _DJ) & (j + _DJ <= jmax) & (0 <= k + _DK) & (k + _DK <= kmax)
@@ -166,14 +171,9 @@ def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
     return _ratio(_two_h(*doubled_shifts(sig, alpha), *STEPS[direction]), order.r)
 
 
-def at_class_base(grid: np.ndarray, outside=None) -> np.ndarray:
-    """Each entry of a window grid replaced by the entry at its class base, (0, 0) or (1, 0).
-
-    When jmax = 0 the odd base lies outside the window, and the odd entries get ``outside``.
-    """
+def at_class_base(grid: np.ndarray) -> np.ndarray:
+    """Each entry of a window grid (jmax >= 1) replaced by the entry at its class base, (0, 0) or (1, 0)."""
     bases = grid[:2, 0]
-    if len(bases) < 2:
-        bases = np.append(bases, outside)
     j, k = np.indices(grid.shape)
     return bases[(j + k) % 2]
 
@@ -198,8 +198,8 @@ class SpectrumTable:
         }
 
 
-def _tree_products(ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, reached) of the window from the edge_arrays ratios, along the fixed spanning tree.
+def _tree_products(ratio: np.ndarray) -> np.ndarray:
+    """The window's values from the edge_arrays ratios, along the fixed spanning tree.
 
     Each value is its parent's times the ratio of the tree edge between them,
     from 1.0 at the class bases.  An unusable edge has a nan ratio and no
@@ -209,10 +209,6 @@ def _tree_products(ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which recursion_spectrum rejects.
     """
     nj, nk = ratio.shape[1:]
-    if min(nj, nk) == 1:  # no edge has both ends in a one-wide window: only the bases are reached
-        reached = np.zeros((nj, nk), dtype=bool)
-        reached[:2, 0] = True
-        return reached.astype(float), reached
     plus, down, up = ratio[:3]  # "++", "+-", "-+"
     # (0, k) from (1, k - 1) by "-+" and (1, k) from (0, k - 1) by "++", in Python floats (IEEE doubles, as numpy)
     rows = [(1.0, 1.0)]
@@ -224,15 +220,13 @@ def _tree_products(ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in range(2, nj):  # (j, 0) from (j - 1, 1) by "+-" and (j, k) from (j - 1, k - 1) by "++"
         values[j, 0] = values[j - 1, 1] * down[j - 1, 1]
         np.multiply(values[j - 1, :-1], plus[j - 1, :-1], out=values[j, 1:])
-    reached = ~np.isnan(values)
-    values[~reached] = 0.0
-    return values, reached
+    return values
 
 
 def _at_heads(grid: np.ndarray) -> np.ndarray:
-    """[d, j, k]: the entry of a window grid at (j, k) + STEPS[DIRECTIONS[d]], zero off the window."""
+    """[d, j, k]: the entry of a float window grid at (j, k) + STEPS[DIRECTIONS[d]], nan off the window."""
     nj, nk = grid.shape
-    padded = np.zeros((nj + 2, nk + 2), dtype=grid.dtype)
+    padded = np.full((nj + 2, nk + 2), np.nan)
     padded[1:-1, 1:-1] = grid
     return np.stack([padded[1 + dj:1 + dj + nj, 1 + dk:1 + dk + nk]
                      for dj, dk in (STEPS[tag] for tag in DIRECTIONS)])
@@ -244,37 +238,40 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
     Values are products of transition ratios along one spanning tree that the
     window fixes: the parent of (j, k) is (j - 1, k - 1) by "++" when
     j, k >= 1, (1, k - 1) by "-+" when j = 0 and (j - 1, 1) by "+-" when
-    k = 0; the bases are (0, 0) and (1, 0) (only (0, 0) when jmax = 0).  The
-    rule runs row by row: rows j = 0 and 1 read each other at k - 1 and are
-    filled together, k by k, and each later row is one product of the row
-    before it with its "++" ratios, after its k = 0 entry by "+-".  No
-    edge joins the two parity classes, so each is filled exactly as from its
-    own base alone.  Only "++" raises j + k, only "+-" raises j - k and only
-    "-+" lowers it, and every edge of one direction between two such lines has
-    the same h: a singular edge (h = r) cuts off a whole half-plane of its
-    class, so a K-type is reachable exactly when its tree path crosses no
-    singular edge.  K-types that are not reached are absent from the table
-    (value 0.0), and the singular edges out of reached K-types are listed in
-    ``singular_edges``.  A reached value that overflows a float raises
-    OverflowError.  Afterwards every edge between two reached K-types,
-    in all four directions, is rechecked at relative tolerance REL_TOL.
+    k = 0; the bases are (0, 0) and (1, 0).  The rule runs row by row: rows
+    j = 0 and 1 read each other at k - 1 and are filled together, k by k, and
+    each later row is one product of the row before it with its "++" ratios,
+    after its k = 0 entry by "+-".  No edge joins the two parity classes, so
+    each is filled exactly as from its own base alone.  Only "++" raises
+    j + k, only "+-" raises j - k and only "-+" lowers it, and every edge of
+    one direction between two such lines has the same h: a singular edge
+    (h = r) cuts off a whole half-plane of its class, so a K-type is
+    reachable exactly when its tree path crosses no singular edge.  K-types
+    that are not reached are absent from the table (value 0.0), and the
+    singular edges out of reached K-types are listed in ``singular_edges``.
+    A reached value that overflows a float raises OverflowError.  Afterwards
+    every edge between two reached K-types, in all four directions, is
+    rechecked at relative tolerance REL_TOL; an unreached end, a head off
+    the window or an unusable edge makes the comparison nan, never a
+    failure.  jmax or kmax below 1 raises ValueError.
     """
     order = SpectralOrder.coerce(r)
     singular, ratio = edge_arrays(sig, order, jmax, kmax)
     with np.errstate(over="ignore", invalid="ignore"):
-        values, reached = _tree_products(ratio)
-    if not np.isfinite(values).all():  # K-types not reached hold 0.0
+        values = _tree_products(ratio)
+    if np.isinf(values).any():  # K-types not reached are nan
         raise OverflowError("recursion value out of range")
 
-    both = reached & _at_heads(reached) & ~singular
     with np.errstate(invalid="ignore"):
-        bad = both & (relative_difference(_at_heads(values), values * ratio) > REL_TOL)
+        bad = relative_difference(_at_heads(values), values * ratio) > REL_TOL
     for d, count in enumerate(bad.sum(axis=(1, 2)).tolist()):
         if count:
             raise PathInconsistency(
                 f"{count} edges in direction {DIRECTIONS[d]!r} disagree with table values"
             )
 
+    reached = ~np.isnan(values)
+    values[~reached] = 0.0
     edges = np.argwhere((singular & reached).transpose(1, 2, 0)).tolist()
     return SpectrumTable(values, reached, tuple((KType(j, k), DIRECTIONS[d]) for j, k, d in edges))
 
@@ -317,8 +314,6 @@ def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int) -> float:
     for i in range(1, depth + 1):
         bound = [min(i, depth - i, side) for side in (jmax, kmax)]
         bound = [n - (n - i) % 2 for n in bound]
-        if min(bound) < 0:
-            break  # a window one K-type wide has no edge
         products = extremes[:, None] * at[(slice(None),) + tuple(
             slice(c - n, c + n + 1, 2) for c, n in zip(reach, held))]
         np.fmax(products, -products[::-1], out=products)  # rho < 0 swaps max and -min

@@ -28,6 +28,7 @@ from .spectrum import (
     MAX_LOOP_LENGTH,
     SpectralOrder,
     at_class_base,
+    check_window,
     max_loop_deviation,
     recursion_spectrum,
     relative_difference,
@@ -196,30 +197,27 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int) -> Verificat
     """Recursion table vs base-normalized closed form, both parity classes.
 
     Entries with a numerator Gamma-argument pole, where the closed form is
-    infinite, and entries that no window edge joins to their class base are
-    the predicted exclusions: skipped and counted, and the recursion must
-    reach exactly the other entries of each normalized class.  Entries whose
-    poles all sit in the denominator are compared at mu = 0.  The worst
-    entry is the first in (j, k) order of the even class, then of the odd
-    one; a nan comparison is the worst and fails.
+    infinite, are the predicted exclusions: skipped and counted, and the
+    recursion must reach exactly the other entries of each normalized class.
+    Entries whose poles all sit in the denominator are compared at mu = 0.
+    The worst entry is the first in (j, k) order of the even class, then of
+    the odd one; a nan comparison is the worst and fails.  jmax or kmax
+    below 1 raises ValueError.
     """
+    check_window(jmax, kmax, 1)
     order = SpectralOrder.coerce(r)
     gamma, poles, infinite = z_gamma_grid(sig, order, jmax, kmax)
     mu = np.where(poles & ~infinite, 0.0, gamma)
     table = recursion_spectrum(sig, order, jmax, kmax)
-    # A class whose base is singular, or outside the window (the odd class
-    # when jmax = 0), has no closed-form normalization, so the whole class is
-    # the predicted exclusion.  (The recursion may still propagate ratios
-    # within its own reachable component.)
-    normalized = ~at_class_base(poles, outside=True)
-    # Every edge changes both j and k by one, so a window one K-type wide has
-    # no edges, and in any wider window the edges join each class.
-    j, k = np.indices(poles.shape)
-    joined = (min(jmax, kmax) >= 1) | ((j < 2) & (k == 0))
-    prediction_ok = not (normalized & (table.reached != (joined & ~infinite))).any()
+    # A class whose base is singular has no closed-form normalization, so the
+    # whole class is the predicted exclusion.  (The recursion may still
+    # propagate ratios within its own reachable component.)
+    normalized = ~at_class_base(poles)
+    prediction_ok = not (normalized & (table.reached == infinite)).any()
     comparable = normalized & ~infinite & table.reached
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(comparable, relative_difference(mu / at_class_base(mu, outside=np.nan), table.values), 0.0)
+        rel = np.where(comparable, relative_difference(mu / at_class_base(mu), table.values), 0.0)
+    j, k = np.indices(poles.shape)
     by_class = np.where((j + k) % 2 == np.arange(2)[:, None, None], rel, 0.0)  # even class first
     residual, (_, *worst) = _worst(by_class)
     where = tuple(worst) if residual else None
@@ -239,8 +237,9 @@ def check_conformal_laplacian(sig: Signature, jmax: int, kmax: int) -> Verificat
 
     Both are compared over the window as exact integers, four times their
     value: the Pochhammer pairs of the factorized polynomial at r = 1 on one
-    side, 4(K^2 - J^2) on the other.
+    side, 4(K^2 - J^2) on the other.  A negative jmax or kmax raises ValueError.
     """
+    check_window(jmax, kmax, 0)
     j, k, tj, tk = window(sig, jmax, kmax)
     mismatch = _factorized_numerator(sig, tj, tk, (j + k) % 2, 1) != tk * tk - tj * tj
     mismatches = int(mismatch.sum())

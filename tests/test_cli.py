@@ -290,15 +290,30 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [["spectrum"], ["verify", "--check", "method-agreement"]])
     def test_window_beyond_physical_memory_exits_2(self, monkeypatch, command):
         window = ["--p", "2", "--q", "3", "--jmax", "3", "--kmax", "2"]
-        monkeypatch.setattr(cli, "_physical_memory", lambda: cli.window_peak_bytes(3, 2) - 1)
+        estimate = cli.window_peak_bytes(3, 2, command[0])
+        monkeypatch.setattr(cli, "_physical_memory", lambda: estimate - 1)
         code, out, err = _call([*command, *window])
         assert (code, out) == (2, "")
         assert err == (f"error: the window jmax = 3, kmax = 2 is too large for memory: an estimated "
-                       f"{cli.window_peak_bytes(3, 2)} bytes at peak, beyond the "
-                       f"{cli.window_peak_bytes(3, 2) - 1} bytes of physical memory\n")
-        for memory in (cli.window_peak_bytes(3, 2), None):  # a window that fits, and no answer from sysconf
+                       f"{estimate} bytes at peak, beyond the {estimate - 1} bytes of physical memory\n")
+        for memory in (estimate, None):  # a window that fits, and no answer from sysconf
             monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
             assert _call([*command, *window])[0] == 0
+
+    def test_verify_estimate_grows_with_the_squared_sides(self, monkeypatch):
+        # lemma1 holds dense matrices over each side: at jmax = 16,000, kmax = 1 it would need about
+        # 12 GB, 350 times the per-K-type estimate; never run such a call, only its refusal
+        assert cli.window_peak_bytes(16_000, 1, "verify") == 16_001 * 2 * 1133 + (16_001**2 + 2**2) * 50 > 12 * 10**9
+        window = ["--p", "2", "--q", "3", "--jmax", "16000", "--kmax", "1"]
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
+        code, out, err = _call(["verify", "--check", "lemma1", *window])
+        assert (code, out) == (2, "")
+        assert err == (f"error: the window jmax = 16000, kmax = 1 is too large for memory: an estimated "
+                       f"{cli.window_peak_bytes(16_000, 1, 'verify')} bytes at peak, beyond the "
+                       f"{8 * 2**30} bytes of physical memory\n")
+        # spectrum keeps its per-K-type estimate: a 16001 x 2 table takes 36 MB at most
+        monkeypatch.setattr(cli, "_physical_memory", lambda: cli.window_peak_bytes(16_000, 1))
+        assert _call(["spectrum", "--r", "0.37", *window])[0] == 0
 
     def test_physical_memory_unknown(self, monkeypatch):
         monkeypatch.setattr(os, "sysconf", lambda name: -1)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -352,7 +353,8 @@ def test_singular_sets_are_exact(p, q, jmax, kmax, n, delta):
     r = n / 2 + delta
     two_r = SpectralOrder(r).two_r
     assert two_r == (n if abs(delta) <= 4e-10 else None)
-    singular, _ = edge_arrays(sig, r, jmax, kmax)
+    # every edge changes both j and k, so a window one K-type wide has none, and edge_arrays refuses it
+    singular = edge_arrays(sig, r, jmax, kmax)[0] if min(jmax, kmax) >= 1 else np.zeros(0, dtype=bool)
     values, poles, _ = z_gamma_grid(sig, r, jmax, kmax)
     exact_edges, exact_poles = set(), set()
     if two_r is None:
@@ -602,3 +604,14 @@ def test_only_small_windows_keep_their_gather_index():
     assert closedform._line_index.cache_info()[:2] == (1, 2)  # (hits, misses): 13 x 13 and 1 x 1 only
     index, parity = closedform._line_index(13, 13)
     assert not index.flags.writeable and not parity.flags.writeable
+
+
+@pytest.mark.parametrize("jmax, kmax", [(-1, 3), (3, -1), (-2, -2)])
+@pytest.mark.parametrize("kernel", [z_gamma_grid, z_spectral_grid], ids=lambda kernel: kernel.__name__)
+def test_negative_truncation_raises(kernel, jmax, kmax):
+    # closed-form windows may be one K-type wide, but not empty: an IndexError or two empty arrays before
+    message = f"truncation must satisfy jmax >= 0 and kmax >= 0, got ({jmax}, {kmax})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kernel(Signature(2, 3), 0.37, jmax, kmax)
+    for r in (0.37, 2):
+        assert kernel(Signature(2, 3), r, 0, 0)[0].shape == (1, 1)

@@ -25,6 +25,7 @@ from intertwinor.spectrum import (
     transition_ratio,
     window,
 )
+from intertwinor.verify import check_loop_consistency, check_method_agreement
 
 GENERIC_R = (0.37, 1.5, -0.8)
 
@@ -112,8 +113,6 @@ def test_recursion_spectrum_examples():
     assert (at_class_base(both.values) == 1.0).all()
     assert set(both.entries) == {KType(j, k) for j in range(6) for k in range(6)}
 
-    # a window with jmax = 0 holds no odd base and no edge
-    assert recursion_spectrum(Signature(2, 3), 0.8, 0, 5).entries == {KType(0, 0): 1.0}
     with pytest.raises(ValueError):
         recursion_spectrum(Signature(2, 3), 0.8, 3, -1)
 
@@ -141,7 +140,7 @@ def test_recursion_path_consistency():
 
 def _reference_bfs(sig, r, jmax, kmax):
     """Plain scalar BFS from the class bases: values as tree products, and the singular edges met."""
-    bases = [KType(0, 0), KType(1, 0)][: min(jmax + 1, 2)]
+    bases = [KType(0, 0), KType(1, 0)]
     values = dict.fromkeys(bases, 1.0)
     singular = 0
     queue = deque(bases)
@@ -170,8 +169,8 @@ ORDERS = st.one_of(
 @given(
     p=st.integers(1, 6),
     q=st.integers(1, 6),
-    jmax=st.integers(0, 10),
-    kmax=st.integers(0, 10),
+    jmax=st.integers(1, 10),
+    kmax=st.integers(1, 10),
     r=ORDERS,
 )
 def test_recursion_matches_reference_bfs(p, q, jmax, kmax, r):
@@ -270,8 +269,8 @@ TREE_ORDERS = st.one_of(
 @given(
     p=st.integers(1, 8),
     q=st.integers(1, 8),
-    jmax=st.integers(0, 40),
-    kmax=st.integers(0, 40),
+    jmax=st.integers(1, 40),
+    kmax=st.integers(1, 40),
     r=TREE_ORDERS,
 )
 def test_tree_products_equal_reference_frontier(p, q, jmax, kmax, r):
@@ -288,8 +287,8 @@ def test_tree_products_equal_reference_frontier(p, q, jmax, kmax, r):
 @given(
     p=st.integers(1, 8),
     q=st.integers(1, 8),
-    jmax=st.integers(0, 40),
-    kmax=st.integers(0, 40),
+    jmax=st.integers(1, 40),
+    kmax=st.integers(1, 40),
     r=TREE_ORDERS,
 )
 def test_edge_arrays_equal_per_direction_reference(p, q, jmax, kmax, r):
@@ -410,8 +409,8 @@ def _reference_loop_deviation(sig, r, jmax, kmax, max_len=8):
 @given(
     p=st.integers(1, 6),
     q=st.integers(1, 6),
-    jmax=st.integers(0, 10),
-    kmax=st.integers(0, 10),
+    jmax=st.integers(1, 10),
+    kmax=st.integers(1, 10),
     max_len=st.integers(0, 10),
     r=ORDERS,
 )
@@ -431,7 +430,7 @@ SWAPPING_ORDERS = [(2, 3, 4.21, False), (2, 3, -2.5, True), (2, 2, 3.0, True), (
 
 
 @pytest.mark.parametrize("p, q, r, zeros", SWAPPING_ORDERS)
-@pytest.mark.parametrize("jmax, kmax", [(0, 6), (6, 0), (1, 10), (10, 1), (1, 1), (5, 4)])
+@pytest.mark.parametrize("jmax, kmax", [(1, 10), (10, 1), (1, 1), (5, 4)])
 def test_loop_deviation_with_sign_changes_equals_brute_force(monkeypatch, p, q, r, zeros, jmax, kmax):
     sig = Signature(p, q)
     ratio = edge_arrays(sig, r, 5, 4)[1]
@@ -442,12 +441,41 @@ def test_loop_deviation_with_sign_changes_equals_brute_force(monkeypatch, p, q, 
         assert got == _reference_loop_deviation(sig, r, jmax, kmax, max_len=max_len)
 
 
+#: The recursion route's functions, which take windows with edges only.
+EDGE_WINDOW_FUNCTIONS = [edge_arrays, recursion_spectrum, max_loop_deviation, check_method_agreement,
+                         check_loop_consistency]
+
+
+def _raises_window_error(build, jmax, kmax):
+    message = f"truncation must satisfy jmax >= 1 and kmax >= 1, got ({jmax}, {kmax})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(Signature(2, 3), 0.37, jmax, kmax)
+
+
+@pytest.mark.parametrize("jmax, kmax", [(0, 0), (0, 1), (0, 6), (1, 0), (6, 0)])
+@pytest.mark.parametrize("build", EDGE_WINDOW_FUNCTIONS, ids=lambda build: build.__name__)
+def test_one_k_type_wide_window_raises(build, jmax, kmax):
+    # every edge changes both j and k, so a window one K-type wide has none: the CLI's rule and text
+    _raises_window_error(build, jmax, kmax)
+
+
 @pytest.mark.parametrize("jmax, kmax", [(-1, 3), (3, -1), (-2, -2)])
 def test_negative_truncation_raises(jmax, kmax):
     # an empty window would report a perfect loop check
-    for build in (edge_arrays, recursion_spectrum, max_loop_deviation):
-        with pytest.raises(ValueError, match=r"^truncation must be nonnegative"):
-            build(Signature(2, 3), 0.37, jmax, kmax)
+    for build in EDGE_WINDOW_FUNCTIONS:
+        _raises_window_error(build, jmax, kmax)
+
+
+def test_recheck_ignores_heads_off_the_window():
+    # the recheck compares each edge with the value at its head, nan off the window, so an edge
+    # whose head is outside never disagrees, whatever its ratio
+    grid = np.arange(6.0).reshape(2, 3)
+    heads = spectrum._at_heads(grid)
+    for d, tag in enumerate(DIRECTIONS):
+        dj, dk = STEPS[tag]
+        for j, k in np.ndindex(grid.shape):
+            inside = 0 <= j + dj < 2 and 0 <= k + dk < 3
+            assert heads[d, j, k] == grid[j + dj, k + dk] if inside else np.isnan(heads[d, j, k])
 
 
 def test_loop_deviation_peaks_below_brute_force():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -90,27 +91,30 @@ def test_method_agreement_compares_denominator_only_poles_at_zero():
 
 @pytest.mark.parametrize("r", [0.37, 2.0])
 def test_method_agreement_without_odd_base(r):
-    # jmax = 0 leaves the odd base (1, 0) out of the window, so the odd class is a predicted exclusion
+    # jmax = 0 leaves the odd base (1, 0) out of the window, which is refused; the smallest window
+    # with edges holds both bases, and all four of its K-types are compared
     sig = Signature(2, 3)
-    rep = check_method_agreement(sig, r, 0, 0)
-    assert rep.passed and (rep.extra["compared"], rep.extra["skipped"]) == (1, 0)
-    rep = check_method_agreement(sig, r, 0, 1)
-    assert rep.passed and (rep.extra["compared"], rep.extra["skipped"]) == (1, 1)
-    assert rep.extra["skipped_matches_prediction"]
+    with pytest.raises(ValueError, match=r"^truncation must satisfy jmax >= 1 and kmax >= 1, got \(0, 1\)$"):
+        check_method_agreement(sig, r, 0, 1)
+    rep = check_method_agreement(sig, r, 1, 1)
+    assert rep.passed and rep.extra["skipped_matches_prediction"]
+    assert (rep.extra["compared"], rep.extra["skipped"]) == (4, 0)
 
 
 @pytest.mark.parametrize("r", [0.37, 2.0])
 @pytest.mark.parametrize("other", range(7))
-def test_method_agreement_one_k_type_wide(r, other):
-    # Every edge changes both j and k, so a window with jmax = 0 or kmax = 0
-    # has no edges: only the class bases in it are compared, and the other
-    # K-types are predicted exclusions, although their closed form is finite.
+def test_method_agreement_one_k_type_wide(capsys, r, other):
+    # Every edge changes both j and k, so a window with jmax = 0 or kmax = 0 has no edges: method
+    # agreement refuses it with the text that verify exits 2 with, one rule for the library and the CLI.
     sig = Signature(2, 3)
     for jmax, kmax in ((0, other), (other, 0)):
-        rep = check_method_agreement(sig, r, jmax, kmax)
-        bases = min(jmax, 1) + 1
-        assert rep.passed and rep.extra["skipped_matches_prediction"]
-        assert (rep.extra["compared"], rep.extra["skipped"]) == (bases, (jmax + 1) * (kmax + 1) - bases)
+        message = f"truncation must satisfy jmax >= 1 and kmax >= 1, got ({jmax}, {kmax})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_method_agreement(sig, r, jmax, kmax)
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "--p", "2", "--q", "3", "--r", str(r), "--jmax", str(jmax), "--kmax", str(kmax),
+                  "--check", "method-agreement"])
+        assert exited.value.code == 2 and capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 def _flip_reached(monkeypatch, sig, r, jmax, kmax, flip):
@@ -125,7 +129,6 @@ def _flip_reached(monkeypatch, sig, r, jmax, kmax, flip):
 @pytest.mark.parametrize("sig, r, jmax, kmax, flip, more_compared", [
     (Signature(2, 3), 0.37, 6, 6, (3, 2), -1),  # a joined K-type the recursion no longer reaches
     (Signature(1, 2), 1.5, 7, 7, (4, 1), 0),  # a numerator pole of the odd class, now reached
-    (Signature(2, 3), 2.0, 0, 4, (0, 2), 1),  # a K-type no edge joins to its base, now reached
 ])
 def test_method_agreement_fails_when_reached_leaves_the_prediction(monkeypatch, sig, r, jmax, kmax, flip,
                                                                    more_compared):
@@ -383,6 +386,18 @@ def test_shared_spectrum_raises_the_same_pole():
     with pytest.raises(PoleAtKType) as suite:
         run_suite(sig, 0.5, checks=("intertwining",))
     assert str(alone.value) == str(suite.value) == message
+
+
+@pytest.mark.parametrize("jmax, kmax", [(-1, 3), (3, -1), (-2, -2)])
+def test_closed_form_checks_refuse_negative_truncation(jmax, kmax):
+    # an empty window passed the conformal Laplacian at residual 0, and the inversion check raised IndexError
+    sig = Signature(2, 3)
+    message = f"truncation must satisfy jmax >= 0 and kmax >= 0, got ({jmax}, {kmax})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_inversion(sig, 0.37, jmax, kmax)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_conformal_laplacian(sig, jmax, kmax)
+    assert check_inversion(sig, 0.37, 0, 0).passed and check_conformal_laplacian(sig, 0, 0).passed
 
 
 def test_inversion_and_loops():

@@ -37,7 +37,8 @@ class Mutant(NamedTuple):
     survives: str | None = None  # why the listed tests cannot kill it, for an expected survivor
 
 
-CLI, CLOSEDFORM, VERIFY, ZONAL = (f"tests/test_{name}.py" for name in ("cli", "closedform", "verify", "zonal"))
+CLI, CLOSEDFORM, SPECTRUM, VERIFY, ZONAL = (f"tests/test_{name}.py"
+                                            for name in ("cli", "closedform", "spectrum", "verify", "zonal"))
 
 MUTANTS = [
     Mutant("GAMMA_DIRECT 150 -> 0", "closedform.py", "GAMMA_DIRECT = 150.0", "GAMMA_DIRECT = 0.0", (CLOSEDFORM,)),
@@ -66,7 +67,7 @@ MUTANTS = [
     Mutant("JSON last row keeps its separator", "cli.py", "[_JSON_ROW_SEPARATOR] * (n * width - 1)",
            "[_JSON_ROW_SEPARATOR] * (n * width)", (CLI,)),
     Mutant("method-agreement prediction forced true", "verify.py",
-           "prediction_ok = not (normalized & (table.reached != (joined & ~infinite))).any()",
+           "prediction_ok = not (normalized & (table.reached == infinite)).any()",
            "prediction_ok = True", (VERIFY,)),
     Mutant("method-agreement ties to the odd class", "verify.py", "== np.arange(2)[:, None, None]",
            "== np.arange(1, -1, -1)[:, None, None]", (VERIFY,)),
@@ -74,6 +75,13 @@ MUTANTS = [
            "comparable = normalized & ~infinite & table.reached", "comparable = normalized & table.reached",
            (VERIFY,)),
     Mutant("MAX_DIMENSION 2**50 -> 2**62", "cli.py", "MAX_DIMENSION = 2**50", "MAX_DIMENSION = 2**62", (CLI,)),
+    Mutant("edge_arrays minimum side 1 -> 0", "spectrum.py", "check_window(jmax, kmax, 1)",
+           "check_window(jmax, kmax, 0)", (SPECTRUM,)),
+    Mutant("recheck heads padded with 0.0, not nan", "spectrum.py", "padded = np.full((nj + 2, nk + 2), np.nan)",
+           "padded = np.full((nj + 2, nk + 2), 0.0)", (SPECTRUM,)),
+    Mutant("REL_TOL 1e-10 -> 1e-6", "spectrum.py", "REL_TOL = 1e-10", "REL_TOL = 1e-6", (SPECTRUM,)),
+    Mutant("VERIFY_BYTES_PER_SQUARED_SIDE 50 -> 0", "cli.py", "VERIFY_BYTES_PER_SQUARED_SIDE = 50",
+           "VERIFY_BYTES_PER_SQUARED_SIDE = 0", (CLI,)),
     Mutant("LIMIT_STEP 1e-6 -> 1e-4", "closedform.py", "LIMIT_STEP = 1e-6", "LIMIT_STEP = 1e-4", (CLOSEDFORM, CLI),
            survives="removed by ROADMAP item 3"),
 ]
