@@ -12,7 +12,7 @@ from .spectrum import SpectralOrder, SpectrumTable, ZeroDenominator, \
 from .closedform import PoleAtKType, z_spectral, z_spectral_grid, \
     factorized_eigenvalue_exact, parity_constant, conformal_laplacian_eigenvalue_exact
 from .zonal import GridTooCoarse, QuadratureGrid, ZonalFunction, \
-    apply_N, apply_T_numeric, apply_T_via_lemma, basis_element, evaluate, \
+    apply_N, apply_T_banded, apply_T_numeric, apply_T_via_lemma, basis_element, evaluate, \
     mult_by_cos, multiply_by_varpi, project, quadrature_grid
 from .verify import VerificationReport, check_conformal_laplacian, \
     check_intertwining, check_inversion, check_lemma1, \

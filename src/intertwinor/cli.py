@@ -74,9 +74,9 @@ MAX_DIMENSION = 2**50
 #: CSV table and at most 342 for any verify check (intertwining; loop-consistency has a fixed window).
 WINDOW_BYTES_PER_KTYPE = 1133
 
-#: Peak bytes of verify per (side + 1)**2 of each side, for the dense per-axis matrices of lemma1 and intertwining:
-#: cold peaks at (2, 3), one side 250 to 2,000 and the other 1, were 49.9 to 48.2 (lemma1) per squared long side.
-VERIFY_BYTES_PER_SQUARED_SIDE = 50
+#: Peak bytes per (side + 1)**2 of each side of lemma1 and intertwining, which hold dense varpi matrices: cold
+#: peaks at (2, 3), kmax = 1, jmax = 250 to 2,000, less the per-K-type term, were 20.0 to 23.1 (tending to 23.9).
+VERIFY_BYTES_PER_SQUARED_SIDE = 25
 
 CSV_COLUMNS = (
     "j", "k", "J", "K", "parity",
@@ -164,7 +164,8 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
+def _validate(parser, args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
+    """The signature, the order and the checks verify runs (none for spectrum); invalid flags exit 2."""
     if args.p < 1 or args.q < 1:
         parser.error(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({args.p}, {args.q})")
     if max(args.p, args.q) > MAX_DIMENSION:
@@ -181,16 +182,17 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder]:
         parser.error(f"integer order must satisfy r <= {MAX_INTEGER_ORDER}, got r = {args.r}")
     if abs(order.r) > MAX_ABS_ORDER:
         parser.error(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
+    checks = () if args.command == "spectrum" else tuple(DEFAULT_CHECKS if args.all or not args.check else args.check)
     # Refused before any allocation: a window whose first arrays fit can still outgrow memory later.
-    estimate, memory = window_peak_bytes(args.jmax, args.kmax, args.command), _physical_memory()
+    estimate, memory = window_peak_bytes(args.jmax, args.kmax, checks), _physical_memory()
     if memory is not None and estimate > memory:
         raise MemoryError(f"an estimated {estimate} bytes at peak, beyond the {memory} bytes of physical memory")
-    return Signature(args.p, args.q), order
+    return Signature(args.p, args.q), order, checks
 
 
-def window_peak_bytes(jmax: int, kmax: int, command: str = "spectrum") -> int:
-    """Estimated peak memory of one command, "spectrum" or "verify", over the window [0, jmax] x [0, kmax]."""
-    squares = (jmax + 1) ** 2 + (kmax + 1) ** 2 if command == "verify" else 0
+def window_peak_bytes(jmax: int, kmax: int, checks=()) -> int:
+    """Estimated peak memory over the window [0, jmax] x [0, kmax] of spectrum, or of verify running ``checks``."""
+    squares = (jmax + 1) ** 2 + (kmax + 1) ** 2 if {"lemma1", "intertwining"} & set(checks) else 0
     return WINDOW_BYTES_PER_KTYPE * (jmax + 1) * (kmax + 1) + VERIFY_BYTES_PER_SQUARED_SIDE * squares
 
 
@@ -322,7 +324,7 @@ def _write_output(path: str, text: str) -> int:
 
 
 def cmd_spectrum(args, parser) -> int:
-    sig, order = _validate(parser, args)
+    sig, order, _ = _validate(parser, args)
     window = _spectrum_window(sig, order, args.jmax, args.kmax)
     text = _spectrum_text(window, args.format, sig, order.r)
     if args.output != "-":
@@ -332,8 +334,7 @@ def cmd_spectrum(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    sig, order = _validate(parser, args)
-    checks = DEFAULT_CHECKS if args.all or not args.check else args.check
+    sig, order, checks = _validate(parser, args)
     try:
         reports = run_suite(sig, order, jmax=args.jmax, kmax=args.kmax,
                             seed=args.seed, checks=checks)

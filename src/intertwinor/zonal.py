@@ -10,13 +10,16 @@ this finite-dimensional sector is enough to pin every eigenvalue: the
 conformal factor cos tau * cos rho, the Bochner Laplacian, and the conformal
 vector field all preserve it.
 
-Two independent realizations of the vector field are provided: a pure
-coefficient-space route through the commutator identity
+Two independent coefficient-space realizations of the vector field are
+provided: one through the commutator identity
 
     [N, varpi] = 2 (grad_T + (n/2) varpi),
 
-and a pointwise route through the Gegenbauer derivative identity on a
-Gauss-Jacobi grid.  They share no code and serve as each other's oracle.
+and a banded stencil through the Gegenbauer derivative identity (DLMF
+18.9).  They share no code and serve as each other's oracle.  A
+Gauss-Jacobi quadrature grid samples and projects functions (library API)
+and evaluates the derivative identity pointwise, the tests' oracle of the
+stencil.
 """
 
 from __future__ import annotations
@@ -85,35 +88,25 @@ def gegenbauer_norm(d: int, j: int) -> float:
     )
 
 
-def _three_term_columns(families) -> list[np.ndarray]:
-    """V[a, j] = G_j(x_a), j <= deg, for each (lam, deg, x) of ``families``, in one pass stacked over them.
+def _three_term_columns(lam: float, deg: int, x: np.ndarray) -> np.ndarray:
+    """V[a, j] = G_j(x_a), j <= deg: one recurrence column per step.
 
     G is C^lam for lam > 0 (DLMF 18.9.1): G_1 = 2 lam x, (j+1) G_{j+1} = 2(j+lam) x G_j - (j+2lam-1) G_{j-1};
-    for lam = 0 it is Chebyshev T: G_1 = x, G_{j+1} = 2x G_j - G_{j-1}, the same step with exact unit
-    factors.  Rows are padded to the longest family with zero nodes and zero coefficients.
+    for lam = 0 it is Chebyshev T: G_1 = x, G_{j+1} = 2x G_j - G_{j-1}, the same step with exact unit factors.
     """
-    rows, steps = len(families), max(0, *(deg for _, deg, _ in families))
-    X, first = np.zeros((rows, max(len(x) for _, _, x in families))), np.zeros((rows, 1))
-    # Step-major: A[j] and V[j] hold step j and column j of every family, so each step is contiguous.
-    A, B, C = np.zeros((steps, rows, 1)), np.zeros((steps, rows, 1)), np.ones((steps, rows, 1))
-    for row, (lam, deg, x) in enumerate(families):
-        X[row, : len(x)] = x
-        j = np.arange(max(deg, 0), dtype=float)
-        factors = (2.0 * lam, 2.0 * (j + lam), j + 2.0 * lam - 1.0, j + 1.0) if lam > 0 else (1.0, 2.0, 1.0, 1.0)
-        first[row], A[: len(j), row, 0], B[: len(j), row, 0], C[: len(j), row, 0] = factors
-    V = np.empty((steps + 1,) + X.shape)
-    V[0] = 1.0
-    if steps:
-        V[1] = first * X
-    for j in range(1, steps):
-        V[j + 1] = (A[j] * X * V[j] - B[j] * V[j - 1]) / C[j]
-    return [np.ascontiguousarray(V[: deg + 1, row, : len(x)].T) for row, (_, deg, x) in enumerate(families)]
+    V = np.ones((len(x), deg + 1))
+    if deg >= 1:
+        V[:, 1] = (2.0 * lam if lam > 0 else 1.0) * x
+    for j in range(1, deg):
+        a, b, c = (2.0 * (j + lam), j + 2.0 * lam - 1.0, j + 1.0) if lam > 0 else (2.0, 1.0, 1.0)
+        V[:, j + 1] = (a * x * V[:, j] - b * V[:, j - 1]) / c
+    return V
 
 
-def _derivative_columns(lam: float, C: np.ndarray) -> np.ndarray:
-    """d/dx G_j from C[:, j] = C_j^{lam+1}(x_a): 2 lam C_{j-1}^{lam+1}, or j U_{j-1} = j C_{j-1}^1 for Chebyshev."""
-    D = np.zeros((len(C), C.shape[1] + 1))
-    D[:, 1:] = (2.0 * lam if lam > 0 else np.arange(1.0, C.shape[1] + 1)) * C
+def _derivative_columns(lam: float, deg: int, x: np.ndarray) -> np.ndarray:
+    """d/dx G_j(x_a), j <= deg: 2 lam C_{j-1}^{lam+1}, or j U_{j-1} = j C_{j-1}^1 for Chebyshev."""
+    D = np.zeros((len(x), deg + 1))
+    D[:, 1:] = (2.0 * lam if lam > 0 else np.arange(1.0, deg + 1)) * _three_term_columns(lam + 1.0, deg - 1, x)
     return D
 
 
@@ -197,6 +190,36 @@ def apply_T_via_lemma(f: ZonalFunction) -> ZonalFunction:
     return ZonalFunction(f.sig, out)
 
 
+def _axis_coefficients(n, lam):
+    """((x_up, x_down), (d_up, d_down)): x G_n and D G_n = -(1 - x^2) G_n' on G_{n+1} and G_{n-1}.
+
+    x C_n = ((n+1) C_{n+1} + (n+2lam-1) C_{n-1}) / (2(n+lam)); x T_0 = T_1, else x T_n = (T_{n+1} + T_{n-1})/2.
+    In both bases d_up = n x_up and d_down = -(n+2lam) x_down (DLMF section 18.9, from its recurrences and
+    derivative identities).  ``n`` may be an array, and ``n`` and ``lam`` sympy symbols.
+    """
+    if lam == 0:
+        up, down = np.where(n == 0, 1.0, 0.5), 0.5
+    else:
+        up, down = (n + 1) / (2 * (n + lam)), (n + 2 * lam - 1) / (2 * (n + lam))
+    return (up, down), (n * up, -(n + 2 * lam) * down)
+
+
+def apply_T_banded(f: ZonalFunction) -> ZonalFunction:
+    """The conformal vector field in coefficient space, through the derivative identity; degrees grow by one.
+
+    T phi_jk = (D G_j)(y G_k) + (x G_j)(D G_k), D = -(1 - x^2) d/dx, is a four-term stencil on the neighbours
+    (j +/- 1, k +/- 1) with the coefficients of _axis_coefficients.  It shares no code with apply_T_via_lemma.
+    """
+    xj, dj = _axis_coefficients(np.arange(f.jmax + 1.0)[:, None], gegenbauer_index(f.sig.p))
+    xk, dk = _axis_coefficients(np.arange(f.kmax + 1.0), gegenbauer_index(f.sig.q))
+    out = np.zeros(f.coeffs.shape[:-2] + (f.jmax + 2, f.kmax + 2))
+    moves = ((slice(None), slice(1, None)), (slice(1, None), slice(None, -2)))  # (source, target): up, down
+    for a, (sj, tj) in enumerate(moves):
+        for b, (sk, tk) in enumerate(moves):
+            out[..., tj, tk] += (dj[a] * xk[b] + xj[a] * dk[b])[sj, sk] * f.coeffs[..., sj, sk]
+    return ZonalFunction(f.sig, out)
+
+
 @dataclass(eq=False, frozen=True)
 class QuadratureGrid:
     """Gauss-Jacobi nodes and weights for both angular factors, in x = cos theta.
@@ -204,10 +227,8 @@ class QuadratureGrid:
     ``Vx``, ``Dx`` (``Vy``, ``Dy``) are the value and derivative Vandermondes
     of the zonal basis at the nodes up to ``max_degree_x`` (``max_degree_y``).
     Column j of a recurrence depends only on the columns before it, so the
-    first m + 1 columns are the Vandermonde of degree m, bit for bit.  Two
-    stacked passes build them: the Newton pass of both axes' nodes, then the
-    three-term pass of all four Vandermondes.  The weights are computed on
-    first use: only ``project`` reads them.
+    first m + 1 columns are the Vandermonde of degree m, bit for bit.  The
+    weights are computed on first use: only ``project`` reads them.
     """
 
     sig: Signature
@@ -242,57 +263,47 @@ def _jacobi_recurrence(n: int, a: float) -> tuple[np.ndarray, float]:
     return off, mass
 
 
-def _gauss_jacobi_axes(axes) -> list[np.ndarray]:
-    """n-point Gauss nodes for the weight (1-x^2)^a on [-1, 1], a > -1, for each (n, a) of ``axes``.
+def _orthonormal_sums(x: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x), sum_{m<n} P_m(x)^2), n = len(x), of the orthonormal polynomials of the weight (1-x^2)^a:
+    sqrt(b_{m+1}) P_{m+1} = x P_m - sqrt(b_m) P_{m-1}, P_0 = mass^(-1/2)."""
+    off, mass = _jacobi_recurrence(len(x), a)
+    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
+    dprev, dcur, total = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for m, c in enumerate(off):
+        total += cur * cur
+        below = off[m - 1] if m else 0.0
+        prev, cur, dprev, dcur = (cur, (x * cur - below * prev) / c,
+                                  dcur, (cur + x * dcur - below * dprev) / c)
+    return cur, dcur, total
+
+
+def _gauss_jacobi_nodes(n: int, a: float) -> np.ndarray:
+    """n-point Gauss nodes for the weight (1-x^2)^a on [-1, 1], a > -1.
 
     Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
     the symmetric Jacobi matrix of the monic orthogonal polynomials, zero on
     the diagonal with off-diagonal sqrt(b_m), b_m = m(m+2a)/((2m+2a)^2 - 1),
-    polished by one Newton step on the orthonormal P_n of the recurrence
-    sqrt(b_{m+1}) P_{m+1} = x P_m - sqrt(b_m) P_{m-1}, P_0 = mass^(-1/2).
-    One pass runs it for all axes, padded to the longest: row i takes P_n, P_n' at its own n.
+    polished by one Newton step on P_n.
     """
-    size = max(n for n, _ in axes)
-    X, cur = np.zeros((len(axes), size)), np.empty((len(axes), size))
-    scale, below = np.ones((len(axes), size)), np.zeros((len(axes), size))
-    for row, (n, a) in enumerate(axes):
-        off, mass = _jacobi_recurrence(n, a)
-        X[row, :n] = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-        scale[row, :n], below[row, 1:n] = off, off[:-1]
-        cur[row] = 1.0 / math.sqrt(mass)
-    scale, below = scale.T[:, :, None], below.T[:, :, None]  # step-major: row m holds the factors of step m
-    prev, dprev, dcur = np.zeros_like(X), np.zeros_like(X), np.zeros_like(X)
-    nodes = [None] * len(axes)
-    for m in range(size):
-        prev, cur, dprev, dcur = (cur, (X * cur - below[m] * prev) / scale[m],
-                                  dcur, (cur + X * dcur - below[m] * dprev) / scale[m])
-        for row, (n, _) in enumerate(axes):
-            if n == m + 1:
-                nodes[row] = X[row, :n] - cur[row, :n] / dcur[row, :n]
-    return nodes
+    off, _ = _jacobi_recurrence(n, a)
+    x = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    value, slope, _ = _orthonormal_sums(x, a)
+    return x - value / slope
 
 
 def _christoffel_weights(x: np.ndarray, a: float) -> np.ndarray:
     """Christoffel numbers 1 / sum_{m<n} P_m(x)^2: the weights at the n = len(x) Gauss nodes x of (1-x^2)^a.
 
-    The P_m are the orthonormal polynomials of _gauss_jacobi_axes.  A sum of positive terms keeps the
-    small weights near +/-1 accurate, where the first eigenvector components would not.
+    A sum of positive terms keeps the small weights near +/-1 accurate, where the first eigenvector
+    components would not.
     """
-    off, mass = _jacobi_recurrence(len(x), a)
-    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
-    total = np.zeros_like(x)
-    for m, c in enumerate(off):
-        total += cur * cur
-        below = off[m - 1] if m else 0.0
-        prev, cur = cur, (x * cur - below * prev) / c
-    return 1.0 / total
+    return 1.0 / _orthonormal_sums(x, a)[2]
 
 
 #: Nodes per axis of a quadrature grid beyond the degree it resolves.
 GRID_MARGIN = 4
 
 
-@lru_cache(maxsize=None)
 def quadrature_grid(sig: Signature, jdeg: int, kdeg: int) -> QuadratureGrid:
     """Grid resolving degrees (jdeg, kdeg) with GRID_MARGIN extra nodes per axis.
 
@@ -300,12 +311,10 @@ def quadrature_grid(sig: Signature, jdeg: int, kdeg: int) -> QuadratureGrid:
     sin^{d-1}(theta) d theta.
     """
     lp, lq = gegenbauer_index(sig.p), gegenbauer_index(sig.q)
-    x, y = _gauss_jacobi_axes([(jdeg + GRID_MARGIN, 0.5 * (sig.p - 2)),
-                               (kdeg + GRID_MARGIN, 0.5 * (sig.q - 2))])
-    Vx, Cx, Vy, Cy = _three_term_columns([(lp, jdeg, x), (lp + 1.0, jdeg - 1, x),
-                                          (lq, kdeg, y), (lq + 1.0, kdeg - 1, y)])
-    return QuadratureGrid(sig, x, y, jdeg, kdeg,
-                          Vx, _derivative_columns(lp, Cx), Vy, _derivative_columns(lq, Cy))
+    x = _gauss_jacobi_nodes(jdeg + GRID_MARGIN, 0.5 * (sig.p - 2))
+    y = _gauss_jacobi_nodes(kdeg + GRID_MARGIN, 0.5 * (sig.q - 2))
+    return QuadratureGrid(sig, x, y, jdeg, kdeg, _three_term_columns(lp, jdeg, x), _derivative_columns(lp, jdeg, x),
+                          _three_term_columns(lq, kdeg, y), _derivative_columns(lq, kdeg, y))
 
 
 def _leading(V: np.ndarray, deg: int) -> np.ndarray:
@@ -318,16 +327,18 @@ def _leading(V: np.ndarray, deg: int) -> np.ndarray:
     return np.ascontiguousarray(V[:, : deg + 1])
 
 
+def _require_degrees(grid: QuadratureGrid, jdeg: int, kdeg: int) -> None:
+    """Raise GridTooCoarse unless the grid resolves degrees (jdeg, kdeg)."""
+    if jdeg > grid.max_degree_x or kdeg > grid.max_degree_y:
+        raise GridTooCoarse(f"grid resolves degrees ({grid.max_degree_x}, {grid.max_degree_y}), not ({jdeg}, {kdeg})")
+
+
 def evaluate(f: ZonalFunction, grid: QuadratureGrid) -> np.ndarray:
     """Sample f on the grid: samples[a, b] = f(x_a, y_b).
 
     Uses the leading columns of the grid's Vandermondes.
     """
-    if f.jmax > grid.max_degree_x or f.kmax > grid.max_degree_y:
-        raise GridTooCoarse(
-            f"grid resolves degrees ({grid.max_degree_x}, {grid.max_degree_y}), "
-            f"function has ({f.jmax}, {f.kmax})"
-        )
+    _require_degrees(grid, f.jmax, f.kmax)
     return _leading(grid.Vx, f.jmax) @ f.coeffs @ _leading(grid.Vy, f.kmax).T
 
 
@@ -336,11 +347,7 @@ def project(samples: np.ndarray, grid: QuadratureGrid, jmax: int, kmax: int) -> 
 
     Uses the leading columns of the grid's Vandermondes.
     """
-    if jmax > grid.max_degree_x or kmax > grid.max_degree_y:
-        raise GridTooCoarse(
-            f"grid resolves degrees ({grid.max_degree_x}, {grid.max_degree_y}), "
-            f"requested ({jmax}, {kmax})"
-        )
+    _require_degrees(grid, jmax, kmax)
     sig = grid.sig
     weighted = samples * grid.wx[:, None] * grid.wy[None, :]
     raw = _leading(grid.Vx, jmax).T @ weighted @ _leading(grid.Vy, kmax)
@@ -355,20 +362,14 @@ def apply_T_numeric(f: ZonalFunction, grid: QuadratureGrid) -> np.ndarray:
     T f = cos(rho) sin(tau) d/d tau f + cos(tau) sin(rho) d/d rho f
         = -y (1 - x^2) f_x - x (1 - y^2) f_y   in x = cos tau, y = cos rho.
 
-    Independent of apply_T_via_lemma; used as its oracle.  Uses the leading
-    columns of the grid's value and derivative Vandermondes.
+    Independent of apply_T_via_lemma and apply_T_banded; the tests' pointwise oracle
+    of apply_T_banded.  Uses the leading columns of the grid's Vandermondes.
     """
-    if f.jmax + 1 > grid.max_degree_x or f.kmax + 1 > grid.max_degree_y:
-        raise GridTooCoarse(
-            f"grid must resolve degrees ({f.jmax + 1}, {f.kmax + 1}), "
-            f"resolves ({grid.max_degree_x}, {grid.max_degree_y})"
-        )
+    _require_degrees(grid, f.jmax + 1, f.kmax + 1)
     Vx, Dx = _leading(grid.Vx, f.jmax), _leading(grid.Dx, f.jmax)
     Vy, Dy = _leading(grid.Vy, f.kmax), _leading(grid.Dy, f.kmax)
-    fx = Dx @ f.coeffs @ Vy.T
-    fy = Vx @ f.coeffs @ Dy.T
-    x = grid.x[:, None]
-    y = grid.y[None, :]
+    fx, fy = Dx @ f.coeffs @ Vy.T, Vx @ f.coeffs @ Dy.T
+    x, y = grid.x[:, None], grid.y[None, :]
     fx *= -y * (1.0 - x**2)  # in place, as in apply_T_via_lemma
     fy *= x * (1.0 - y**2)
     fx -= fy

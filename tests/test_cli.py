@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intertwinor import cli
+from intertwinor import cli, verify, zonal
 from intertwinor.cli import main
 from intertwinor.geometry import Signature
 from intertwinor.spectrum import SpectralOrder
@@ -290,7 +290,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [["spectrum"], ["verify", "--check", "method-agreement"]])
     def test_window_beyond_physical_memory_exits_2(self, monkeypatch, command):
         window = ["--p", "2", "--q", "3", "--jmax", "3", "--kmax", "2"]
-        estimate = cli.window_peak_bytes(3, 2, command[0])
+        estimate = cli.window_peak_bytes(3, 2, command[2:])
         monkeypatch.setattr(cli, "_physical_memory", lambda: estimate - 1)
         code, out, err = _call([*command, *window])
         assert (code, out) == (2, "")
@@ -301,19 +301,34 @@ class TestExitCodes:
             assert _call([*command, *window])[0] == 0
 
     def test_verify_estimate_grows_with_the_squared_sides(self, monkeypatch):
-        # lemma1 holds dense matrices over each side: at jmax = 16,000, kmax = 1 it would need about
-        # 12 GB, 350 times the per-K-type estimate; never run such a call, only its refusal
-        assert cli.window_peak_bytes(16_000, 1, "verify") == 16_001 * 2 * 1133 + (16_001**2 + 2**2) * 50 > 12 * 10**9
-        window = ["--p", "2", "--q", "3", "--jmax", "16000", "--kmax", "1"]
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
-        code, out, err = _call(["verify", "--check", "lemma1", *window])
-        assert (code, out) == (2, "")
-        assert err == (f"error: the window jmax = 16000, kmax = 1 is too large for memory: an estimated "
-                       f"{cli.window_peak_bytes(16_000, 1, 'verify')} bytes at peak, beyond the "
-                       f"{8 * 2**30} bytes of physical memory\n")
-        # spectrum keeps its per-K-type estimate: a 16001 x 2 table takes 36 MB at most
-        monkeypatch.setattr(cli, "_physical_memory", lambda: cli.window_peak_bytes(16_000, 1))
+        # lemma1 and intertwining hold dense varpi matrices over each side: at jmax = 13,000, kmax = 1 they
+        # would need about 4.2 GB, 144 times the per-K-type estimate; never run such a call, only its refusal
+        estimate = 13_001 * 2 * 1133 + (13_001**2 + 2**2) * 25
+        for checks in (["lemma1"], ["intertwining"], ["inversion", "lemma1"], [*cli.DEFAULT_CHECKS]):
+            assert cli.window_peak_bytes(13_000, 1, checks) == estimate > 4 * 10**9
+        window = ["--p", "2", "--q", "3", "--jmax", "13000", "--kmax", "1"]
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
+        for check in (["--check", "lemma1"], ["--all"]):
+            code, out, err = _call(["verify", *check, *window])
+            assert (code, out) == (2, "")
+            assert err == (f"error: the window jmax = 13000, kmax = 1 is too large for memory: an estimated "
+                           f"{estimate} bytes at peak, beyond the {2**30} bytes of physical memory\n")
+        # the other checks and spectrum keep the per-K-type estimate: a 13001 x 2 window takes 30 MB at most
+        assert cli.window_peak_bytes(13_000, 1, ["method-agreement"]) == cli.window_peak_bytes(13_000, 1) < 2**25
+        assert _call(["verify", "--check", "method-agreement", *window])[:2] == (
+            0, "method-agreement: max_residual=4.9281053340861773e-11 tol=1e-10 PASS\n")
         assert _call(["spectrum", "--r", "0.37", *window])[0] == 0
+
+    def test_squared_sides_charged_to_the_checks_that_build_dense_varpi(self, monkeypatch):
+        # the estimate adds the squared sides for exactly the checks that build zonal._cos_matrix, so a check
+        # that starts multiplying by varpi fails here until the estimate charges it
+        built = []
+        cos_matrix = zonal._cos_matrix
+        monkeypatch.setattr(zonal, "_cos_matrix", lambda d, deg: built.append(deg) or cos_matrix(d, deg))
+        for name in verify.CHECKS:
+            built.clear()
+            verify.run_suite(Signature(2, 3), 0.37, jmax=4, kmax=3, checks=(name,))
+            assert (cli.window_peak_bytes(4, 3, [name]) > cli.window_peak_bytes(4, 3)) == bool(built), name
 
     def test_physical_memory_unknown(self, monkeypatch):
         monkeypatch.setattr(os, "sysconf", lambda name: -1)
@@ -548,7 +563,8 @@ def test_cli_never_raises(subcommand, p, q, r, window):
 
 @pytest.mark.parametrize("p,q", [(343, 3), (3, 343)])
 def test_lemma1_beyond_the_gamma_range(p, q):
-    # the Gauss-Jacobi weight's integral needs Gamma beyond the float range from sphere dimension 343 on
+    # from sphere dimension 343 on Gamma overflows a float in the Gauss-Jacobi weight's integral, which lemma1 no
+    # longer needs: it compares two coefficient-space routes
     code, out, err = _call(["verify", "--p", str(p), "--q", str(q), "--jmax", "3", "--kmax", "3",
                             "--check", "lemma1"])
     assert (code, err) == (0, "") and out.startswith("lemma1: ") and out.endswith(" PASS\n")

@@ -206,13 +206,14 @@ def test_intertwining_gate_boundary(monkeypatch, factor, passed):
 
 @pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
 def test_lemma1_gate_boundary(monkeypatch, factor, passed):
-    # an error of factor times the 1e-8 gate, relative to each function's coefficient sup-norm, at every node
+    # an error of factor times the 1e-8 gate, relative to each function's coefficient sup-norm, at every coefficient
     error = factor * 1e-8
 
-    def shifted(f, grid, _original=verify.apply_T_numeric):
-        return _original(f, grid) + error * np.max(np.abs(f.coeffs), axis=(-2, -1), keepdims=True)
+    def shifted(f, _original=verify.apply_T_banded):
+        scale = np.max(np.abs(f.coeffs), axis=(-2, -1), keepdims=True)
+        return ZonalFunction(f.sig, _original(f).coeffs + error * scale)
 
-    monkeypatch.setattr(verify, "apply_T_numeric", shifted)
+    monkeypatch.setattr(verify, "apply_T_banded", shifted)
     rep = check_lemma1(seeded_stack(Signature(2, 3), 6, 6, 0), seed=0)
     assert rep.passed is passed
     assert rep.max_residual == pytest.approx(error, rel=1e-3)
@@ -425,7 +426,7 @@ def test_report_roundtrips_to_json():
 def test_check_table_calls_rebound_names(monkeypatch):
     # perfbench/tracing.py rebinds these names in verify; the check table must call the rebound ones
     names = ("check_lemma1", "check_intertwining", "check_method_agreement", "check_conformal_laplacian",
-             "check_inversion", "check_loop_consistency", "quadrature_grid", "z_spectral_grid",
+             "check_inversion", "check_loop_consistency", "apply_T_via_lemma", "z_spectral_grid",
              "max_loop_deviation")
     called = []
     for name in names:

@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from intertwinor.geometry import DIRECTIONS, KType, Signature, neighbor
+from intertwinor.verify import seeded_stack
 from intertwinor.zonal import (
     GRID_MARGIN,
     GridTooCoarse,
+    _axis_coefficients,
     _cos_matrix,
     _christoffel_weights,
     _derivative_columns,
-    _gauss_jacobi_axes,
+    _gauss_jacobi_nodes,
     _jacobi_recurrence,
     _three_term_columns,
     ZonalFunction,
     apply_N,
+    apply_T_banded,
     apply_T_numeric,
     apply_T_via_lemma,
     basis_element,
@@ -135,8 +138,7 @@ class TestKernelsAgainstScipy:
     def test_vandermondes(self, d):
         lam = 0.5 * (d - 1)
         x = np.linspace(-1.0, 1.0, 301)
-        V, C = _three_term_columns([(lam, 140, x), (lam + 1.0, 139, x)])
-        D = _derivative_columns(lam, C)
+        V, D = _three_term_columns(lam, 140, x), _derivative_columns(lam, 140, x)
         for j in range(141):
             if lam == 0:
                 value, slope = eval_chebyt(j, x), j * eval_chebyu(j - 1, x)
@@ -150,7 +152,7 @@ class TestKernelsAgainstScipy:
     def test_gauss_jacobi_nodes_and_weights(self, d):
         a = 0.5 * (d - 2)
         for n in range(1, 141):
-            [x] = _gauss_jacobi_axes([(n, a)])
+            x = _gauss_jacobi_nodes(n, a)
             w = _christoffel_weights(x, a)
             ref_x, ref_w = roots_jacobi(n, a, a)
             assert np.max(np.abs(x - ref_x)) <= 1e-15, n
@@ -162,14 +164,14 @@ def test_gauss_jacobi_beyond_the_gamma_range(d):
     # from d = 343 on, Gamma(a + 3/2) of the weight's integral overflows a float
     a = 0.5 * (d - 2)
     for n in (1, 2, 5, 40):
-        [x] = _gauss_jacobi_axes([(n, a)])
+        x = _gauss_jacobi_nodes(n, a)
         ref_x, ref_w = roots_jacobi(n, a, a)
         assert np.max(np.abs(x - ref_x)) <= 1e-15, n
         assert np.max(np.abs(_christoffel_weights(x, a) / ref_w - 1.0)) <= 1e-12, n
 
 
 def reference_gegenbauer_columns(lam, deg, x):
-    """V[a, j] = C_j^lam(x_a), one recurrence column per loop step, as the grid was built before its stacked pass."""
+    """V[a, j] = C_j^lam(x_a), one recurrence column per loop step."""
     V = np.empty((len(x), deg + 1))
     V[:, 0] = 1.0
     if deg >= 1:
@@ -219,9 +221,9 @@ GRID_DEGREES = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (2, 0), (3, 11), (17, 6)
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 8) for q in range(1, 8)] + [(343, 3), (2, 343)])
 def test_quadrature_grid_equals_per_axis_loops(p, q):
-    # the stacked Newton and three-term passes against one loop per axis and family, bit for bit
+    # the grid's nodes and Vandermondes against one loop per axis and family written out here, bit for bit
     for jdeg, kdeg in GRID_DEGREES:
-        grid = quadrature_grid.__wrapped__(Signature(p, q), jdeg, kdeg)
+        grid = quadrature_grid(Signature(p, q), jdeg, kdeg)
         x = reference_gauss_jacobi(jdeg + GRID_MARGIN, 0.5 * (p - 2))
         y = reference_gauss_jacobi(kdeg + GRID_MARGIN, 0.5 * (q - 2))
         expected = (x, y, reference_poly_matrix(p, jdeg, x), reference_deriv_matrix(p, jdeg, x),
@@ -376,6 +378,58 @@ class TestConformalField:
         lhs = (sig.n * multiply_by_varpi(phi) + 2.0 * apply_T_via_lemma(phi)).coeffs
         rhs = (apply_N(multiply_by_varpi(phi)) - multiply_by_varpi(apply_N(phi))).coeffs
         assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+class TestBandedConformalField:
+    """apply_T_banded against the pointwise derivative route on a grid, and its coefficients proven in sympy."""
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 7) for q in range(1, 7)])
+    def test_matches_grid_oracle(self, p, q):
+        # the pointwise samples of T f, projected back (exact: T f has degrees (jmax + 1, kmax + 1), which the
+        # grid resolves), against the banded coefficients, relative to each function's coefficient sup-norm
+        sig = Signature(p, q)
+        for jmax, kmax in ((1, 1), (4, 7), (12, 5), (32, 32)):
+            f = seeded_stack(sig, jmax, kmax, 7 * p + q)
+            grid = quadrature_grid(sig, jmax + 1, kmax + 1)
+            oracle = project(apply_T_numeric(f, grid), grid, jmax + 1, kmax + 1).coeffs
+            error = np.max(np.abs(apply_T_banded(f).coeffs - oracle), axis=(-2, -1))
+            assert np.max(error / np.max(np.abs(f.coeffs), axis=(-2, -1))) <= 1e-11, (jmax, kmax)
+
+    @staticmethod
+    def _coefficients(n, lam):
+        """_axis_coefficients as sympy values, its floats (the Chebyshev branch) exactly: they are dyadic."""
+        import sympy  # here, not at the top: the module's other tests load without it
+
+        (x_up, x_down), (d_up, d_down) = _axis_coefficients(n, lam)
+        exact = [c if isinstance(c, sympy.Basic) else sympy.Rational(float(c)) for c in (x_up, x_down, d_up, d_down)]
+        return exact[:2], exact[2:]
+
+    def test_certificate_against_the_polynomials(self):
+        import sympy
+
+        # -(1 - x^2) G_n' and x G_n expand on G_{n+1}, G_{n-1} as the code says, lam symbolic and Chebyshev
+        x, lam = sympy.symbols("x lam", positive=True)
+        for index, basis in ((lam, lambda m: sympy.gegenbauer(m, lam, x)), (0, lambda m: sympy.chebyshevt(m, x))):
+            for n in range(7):
+                (x_up, x_down), (d_up, d_down) = self._coefficients(n, index)
+                below = basis(n - 1) if n else 0
+                for value, up, down in ((-(1 - x**2) * sympy.diff(basis(n), x), d_up, d_down),
+                                        (x * basis(n), x_up, x_down)):
+                    assert sympy.simplify(sympy.expand(value - up * basis(n + 1) - down * below)) == 0, (index, n)
+
+    def test_certificate_against_the_commutator(self):
+        import sympy
+
+        # (1/2)[N_x, x] - (p/2) x has D's coefficients: N_x G_n = n(n + p - 1) G_n, p = 2 lam + 1
+        n, lam = sympy.symbols("n lam", positive=True)
+        half = sympy.Rational(1, 2)
+        for m, index in [(n, lam)] + [(m, 0) for m in range(7)]:  # symbolic, then the Chebyshev branch
+            (x_up, x_down), (d_up, d_down) = self._coefficients(m, index)
+            p = 2 * index + 1
+            eigenvalue = lambda k: k * (k + p - 1)
+            for step, x_coefficient, d_coefficient in ((1, x_up, d_up), (-1, x_down, d_down)):
+                commutator = half * (eigenvalue(m + step) - eigenvalue(m)) * x_coefficient
+                assert sympy.simplify(commutator - half * p * x_coefficient - d_coefficient) == 0, (m, step)
 
 
 class TestTransformPair:

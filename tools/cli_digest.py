@@ -78,6 +78,13 @@ DIMENSION_CALLS = [
 ]
 
 
+#: lemma1 where the quadrature grid's samples grew with the basis (50, 50) and on a long thin window; after the others.
+LEMMA1_CALLS = [
+    ["verify", "--p", "50", "--q", "50", "--jmax", "3", "--kmax", "3", "--check", "lemma1"],
+    ["verify", "--p", "2", "--q", "3", "--jmax", "600", "--kmax", "1", "--check", "lemma1"],
+]
+
+
 def calls(tmp: str) -> list[list[str]]:
     """The fixed argv list; ``tmp`` is the directory the --output files go to."""
     argvs = []
@@ -98,7 +105,7 @@ def calls(tmp: str) -> list[list[str]]:
     for p, q, r, jmax, kmax, fmt in LARGE_SPECTRA:
         argvs.append(["spectrum", "--p", str(p), "--q", str(q), "--r", r, "--jmax", str(jmax), "--kmax", str(kmax),
                       "--format", fmt, "--output", f"{tmp}/large.{fmt}"])
-    return argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS
+    return argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS + LEMMA1_CALLS
 
 
 def run(main, argv: list[str], tmp: str) -> tuple[str, str | None]:

@@ -2,8 +2,8 @@
 
 For every entry the script copies ``src/``, ``tests/`` and ``pyproject.toml`` (which holds the pytest
 settings) to a temporary directory, replaces the entry's old text, which must occur exactly once in its
-file, by the new text, and runs pytest there on the entry's test files alone, stopping at the first
-failure.  A mutant is killed when a test fails.  One line per mutant gives its verdict and run time.  The
+file, by the new text, and runs pytest there on the entry's test files or test ids alone, stopping at the
+first failure.  A mutant is killed when a test fails.  One line per mutant gives its verdict and run time.  The
 script exits 1 when a mutant survives without a reason in the table, when a mutant marked as a survivor
 is killed, or when an old text is not found, so the table stays exact.  It assumes the unmutated tests
 pass; run the package tests first.
@@ -33,17 +33,19 @@ class Mutant(NamedTuple):
     file: str  # relative to src/intertwinor
     old: str
     new: str
-    tests: tuple[str, ...]  # test files, relative to the checkout
+    tests: tuple[str, ...]  # test files or pytest node ids, relative to the checkout
     survives: str | None = None  # why the listed tests cannot kill it, for an expected survivor
 
 
 CLI, CLOSEDFORM, SPECTRUM, VERIFY, ZONAL = (f"tests/test_{name}.py"
                                             for name in ("cli", "closedform", "spectrum", "verify", "zonal"))
+#: The lemma1 tests alone: each of the two coefficient-space routes of Lemma 1 is the other's oracle.
+LEMMA1 = (f"{VERIFY}::test_lemma1_random", "tests/test_acceptance.py::test_05_conformal_field_commutator")
 
 MUTANTS = [
     Mutant("GAMMA_DIRECT 150 -> 0", "closedform.py", "GAMMA_DIRECT = 150.0", "GAMMA_DIRECT = 0.0", (CLOSEDFORM,)),
-    Mutant("lemma1 gate 1e-8 -> 1e-2", "verify.py", "f, lhs - rhs, 1e-8, seed)", "f, lhs - rhs, 1e-2, seed)",
-           (CLI,)),
+    Mutant("lemma1 gate 1e-8 -> 1e-2", "verify.py", "apply_T_via_lemma(f).coeffs, 1e-8, seed)",
+           "apply_T_via_lemma(f).coeffs, 1e-2, seed)", (CLI,)),
     Mutant("intertwining gate 1e-9 -> 1e-3", "verify.py", "f, delta, 1e-9, seed)", "f, delta, 1e-3, seed)",
            (CLI,)),
     Mutant("method-agreement gate 1e-10 -> 1e-4", "verify.py", "tolerance=1e-10, worst_location=where,",
@@ -80,8 +82,13 @@ MUTANTS = [
     Mutant("recheck heads padded with 0.0, not nan", "spectrum.py", "padded = np.full((nj + 2, nk + 2), np.nan)",
            "padded = np.full((nj + 2, nk + 2), 0.0)", (SPECTRUM,)),
     Mutant("REL_TOL 1e-10 -> 1e-6", "spectrum.py", "REL_TOL = 1e-10", "REL_TOL = 1e-6", (SPECTRUM,)),
-    Mutant("VERIFY_BYTES_PER_SQUARED_SIDE 50 -> 0", "cli.py", "VERIFY_BYTES_PER_SQUARED_SIDE = 50",
+    Mutant("VERIFY_BYTES_PER_SQUARED_SIDE 25 -> 0", "cli.py", "VERIFY_BYTES_PER_SQUARED_SIDE = 25",
            "VERIFY_BYTES_PER_SQUARED_SIDE = 0", (CLI,)),
+    Mutant("mult_by_cos downward coefficient off by one", "zonal.py",
+           "down = (j + 2.0 * lam - 1) / (2.0 * (j + lam))", "down = (j + 2.0 * lam) / (2.0 * (j + lam))", LEMMA1),
+    Mutant("apply_N eigenvalue j(p + j)", "zonal.py", "nj = j * (f.sig.p - 1 + j)", "nj = j * (f.sig.p + j)", LEMMA1),
+    Mutant("banded D downward coefficient off by one", "zonal.py", "(n * up, -(n + 2 * lam) * down)",
+           "(n * up, -(n + 2 * lam - 1) * down)", LEMMA1),
     Mutant("LIMIT_STEP 1e-6 -> 1e-4", "closedform.py", "LIMIT_STEP = 1e-6", "LIMIT_STEP = 1e-4", (CLOSEDFORM, CLI),
            survives="removed by ROADMAP item 3"),
 ]

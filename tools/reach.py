@@ -23,7 +23,8 @@ import cli_digest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 TRACED = "rebound by perfbench/tracing.py, which waits for ROADMAP item 7"
-QUADRATURE = "library API: acceptance criterion 9 (quadrature round trip and norms)"
+QUADRATURE = ("library API: acceptance criterion 9 (quadrature round trip and norms); "
+              "tier-1 oracle of the banded operator")
 
 #: "<module>.<qualified name>": why the digest calls leave that definition unentered.
 EXPECTED = {
@@ -42,6 +43,16 @@ EXPECTED = {
     "zonal.QuadratureGrid.wx": QUADRATURE,
     "zonal.QuadratureGrid.wy": QUADRATURE,
     "zonal._christoffel_weights": "computes QuadratureGrid.wx and wy, " + QUADRATURE,
+    "zonal.quadrature_grid": QUADRATURE,
+    "zonal.evaluate": QUADRATURE,
+    "zonal.apply_T_numeric": QUADRATURE,
+    "zonal._require_degrees": "grid helper, " + QUADRATURE,
+    "zonal._leading": "grid helper, " + QUADRATURE,
+    "zonal._jacobi_recurrence": "grid helper, " + QUADRATURE,
+    "zonal._orthonormal_sums": "grid helper, " + QUADRATURE,
+    "zonal._gauss_jacobi_nodes": "grid helper, " + QUADRATURE,
+    "zonal._three_term_columns": "grid helper, " + QUADRATURE,
+    "zonal._derivative_columns": "grid helper, " + QUADRATURE,
 }
 
 
