@@ -74,10 +74,6 @@ MAX_DIMENSION = 2**50
 #: CSV table and at most 342 for any verify check (intertwining; loop-consistency has a fixed window).
 WINDOW_BYTES_PER_KTYPE = 1133
 
-#: Peak bytes per (side + 1)**2 of each side of lemma1 and intertwining, which hold dense varpi matrices: cold
-#: peaks at (2, 3), kmax = 1, jmax = 250 to 2,000, less the per-K-type term, were 20.0 to 23.1 (tending to 23.9).
-VERIFY_BYTES_PER_SQUARED_SIDE = 25
-
 CSV_COLUMNS = (
     "j", "k", "J", "K", "parity",
     "mu_recursion", "mu_closed_form", "mu_factorized_or_blank",
@@ -184,16 +180,15 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
         parser.error(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
     checks = () if args.command == "spectrum" else tuple(DEFAULT_CHECKS if args.all or not args.check else args.check)
     # Refused before any allocation: a window whose first arrays fit can still outgrow memory later.
-    estimate, memory = window_peak_bytes(args.jmax, args.kmax, checks), _physical_memory()
+    estimate, memory = window_peak_bytes(args.jmax, args.kmax), _physical_memory()
     if memory is not None and estimate > memory:
         raise MemoryError(f"an estimated {estimate} bytes at peak, beyond the {memory} bytes of physical memory")
     return Signature(args.p, args.q), order, checks
 
 
-def window_peak_bytes(jmax: int, kmax: int, checks=()) -> int:
-    """Estimated peak memory over the window [0, jmax] x [0, kmax] of spectrum, or of verify running ``checks``."""
-    squares = (jmax + 1) ** 2 + (kmax + 1) ** 2 if {"lemma1", "intertwining"} & set(checks) else 0
-    return WINDOW_BYTES_PER_KTYPE * (jmax + 1) * (kmax + 1) + VERIFY_BYTES_PER_SQUARED_SIDE * squares
+def window_peak_bytes(jmax: int, kmax: int) -> int:
+    """Estimated peak memory of any command over the window [0, jmax] x [0, kmax]."""
+    return WINDOW_BYTES_PER_KTYPE * (jmax + 1) * (kmax + 1)
 
 
 def _physical_memory() -> int | None:

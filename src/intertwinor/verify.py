@@ -36,11 +36,12 @@ from .spectrum import (
 )
 from .zonal import (
     ZonalFunction,
+    _varpi_commutator,
     apply_T_banded,
     apply_T_numeric,  # unused here; perfbench/tracing.py rebinds this name
     apply_T_via_lemma,
     evaluate,  # unused here; perfbench/tracing.py rebinds this name
-    multiply_by_varpi,
+    multiply_by_varpi,  # unused here; perfbench/tracing.py rebinds this name
     quadrature_grid,  # unused here; perfbench/tracing.py rebinds this name
 )
 
@@ -161,25 +162,23 @@ def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
 def check_intertwining(r, f: ZonalFunction, seed: int | None = None) -> VerificationReport:
     """Residual of A(T + (n/2 - r) varpi) f = (T + (n/2 + r) varpi) A f.
 
+    With T = (1/2)[N, varpi] - (n/2) varpi the n/2 terms cancel, so both
+    sides are computed as A((1/2)[N, varpi] - r varpi) f and
+    ((1/2)[N, varpi] + r varpi) A f, each with two multiplications by varpi.
     A acts diagonally by the closed-form eigenvalues, z_spectral_grid over
     the window one degree beyond f's in j and in k.  The residual is
     measured on interior coefficients (j <= jmax - 1, k <= kmax - 1 of the
     input truncation), relative to the coefficient sup-norm of f.  ``f`` may
     be a stack of functions along leading axes, such as seeded_stack; the
-    report names the worst one (see _seeded_report).  The varpi matrices
-    are built once per degree and cached.  A term beyond the float range
-    raises FloatingPointError.
+    report names the worst one (see _seeded_report).  Memory is linear in
+    the window.  A term beyond the float range raises FloatingPointError.
     """
     order = SpectralOrder.coerce(r)
     spectrum = z_spectral_grid(f.sig, order, f.jmax + 1, f.kmax + 1)
-    half_n = f.sig.n / 2.0
     with np.errstate(over="raise"):
-        left = _apply_eigenvalues(
-            apply_T_via_lemma(f) + (half_n - order.r) * multiply_by_varpi(f), order, spectrum
-        )
-        af = _apply_eigenvalues(f, order, spectrum)
-        right = apply_T_via_lemma(af) + (half_n + order.r) * multiply_by_varpi(af)
-        delta = (left - right).coeffs[..., : max(f.jmax, 1), : max(f.kmax, 1)]
+        left = _apply_eigenvalues(ZonalFunction(f.sig, _varpi_commutator(f, -order.r)), order, spectrum)
+        right = _varpi_commutator(_apply_eigenvalues(f, order, spectrum), order.r)
+        delta = (left.coeffs - right)[..., : max(f.jmax, 1), : max(f.kmax, 1)]
         return _seeded_report("intertwining", order.r, f, delta, 1e-9, seed)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +44,20 @@ def gegenbauer_index(d: int) -> float:
     return 0.5 * (d - 1)
 
 
+def _times_x(lam: float, c: np.ndarray, axis: int) -> np.ndarray:
+    """x * f along the negative ``axis`` of c: the recurrence of mult_by_cos, upward terms first."""
+    tail = (slice(None),) * (-1 - axis)  # the axes after ``axis``
+    j = np.arange(c.shape[axis], dtype=float).reshape((-1,) + (1,) * len(tail))
+    if lam == 0:
+        up, down = np.where(j == 0, 1.0, 0.5), np.full(j.shape, 0.5)
+    else:
+        up, down = (j + 1) / (2.0 * (j + lam)), (j + 2.0 * lam - 1) / (2.0 * (j + lam))
+    out = np.zeros(c.shape[:axis] + (c.shape[axis] + 1,) + c.shape[axis:][1:])
+    np.multiply(up, c, out=out[(..., slice(1, None), *tail)])
+    out[(..., slice(None, -2), *tail)] += down[1:] * c[(..., slice(1, None), *tail)]
+    return out
+
+
 def mult_by_cos(lam: float, c) -> np.ndarray:
     """Coefficients of x * f in the Gegenbauer (or Chebyshev, lam = 0) basis.
 
@@ -54,23 +68,7 @@ def mult_by_cos(lam: float, c) -> np.ndarray:
     before the downward ones, as a loop over j would.
     """
     c = np.asarray(c, dtype=float)
-    j = np.arange(len(c), dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
-    if lam == 0:
-        up = np.where(j == 0, 1.0, 0.5)
-        down = np.full(j.shape, 0.5)
-    else:
-        up = (j + 1) / (2.0 * (j + lam))
-        down = (j + 2.0 * lam - 1) / (2.0 * (j + lam))
-    out = np.zeros((len(c) + 1,) + c.shape[1:])
-    out[1:] += up * c
-    out[:-2] += down[1:] * c[1:]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cos_matrix(d: int, deg: int) -> np.ndarray:
-    """Matrix of mult_by_cos on coefficient vectors of degree <= deg."""
-    return mult_by_cos(gegenbauer_index(d), np.eye(deg + 1))
+    return _times_x(lam, c, -c.ndim)
 
 
 def gegenbauer_norm(d: int, j: int) -> float:
@@ -135,21 +133,6 @@ class ZonalFunction:
     def kmax(self) -> int:
         return self.coeffs.shape[-1] - 1
 
-    def __add__(self, other: "ZonalFunction") -> "ZonalFunction":
-        if self.sig != other.sig or self.coeffs.shape != other.coeffs.shape:
-            raise ValueError("shape/signature mismatch")
-        return ZonalFunction(self.sig, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ZonalFunction") -> "ZonalFunction":
-        if self.sig != other.sig or self.coeffs.shape != other.coeffs.shape:
-            raise ValueError("shape/signature mismatch")
-        return ZonalFunction(self.sig, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "ZonalFunction":
-        return ZonalFunction(self.sig, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def basis_element(sig: Signature, j: int, k: int, jmax=None, kmax=None) -> ZonalFunction:
     """The zonal basis function phi_{jk} as a coefficient array."""
@@ -161,10 +144,13 @@ def basis_element(sig: Signature, j: int, k: int, jmax=None, kmax=None) -> Zonal
 
 
 def multiply_by_varpi(f: ZonalFunction) -> ZonalFunction:
-    """Multiplication by varpi = cos tau * cos rho; degrees grow by one each."""
-    Mp = _cos_matrix(f.sig.p, f.jmax)
-    Mq = _cos_matrix(f.sig.q, f.kmax)
-    return ZonalFunction(f.sig, Mp @ f.coeffs @ Mq.T)
+    """Multiplication by varpi = cos tau * cos rho; degrees grow by one each.
+
+    The recurrence of mult_by_cos along j, then along k, on f or on each function of a stack: linear
+    in memory and time, no matrix.
+    """
+    along_j = _times_x(gegenbauer_index(f.sig.p), f.coeffs, -2)
+    return ZonalFunction(f.sig, _times_x(gegenbauer_index(f.sig.q), along_j, -1))
 
 
 def apply_N(f: ZonalFunction) -> ZonalFunction:
@@ -176,18 +162,24 @@ def apply_N(f: ZonalFunction) -> ZonalFunction:
     return ZonalFunction(f.sig, f.coeffs * (nj[:, None] + nk[None, :]))
 
 
+def _varpi_commutator(f: ZonalFunction, shift: float) -> np.ndarray:
+    """Coefficients of (1/2)[N, varpi] f + shift * varpi f: two multiplications by varpi, of f and of N f."""
+    vnf = multiply_by_varpi(apply_N(f)).coeffs  # first, while no other product is held: a lower peak
+    vf = multiply_by_varpi(f)
+    out = apply_N(vf).coeffs  # updated in place: fewer transients the size of a stack
+    out -= vnf
+    out *= 0.5
+    out += shift * vf.coeffs
+    return out
+
+
 def apply_T_via_lemma(f: ZonalFunction) -> ZonalFunction:
     """The conformal vector field through the commutator identity.
 
     T f = (1/2)(N(varpi f) - varpi(N f)) - (n/2) varpi f, entirely in
     coefficient space.
     """
-    vf = multiply_by_varpi(f)
-    out = apply_N(vf).coeffs  # updated in place: fewer transients the size of a stack
-    out -= multiply_by_varpi(apply_N(f)).coeffs
-    out *= 0.5
-    out -= (f.sig.n / 2.0) * vf.coeffs
-    return ZonalFunction(f.sig, out)
+    return ZonalFunction(f.sig, _varpi_commutator(f, -f.sig.n / 2.0))
 
 
 def _axis_coefficients(n, lam):

@@ -78,10 +78,12 @@ DIMENSION_CALLS = [
 ]
 
 
-#: lemma1 where the quadrature grid's samples grew with the basis (50, 50) and on a long thin window; after the others.
+#: lemma1 where the quadrature grid's samples grew with the basis (50, 50), and lemma1 and intertwining on long
+#: thin windows, where varpi was once a dense matrix per side; after the others.
 LEMMA1_CALLS = [
     ["verify", "--p", "50", "--q", "50", "--jmax", "3", "--kmax", "3", "--check", "lemma1"],
     ["verify", "--p", "2", "--q", "3", "--jmax", "600", "--kmax", "1", "--check", "lemma1"],
+    ["verify", "--p", "2", "--q", "3", "--jmax", "2000", "--kmax", "1", "--check", "lemma1", "--check", "intertwining"],
 ]
 
 

@@ -41,6 +41,8 @@ CLI, CLOSEDFORM, SPECTRUM, VERIFY, ZONAL = (f"tests/test_{name}.py"
                                             for name in ("cli", "closedform", "spectrum", "verify", "zonal"))
 #: The lemma1 tests alone: each of the two coefficient-space routes of Lemma 1 is the other's oracle.
 LEMMA1 = (f"{VERIFY}::test_lemma1_random", "tests/test_acceptance.py::test_05_conformal_field_commutator")
+#: The intertwining tests alone.
+INTERTWINING = (f"{VERIFY}::test_intertwining_random", "tests/test_acceptance.py::test_06_intertwining_relation")
 
 MUTANTS = [
     Mutant("GAMMA_DIRECT 150 -> 0", "closedform.py", "GAMMA_DIRECT = 150.0", "GAMMA_DIRECT = 0.0", (CLOSEDFORM,)),
@@ -82,10 +84,10 @@ MUTANTS = [
     Mutant("recheck heads padded with 0.0, not nan", "spectrum.py", "padded = np.full((nj + 2, nk + 2), np.nan)",
            "padded = np.full((nj + 2, nk + 2), 0.0)", (SPECTRUM,)),
     Mutant("REL_TOL 1e-10 -> 1e-6", "spectrum.py", "REL_TOL = 1e-10", "REL_TOL = 1e-6", (SPECTRUM,)),
-    Mutant("VERIFY_BYTES_PER_SQUARED_SIDE 25 -> 0", "cli.py", "VERIFY_BYTES_PER_SQUARED_SIDE = 25",
-           "VERIFY_BYTES_PER_SQUARED_SIDE = 0", (CLI,)),
     Mutant("mult_by_cos downward coefficient off by one", "zonal.py",
-           "down = (j + 2.0 * lam - 1) / (2.0 * (j + lam))", "down = (j + 2.0 * lam) / (2.0 * (j + lam))", LEMMA1),
+           "(j + 2.0 * lam - 1) / (2.0 * (j + lam))", "(j + 2.0 * lam) / (2.0 * (j + lam))", LEMMA1),
+    Mutant("varpi k-axis pass with p's index", "zonal.py", "_times_x(gegenbauer_index(f.sig.q), along_j, -1)",
+           "_times_x(gegenbauer_index(f.sig.p), along_j, -1)", LEMMA1 + INTERTWINING),
     Mutant("apply_N eigenvalue j(p + j)", "zonal.py", "nj = j * (f.sig.p - 1 + j)", "nj = j * (f.sig.p + j)", LEMMA1),
     Mutant("banded D downward coefficient off by one", "zonal.py", "(n * up, -(n + 2 * lam) * down)",
            "(n * up, -(n + 2 * lam - 1) * down)", LEMMA1),

@@ -38,6 +38,8 @@ EXPECTED = {
                                       "which waits for ROADMAP item 7",
     "verify.random_zonal": "library API: the seeded test function of acceptance criteria 5 and 6",
     "zonal.basis_element": "library API: the single-mode test function of the verify tests",
+    "zonal.mult_by_cos": "library API: x * f along axis 0, the recurrence that multiply_by_varpi runs along "
+                         "each axis through zonal._times_x",
     "zonal.project": QUADRATURE,
     "zonal.gegenbauer_norm": QUADRATURE,
     "zonal.QuadratureGrid.wx": QUADRATURE,
