@@ -13,8 +13,9 @@ indent, floats as float.__repr__, and NaN, Infinity and -Infinity for
 non-finite floats.  A float column is one map of that formatter; then, by
 index, JSON's tokens replace "nan", "inf" and "-inf" where the column holds
 one, and labels replace the hidden cells, so a hidden value never prints.
-JSON rows are one join per table, each cell after the text of its key; CSV
-rows are one "," join per row.
+A table is written in blocks of whole rows, at most BLOCK_KTYPES K-types or
+one row (see _spectrum_blocks): JSON rows are one join per block, each cell
+after the text of its key; CSV rows are one "," join per row.
 ``verify`` status lines print floats with "%.17g".
 
 Singular table entries are first-class values, rendered as "pole" (closed
@@ -29,6 +30,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +42,7 @@ from .closedform import (
     z_spectral,  # unused here; perfbench/tracing.py rebinds this name
 )
 from .geometry import KType, Signature, doubled_shifts
-from .spectrum import SpectralOrder, at_class_base, recursion_spectrum, relative_difference
+from .spectrum import BLOCK_KTYPES, SpectralOrder, at_class_base, recursion_spectrum, relative_difference
 from .verify import DEFAULT_CHECKS, run_suite
 
 SCHEMA_VERSION = 1
@@ -69,10 +71,17 @@ MAX_ABS_ORDER = 2**51
 #: p = q = 2**62 - 1 wraps 4c in int64 and the closed form prints nan.
 MAX_DIMENSION = 2**50
 
-#: Peak bytes per K-type of the window, the largest over the commands: tracemalloc peaks of one warm call at
-#: (2, 3), jmax = kmax = 40, over r in {0.37, 2, -1.3, 0.5}, were 1,133 for a JSON table (r = 2), 583 for a
-#: CSV table and at most 342 for any verify check (intertwining; loop-consistency has a fixed window).
-WINDOW_BYTES_PER_KTYPE = 1133
+#: Peak bytes per K-type of the window one degree beyond the request, (jmax + 2) x (kmax + 2), the largest over
+#: the commands with their transients held one block at a time.  tracemalloc peaks of one warm call at (2, 3),
+#: r in {0.37, 2, -1.3, 0.5}, were at most 253 on square windows from 89 x 89 to 301 x 301 (method agreement,
+#: and a table while it is computed) and 318 on thin windows up to 100001 x 2 (intertwining, whose eigenvalue
+#: grid reaches one degree beyond).  The wider window charges the work along the sides, of which a thin window
+#: has as much as K-types.
+WINDOW_BYTES_PER_KTYPE = 320
+
+#: Peak bytes per K-type of one block beyond WINDOW_BYTES_PER_KTYPE: the cells and text of a JSON block, at
+#: most 470 in the same calls (91 x 91, r = 2), where a block holds nearly all of BLOCK_KTYPES K-types.
+BLOCK_BYTES_PER_KTYPE = 480
 
 CSV_COLUMNS = (
     "j", "k", "J", "K", "parity",
@@ -187,8 +196,9 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
 
 
 def window_peak_bytes(jmax: int, kmax: int) -> int:
-    """Estimated peak memory of any command over the window [0, jmax] x [0, kmax]."""
-    return WINDOW_BYTES_PER_KTYPE * (jmax + 1) * (kmax + 1)
+    """Estimated peak memory of any command over the window [0, jmax] x [0, kmax]: the window one degree beyond
+    it, and one block of BLOCK_KTYPES K-types, or of one row where a row is longer."""
+    return WINDOW_BYTES_PER_KTYPE * (jmax + 2) * (kmax + 2) + BLOCK_BYTES_PER_KTYPE * max(BLOCK_KTYPES, kmax + 1)
 
 
 def _physical_memory() -> int | None:
@@ -252,20 +262,22 @@ def _json_float(x: float) -> str:
     return _JSON_SPECIAL.get(text, text)
 
 
-#: The rows and the whole document as json.dumps(indent=2, sort_keys=True) prints them: each cell of a row
-#: follows the text of its key, in sorted key order, and each row but the last ends in the separator; the
-#: document closes the last row.
+#: The rows and the document around them as json.dumps(indent=2, sort_keys=True) prints them: each cell of a
+#: row follows the text of its key, in sorted key order, and each row but the last ends in the separator; the
+#: tail closes the last row.
 _JSON_KEYS = sorted(CSV_COLUMNS)
 _JSON_KEY_TEXT = ['    {\n      "%s": ' % _JSON_KEYS[0], *(',\n      "%s": ' % key for key in _JSON_KEYS[1:])]
 _JSON_ROW_SEPARATOR = "\n    },\n"
-_JSON_DOCUMENT = (
-    '{\n  "jmax": %d,\n  "kmax": %d,\n  "p": %d,\n  "q": %d,\n  "r": %s,\n'
-    '  "rows": [\n%s\n    }\n  ],\n  "schema_version": %d\n}\n'
-)
+_JSON_HEAD = '{\n  "jmax": %d,\n  "kmax": %d,\n  "p": %d,\n  "q": %d,\n  "r": %s,\n  "rows": [\n'
+_JSON_TAIL = '\n    }\n  ],\n  "schema_version": %d\n}\n' % SCHEMA_VERSION
 
 
-def _spectrum_text(window: SpectrumWindow, fmt: str, sig: Signature, r: float) -> str:
-    """The CSV or JSON table of ``window``, row (j, k) in order of j, then k, each column formatted at once."""
+def _spectrum_blocks(window: SpectrumWindow, fmt: str, sig: Signature, r: float) -> Iterator[str]:
+    """The CSV or JSON table of ``window`` in consecutive pieces, row (j, k) in order of j, then k.
+
+    The rows come in blocks of max(1, BLOCK_KTYPES // (kmax + 1)) values of j, each column of a block formatted
+    at once; a block's text is made only when the one before it has been taken.
+    """
     number = "%.17g".__mod__ if fmt == "csv" else float.__repr__
     quote = str if fmt == "csv" else json.dumps
     nj, nk = len(window.half_j), len(window.half_k)
@@ -284,34 +296,50 @@ def _spectrum_text(window: SpectrumWindow, fmt: str, sig: Signature, r: float) -
 
     factorized = window.factorized
     parity = [[str((j + k) % 2) for k in range(nk)] for j in (0, 1)]  # row j of the column is row j % 2
-    cells = {
-        "j": [text for text in map(str, range(nj)) for _ in range(nk)],
-        "k": [str(k) for k in range(nk)] * nj,
-        "J": [half for half in column(window.half_j) for _ in range(nk)],
-        "K": column(window.half_k) * nj,
-        "parity": [text for j in range(nj) for text in parity[j % 2]],
-        "mu_recursion": column(window.recursion, ~window.reached, "zero-denominator"),
-        "mu_closed_form": column(window.closed, window.poles, "pole"),
-        "mu_factorized_or_blank": [quote("")] * (nj * nk) if factorized is None else column(factorized),
-        "max_rel_disagreement": column(window.disagreement, ~window.compared, ""),
-    }
-    if fmt == "csv":
-        rows = map(",".join, zip(*(cells[name] for name in CSV_COLUMNS)))
-        return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
-    # One join for the whole table: a row takes 2 slots per key and one for its separator.
-    n, width = nj * nk, 2 * len(_JSON_KEYS) + 1
-    parts = [_JSON_ROW_SEPARATOR] * (n * width - 1)
-    for i, key in enumerate(_JSON_KEYS):
-        parts[2 * i::width] = [_JSON_KEY_TEXT[i]] * n
-        parts[2 * i + 1::width] = cells[key]
-    return _JSON_DOCUMENT % (nj - 1, nk - 1, sig.p, sig.q, _json_float(r), "".join(parts), SCHEMA_VERSION)
+    k_text, half_k, half_j = [str(k) for k in range(nk)], column(window.half_k), column(window.half_j)
+
+    def rows_text(start, stop):
+        """Rows j in [start, stop) as one text; their cells are freed on return, before the text is written."""
+        rows, block = range(start, stop), slice(start, stop)
+        n = len(rows) * nk
+        cells = {
+            "j": [text for text in map(str, rows) for _ in range(nk)],
+            "k": k_text * len(rows),
+            "J": [half for half in half_j[block] for _ in range(nk)],
+            "K": half_k * len(rows),
+            "parity": [text for j in rows for text in parity[j % 2]],
+            "mu_recursion": column(window.recursion[block], ~window.reached[block], "zero-denominator"),
+            "mu_closed_form": column(window.closed[block], window.poles[block], "pole"),
+            "mu_factorized_or_blank": [quote("")] * n if factorized is None else column(factorized[block]),
+            "max_rel_disagreement": column(window.disagreement[block], ~window.compared[block], ""),
+        }
+        if fmt == "csv":
+            return "\n".join([*map(",".join, zip(*(cells[name] for name in CSV_COLUMNS))), ""])
+        # One join: a row takes 2 slots per key and one for its separator.
+        width = 2 * len(_JSON_KEYS) + 1
+        parts = [_JSON_ROW_SEPARATOR] * (n * width - 1)
+        for i, key in enumerate(_JSON_KEYS):
+            parts[2 * i::width] = [_JSON_KEY_TEXT[i]] * n
+            parts[2 * i + 1::width] = cells[key]
+        return "".join(parts)
+
+    yield (",".join(CSV_COLUMNS) + "\n" if fmt == "csv"
+           else _JSON_HEAD % (nj - 1, nk - 1, sig.p, sig.q, _json_float(r)))
+    step = max(1, BLOCK_KTYPES // nk)
+    for start in range(0, nj, step):
+        if start and fmt == "json":
+            yield _JSON_ROW_SEPARATOR
+        yield rows_text(start, min(start + step, nj))
+    if fmt == "json":
+        yield _JSON_TAIL
 
 
-def _write_output(path: str, text: str) -> int:
-    """Write ``text`` to the file ``path``: 0, or 1 with an error line when it cannot be written."""
+def _write_output(path: str, pieces: Iterable[str]) -> int:
+    """Write ``pieces`` one after another to the file ``path``: 0, or 1 with an error line when it cannot be
+    written."""
     try:
         with open(path, "w", encoding="ascii") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 1
@@ -321,10 +349,10 @@ def _write_output(path: str, text: str) -> int:
 def cmd_spectrum(args, parser) -> int:
     sig, order, _ = _validate(parser, args)
     window = _spectrum_window(sig, order, args.jmax, args.kmax)
-    text = _spectrum_text(window, args.format, sig, order.r)
+    pieces = _spectrum_blocks(window, args.format, sig, order.r)
     if args.output != "-":
-        return _write_output(args.output, text)
-    sys.stdout.write(text)
+        return _write_output(args.output, pieces)
+    sys.stdout.writelines(pieces)
     return 0
 
 
@@ -342,7 +370,7 @@ def cmd_verify(args, parser) -> int:
               f"tol={_fmt(rep.tolerance)} {status}")
     if args.output:
         bundle = {"schema_version": SCHEMA_VERSION, "reports": [rep.to_dict() for rep in reports]}
-        if _write_output(args.output, json.dumps(bundle, indent=2, sort_keys=True) + "\n"):
+        if _write_output(args.output, [json.dumps(bundle, indent=2, sort_keys=True) + "\n"]):
             return 1
     return 0 if all(rep.passed for rep in reports) else 1
 

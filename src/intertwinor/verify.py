@@ -25,6 +25,7 @@ from .closedform import (
 )
 from .geometry import KType, Signature, scalar_curvature
 from .spectrum import (
+    BLOCK_KTYPES,
     MAX_LOOP_LENGTH,
     SpectralOrder,
     at_class_base,
@@ -127,18 +128,30 @@ def _worst(delta: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(np.abs(delta[idx])), tuple(int(i) for i in idx)
 
 
-def _seeded_report(name: str, r, f: ZonalFunction, delta: np.ndarray, tolerance: float,
+def _seeded_report(name: str, r, f: ZonalFunction, residual, tolerance: float,
                    seed: int | None) -> VerificationReport:
     """Report on the worst function of a stack, by residual relative to its coefficient sup-norm.
 
-    Ties go to the lowest function, reported as seed + its index, then to the first (j, k) within it.
+    ``residual(g)`` gives the residual coefficients of a sub-stack g of f's
+    functions.  It runs on consecutive blocks of max(1, BLOCK_KTYPES // K-types
+    per function) functions, so no transient holds more than one block.  Ties
+    go to the lowest function, reported as seed + its index, then to the first
+    (j, k) within it; a nan residual is the worst, the first one in that order.
     """
-    scale = np.maximum(np.max(np.abs(f.coeffs), axis=(-2, -1), keepdims=True), 1e-14)
-    residual, (index, j, k) = _worst((delta / scale).reshape((-1,) + delta.shape[-2:]))
+    stack = f.coeffs.reshape((-1,) + f.coeffs.shape[-2:])
+    size = max(1, BLOCK_KTYPES // (stack.shape[1] * stack.shape[2]))
+    worst, where = -np.inf, None
+    for start in range(0, len(stack), size):
+        block = ZonalFunction(f.sig, stack[start:start + size])
+        scale = np.maximum(np.max(np.abs(block.coeffs), axis=(-2, -1), keepdims=True), 1e-14)
+        value, (index, j, k) = _worst(residual(block) / scale)
+        if value > worst or np.isnan(value) > np.isnan(worst):  # strict: an equal later block loses
+            worst, where = value, (start + index, j, k)
+    index, j, k = where
     return VerificationReport(
         name=name, p=f.sig.p, q=f.sig.q, r=r,
         jmax=f.jmax, kmax=f.kmax,
-        max_residual=residual, tolerance=tolerance, worst_location=(j, k),
+        max_residual=worst, tolerance=tolerance, worst_location=(j, k),
         extra={} if seed is None else {"seed": seed + index},
     )
 
@@ -147,7 +160,7 @@ def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
     """Diagonal action of the intertwining operator on every K-type present.
 
     ``spectrum`` is z_spectral_grid over a window containing f's; every
-    entry depends only on its own K-type, so its leading block is f's.  A
+    entry depends only on its own K-type, so its leading corner is f's.  A
     pole under a present coefficient raises, at the first such K-type of the
     first function of a stack that has one.
     """
@@ -170,15 +183,22 @@ def check_intertwining(r, f: ZonalFunction, seed: int | None = None) -> Verifica
     measured on interior coefficients (j <= jmax - 1, k <= kmax - 1 of the
     input truncation), relative to the coefficient sup-norm of f.  ``f`` may
     be a stack of functions along leading axes, such as seeded_stack; the
-    report names the worst one (see _seeded_report).  Memory is linear in
-    the window.  A term beyond the float range raises FloatingPointError.
+    report names the worst one.  Both sides run on one block of functions at
+    a time (see _seeded_report), so memory beyond f and the eigenvalue grid
+    is bounded by a block; a pole raises at the first block that has one,
+    its left side first.  A term beyond the float range raises
+    FloatingPointError.
     """
     order = SpectralOrder.coerce(r)
     spectrum = z_spectral_grid(f.sig, order, f.jmax + 1, f.kmax + 1)
+    interior = (Ellipsis, slice(max(f.jmax, 1)), slice(max(f.kmax, 1)))
+
+    def delta(g: ZonalFunction) -> np.ndarray:
+        left = _apply_eigenvalues(ZonalFunction(g.sig, _varpi_commutator(g, -order.r)), order, spectrum)
+        right = _varpi_commutator(_apply_eigenvalues(g, order, spectrum), order.r)
+        return left.coeffs[interior] - right[interior]
+
     with np.errstate(over="raise"):
-        left = _apply_eigenvalues(ZonalFunction(f.sig, _varpi_commutator(f, -order.r)), order, spectrum)
-        right = _varpi_commutator(_apply_eigenvalues(f, order, spectrum), order.r)
-        delta = (left.coeffs - right)[..., : max(f.jmax, 1), : max(f.kmax, 1)]
         return _seeded_report("intertwining", order.r, f, delta, 1e-9, seed)
 
 
@@ -187,7 +207,8 @@ def check_lemma1(f: ZonalFunction, seed: int | None = None) -> VerificationRepor
 
     apply_T_banded and apply_T_via_lemma share no code; the worst location is the (j, k) of a coefficient.
     """
-    return _seeded_report("lemma1", None, f, apply_T_banded(f).coeffs - apply_T_via_lemma(f).coeffs, 1e-8, seed)
+    return _seeded_report("lemma1", None, f, lambda g: apply_T_banded(g).coeffs - apply_T_via_lemma(g).coeffs,
+                          1e-8, seed)
 
 
 def check_method_agreement(sig: Signature, r, jmax: int, kmax: int) -> VerificationReport:

@@ -279,12 +279,16 @@ class TestExitCodes:
         assert err.startswith(f"error: the window jmax = {side}, kmax = {side} is too large for memory: ")
 
     def test_window_peak_estimate(self):
-        # per K-type, linear in the window; never run the 3,000,000 x 30 call itself, which the
-        # out-of-memory killer ends with no error line on a machine of 8 GiB where nothing refuses it
-        assert cli.window_peak_bytes(3, 2) == 12 * cli.WINDOW_BYTES_PER_KTYPE
-        assert cli.window_peak_bytes(3_000_000, 30) == 3_000_001 * 31 * cli.WINDOW_BYTES_PER_KTYPE > 64 * 2**30
+        # per K-type of the window one degree beyond, plus one block; never run the 3,000,000 x 30 call itself,
+        # which the out-of-memory killer ends with no error line on a machine of 8 GiB where nothing refuses it
+        block = cli.BLOCK_BYTES_PER_KTYPE * cli.BLOCK_KTYPES
+        assert cli.window_peak_bytes(3, 2) == 5 * 4 * cli.WINDOW_BYTES_PER_KTYPE + block
+        assert cli.window_peak_bytes(3_000_000, 30) == 3_000_002 * 32 * cli.WINDOW_BYTES_PER_KTYPE + block > 16 * 2**30
+        # a row longer than a block is a block of its own
+        assert cli.window_peak_bytes(1, 20_000) == (3 * 20_002 * cli.WINDOW_BYTES_PER_KTYPE
+                                                    + 20_001 * cli.BLOCK_BYTES_PER_KTYPE)
         # the largest windows that the CLI digest, the benchmark and these tests expect to run fit in 256 MiB
-        assert max(cli.window_peak_bytes(128, 128), cli.window_peak_bytes(600, 2)) < 256 * 2**20
+        assert max(cli.window_peak_bytes(300, 300), cli.window_peak_bytes(13_000, 1)) < 256 * 2**20
         memory = cli._physical_memory()
         assert memory is None or memory > 2**20
 
@@ -303,8 +307,8 @@ class TestExitCodes:
 
     def test_long_thin_verify_fits_the_per_ktype_estimate(self, monkeypatch):
         # varpi is a recurrence along each axis, so lemma1 and intertwining peak linearly in the window like every
-        # other check: a 13001 x 2 window is estimated at 29 MB, where dense varpi matrices once needed 4.2 GB
-        assert cli.window_peak_bytes(13_000, 1) == 13_001 * 2 * cli.WINDOW_BYTES_PER_KTYPE < 2**25
+        # other check: a 13001 x 2 window is estimated at 16 MB, where dense varpi matrices once needed 4.2 GB
+        assert cli.window_peak_bytes(13_000, 1) < 20 * 2**20
         window = ["--p", "2", "--q", "3", "--jmax", "13000", "--kmax", "1"]
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
         for check in (["--check", "lemma1"], ["--all"]):
@@ -317,15 +321,16 @@ class TestExitCodes:
         assert _call(["spectrum", "--r", "0.37", *window])[0] == 0
 
     def test_varpi_checks_peak_below_the_per_ktype_estimate(self):
-        # lemma1 and intertwining over 2001 x 2 K-types, seeded stack included; dense varpi matrices peaked
-        # near 97 MB here, 21 times the estimate
+        # lemma1 and intertwining over 13001 x 2 K-types, seeded stack included, one function a block: the
+        # estimate is about 16 MB, where dense varpi matrices would need 4.2 GB.  On a window this thin the
+        # eigenvalue grid one degree beyond holds half as many K-types again, and it sets the peak near 12 MB
         tracemalloc.start()
         try:
-            verify.run_suite(Signature(2, 3), 0.37, jmax=2000, kmax=1, checks=("lemma1", "intertwining"))
+            verify.run_suite(Signature(2, 3), 0.37, jmax=13_000, kmax=1, checks=("lemma1", "intertwining"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cli.WINDOW_BYTES_PER_KTYPE * 4_002 == cli.window_peak_bytes(2000, 1)
+        assert peak < cli.window_peak_bytes(13_000, 1)
 
     def test_physical_memory_unknown(self, monkeypatch):
         monkeypatch.setattr(os, "sysconf", lambda name: -1)
@@ -646,7 +651,7 @@ def test_writer_formats_special_values_as_reference():
         for r in (0.37, -0.0, 2.0, 5e-324):
             w = window._replace(factorized=factorized)
             for fmt in ("csv", "json"):
-                text = cli._spectrum_text(w, fmt, sig, r)
+                text = "".join(cli._spectrum_blocks(w, fmt, sig, r))
                 assert text == reference_text(w, fmt, sig, r)
                 assert all(label in text for label in ("pole", "zero-denominator"))
             assert all(token in text for token in ("NaN", "-Infinity", "Infinity", '""', "5e-324"))
@@ -672,7 +677,7 @@ def test_writer_formats_special_values_as_reference():
     for w, labels in ((hidden_only, ("pole", "zero-denominator")), (plain, ())):
         for factorized in (None, w.factorized):
             for fmt in ("csv", "json"):
-                text = cli._spectrum_text(w._replace(factorized=factorized), fmt, sig, 0.37)
+                text = "".join(cli._spectrum_blocks(w._replace(factorized=factorized), fmt, sig, 0.37))
                 assert text == reference_text(w._replace(factorized=factorized), fmt, sig, 0.37)
                 assert not any(token in text for token in ("NaN", "Infinity", "nan", "inf"))
                 assert all(label in text for label in labels)
@@ -697,3 +702,55 @@ def test_large_json_table_loads_to_reference_payload(capsys):
     expected = reference_payload(cli._spectrum_window(sig, order, 80, 80), sig, order.r)
     assert len(expected["rows"]) == 81 * 81
     assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("r", ["0.5", "2"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_blocked_tables_equal_one_block(monkeypatch, tmp_path, r, fmt):
+    # 13 rows of 10 K-types in blocks of 1, 2 and 3 rows, and of 1 row where a row is longer than a block
+    # (10 > 9).  At r = 0.5 the pole, zero-denominator and blank cells start at rows 2 and 3, so they fall on
+    # both sides of block boundaries; r = 2 fills the factorized column.  Stdout and --output print the
+    # one-block bytes.
+    argv = ["spectrum", "--p", "1", "--q", "4", "--r", r, "--jmax", "12", "--kmax", "9", "--format", fmt]
+    one = _call(argv)
+    assert one[0] == 0 and one[2] == ""
+    sig, order = Signature(1, 4), SpectralOrder(float(r))
+    window = cli._spectrum_window(sig, order, 12, 9)
+    assert "".join(cli._spectrum_blocks(window, fmt, sig, order.r)) == one[1]
+    for block_ktypes, rows in ((10, 1), (20, 2), (39, 3), (9, 1)):
+        monkeypatch.setattr(cli, "BLOCK_KTYPES", block_ktypes)
+        pieces = list(cli._spectrum_blocks(window, fmt, sig, order.r))
+        blocks = -(-13 // rows)
+        # CSV: the header and one piece a block; JSON: the head, the blocks with a separator between two, the tail
+        assert len(pieces) == (1 + blocks if fmt == "csv" else 2 * blocks + 1)
+        assert "".join(pieces) == one[1]
+        assert _call(argv) == one
+        path = tmp_path / f"table.{fmt}"
+        assert _call([*argv, "--output", str(path)]) == (0, "", "")
+        assert path.read_text() == one[1]
+
+
+def test_multi_block_commands_peak_below_the_estimate(tmp_path):
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a JSON table of 201 x 61 K-types, formatted in blocks of 134 rows, at an integer order, whose rows hold four
+    # float cells: written whole, it peaked near 14 MB
+    table = ["spectrum", "--p", "2", "--q", "3", "--r", "2", "--jmax", "200", "--kmax", "60", "--format", "json",
+             "--output", str(tmp_path / "table.json")]
+    assert peak(lambda: _call(table)) < cli.window_peak_bytes(200, 60)
+    # the seeded checks at 129 x 129, one function a block: with a transient the size of the whole stack in each
+    # varpi, N and stencil pass they peaked at 6 to 7 stack sizes
+    suite = peak(lambda: verify.run_suite(Signature(2, 3), 0.37, jmax=128, kmax=128,
+                                          checks=("lemma1", "intertwining")))
+    assert suite < min(cli.window_peak_bytes(128, 128), 5 * verify.SEEDED_FUNCTIONS * 129 * 129 * 8)
+    # a window where the slope outweighs the block term: the closed form and the recursion peak at about
+    # 250 bytes per K-type while the table is computed
+    large = ["spectrum", "--p", "2", "--q", "3", "--r", "2", "--jmax", "300", "--kmax", "300",
+             "--output", str(tmp_path / "table.csv")]
+    assert peak(lambda: _call(large)) < cli.window_peak_bytes(300, 300)

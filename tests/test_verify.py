@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -377,6 +378,97 @@ def test_stacked_checks_report_the_worst_single_function(p, q, jmax, kmax, r, se
     else:
         suite, = run_suite(sig, r, jmax=jmax, kmax=kmax, seed=seed, checks=("intertwining",))
         assert suite.to_dict() == alone.to_dict()
+
+
+def _bits(rep):
+    """What a seeded report says: its residual bit for bit, the seed and location of the worst function, the verdict."""
+    return np.float64(rep.max_residual).tobytes(), rep.extra.get("seed"), rep.worst_location, rep.passed
+
+
+def _by_block_sizes(monkeypatch, check):
+    """check() with verify.BLOCK_KTYPES set so that a block holds 5, 2 and 1 functions of a 7 x 7 stack."""
+    results = []
+    for size in (SEEDED_FUNCTIONS, 2, 1):
+        monkeypatch.setattr(verify, "BLOCK_KTYPES", 49 * size)
+        results.append(check())
+    return results
+
+
+def _seeded_blocks(monkeypatch, sig, r, coeffs, seed=5):
+    """(lemma1, intertwining) _bits of the 7 x 7 stack ``coeffs`` in blocks of 5, 2 and 1 functions."""
+    f = ZonalFunction(sig, coeffs)
+    return _by_block_sizes(monkeypatch, lambda: (_bits(check_lemma1(f, seed=seed)),
+                                                 _bits(check_intertwining(r, f, seed=seed))))
+
+
+@pytest.mark.parametrize("p, q, r", [(2, 3, 0.37), (1, 4, 2.0), (3, 3, -1.3), (5, 2, 7.25)])
+def test_blocked_seeded_checks_equal_one_block(monkeypatch, p, q, r):
+    # a 5-function stack in blocks of 1, 2 and 5 functions: the same residual bits, seed, location and verdict
+    stack = seeded_stack(Signature(p, q), 6, 6, 5).coeffs
+    one, *blocked = _seeded_blocks(monkeypatch, Signature(p, q), r, stack)
+    assert blocked == [one, one]
+
+
+def test_blocked_seeded_checks_keep_the_lowest_seed_on_ties(monkeypatch):
+    # copies of two functions in alternate blocks: each worst residual occurs in several blocks, and the lowest
+    # function that has it is reported, as np.argmax over the whole stack does
+    stack = seeded_stack(Signature(2, 3), 6, 6, 5).coeffs[[1, 0, 1, 0, 1]]
+    reports = _seeded_blocks(monkeypatch, Signature(2, 3), 0.37, stack)
+    assert reports == [reports[0]] * 3
+    assert {seed for (_, seed, *_) in reports[0]} <= {5, 6}
+
+
+@pytest.mark.parametrize("marked", [(4,), (1, 4)])
+def test_blocked_seeded_checks_report_the_first_nan(monkeypatch, marked):
+    # a nan residual in a later block is the worst, and the first nan wins: the report FAILs on it
+    mark = 0.75  # coefficient (0, 0) of the functions whose residual is made nan
+    stack = seeded_stack(Signature(2, 3), 6, 6, 5).coeffs.copy()
+    assert not (stack[:, 0, 0] == mark).any()
+    stack[list(marked), 0, 0] = mark
+
+    def banded(g, _original=verify.apply_T_banded):
+        out = _original(g).coeffs
+        out[g.coeffs[:, 0, 0] == mark, 1, 1] = np.nan
+        return SimpleNamespace(coeffs=out)
+
+    left = []  # the marked functions of the block whose left side ran last
+
+    def commutator(g, shift, _original=verify._varpi_commutator):
+        out = _original(g, shift)
+        if shift < 0:  # the left side acts on the block itself, the right side on its image under A
+            left[:] = [g.coeffs[:, 0, 0] == mark]
+        else:
+            out[left[0], 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "apply_T_banded", banded)
+    monkeypatch.setattr(verify, "_varpi_commutator", commutator)
+    reports = _seeded_blocks(monkeypatch, Signature(2, 3), 0.37, stack)
+    assert reports == [reports[0]] * 3
+    for residual, seed, _, passed in reports[0]:
+        assert np.isnan(np.frombuffer(residual)[0]) and seed == 5 + marked[0] and not passed
+
+
+def test_blocked_intertwining_raises_the_pole_of_a_later_function(monkeypatch):
+    # at (2, 3), r = 0.5 the closed form has a pole exactly where j > k.  Functions 0-2 live on j <= k - 2, so
+    # neither side of the identity meets a pole; function 3 adds (5, 3), whose left side first meets one at
+    # (4, 2); function 4, a full seeded function, would name (1, 0)
+    sig = Signature(2, 3)
+    stack = seeded_stack(sig, 6, 6, 5).coeffs.copy()
+    j, k = np.indices((7, 7))
+    stack[:4, j > k - 2] = 0.0
+    stack[3, 5, 3] = 1.0
+    f = ZonalFunction(sig, stack)
+
+    def message():
+        with pytest.raises(PoleAtKType) as raised:
+            check_intertwining(0.5, f, seed=5)
+        return str(raised.value)
+
+    messages = _by_block_sizes(monkeypatch, message)
+    assert messages == [messages[0]] * 3
+    assert "at K-type KType(j=4, k=2)" in messages[0]
+    assert check_intertwining(0.5, ZonalFunction(sig, stack[:3]), seed=5).passed
 
 
 def test_shared_spectrum_raises_the_same_pole():

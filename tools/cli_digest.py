@@ -86,6 +86,11 @@ LEMMA1_CALLS = [
     ["verify", "--p", "2", "--q", "3", "--jmax", "2000", "--kmax", "1", "--check", "lemma1", "--check", "intertwining"],
 ]
 
+#: A seeded stack of 5 x 129 x 129 K-types and a table of 201 x 61 at a half-integer order, each more than one
+#: block of spectrum.BLOCK_KTYPES K-types; the table with --output in both formats, then to stdout.  After the others.
+BLOCK_VERIFY = ["verify", "--p", "2", "--q", "3", "--jmax", "128", "--kmax", "128", "--check", "lemma1",
+                "--check", "intertwining"]
+BLOCK_TABLE = ["spectrum", "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "200", "--kmax", "60"]
 
 def calls(tmp: str) -> list[list[str]]:
     """The fixed argv list; ``tmp`` is the directory the --output files go to."""
@@ -107,7 +112,9 @@ def calls(tmp: str) -> list[list[str]]:
     for p, q, r, jmax, kmax, fmt in LARGE_SPECTRA:
         argvs.append(["spectrum", "--p", str(p), "--q", str(q), "--r", r, "--jmax", str(jmax), "--kmax", str(kmax),
                       "--format", fmt, "--output", f"{tmp}/large.{fmt}"])
-    return argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS + LEMMA1_CALLS
+    blocks = [[*BLOCK_TABLE, "--format", fmt, "--output", f"{tmp}/block.{fmt}"] for fmt in ("csv", "json")]
+    blocks += [[*BLOCK_TABLE, "--format", fmt] for fmt in ("csv", "json")]
+    return argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS + LEMMA1_CALLS + [BLOCK_VERIFY, *blocks]
 
 
 def run(main, argv: list[str], tmp: str) -> tuple[str, str | None]:

@@ -43,11 +43,14 @@ CLI, CLOSEDFORM, SPECTRUM, VERIFY, ZONAL = (f"tests/test_{name}.py"
 LEMMA1 = (f"{VERIFY}::test_lemma1_random", "tests/test_acceptance.py::test_05_conformal_field_commutator")
 #: The intertwining tests alone.
 INTERTWINING = (f"{VERIFY}::test_intertwining_random", "tests/test_acceptance.py::test_06_intertwining_relation")
+#: The block-equivalence tests of the seeded checks.
+BLOCKED = tuple(f"{VERIFY}::test_blocked_{name}" for name in (
+    "seeded_checks_equal_one_block", "seeded_checks_keep_the_lowest_seed_on_ties",
+    "seeded_checks_report_the_first_nan", "intertwining_raises_the_pole_of_a_later_function"))
 
 MUTANTS = [
     Mutant("GAMMA_DIRECT 150 -> 0", "closedform.py", "GAMMA_DIRECT = 150.0", "GAMMA_DIRECT = 0.0", (CLOSEDFORM,)),
-    Mutant("lemma1 gate 1e-8 -> 1e-2", "verify.py", "apply_T_via_lemma(f).coeffs, 1e-8, seed)",
-           "apply_T_via_lemma(f).coeffs, 1e-2, seed)", (CLI,)),
+    Mutant("lemma1 gate 1e-8 -> 1e-2", "verify.py", "1e-8, seed)", "1e-2, seed)", (CLI,)),
     Mutant("intertwining gate 1e-9 -> 1e-3", "verify.py", "f, delta, 1e-9, seed)", "f, delta, 1e-3, seed)",
            (CLI,)),
     Mutant("method-agreement gate 1e-10 -> 1e-4", "verify.py", "tolerance=1e-10, worst_location=where,",
@@ -62,14 +65,20 @@ MUTANTS = [
     Mutant("MAX_LOOP_LENGTH 8 -> 4", "spectrum.py", "MAX_LOOP_LENGTH = 8", "MAX_LOOP_LENGTH = 4", (VERIFY,)),
     Mutant("GRID_MARGIN 4 -> 1", "zonal.py", "GRID_MARGIN = 4", "GRID_MARGIN = 1", (ZONAL,)),
     Mutant("CACHED_WINDOW 256 -> 0", "closedform.py", "CACHED_WINDOW = 256", "CACHED_WINDOW = 0", (CLOSEDFORM,)),
-    Mutant("WINDOW_BYTES_PER_KTYPE 1133 -> 100", "cli.py", "WINDOW_BYTES_PER_KTYPE = 1133",
+    Mutant("WINDOW_BYTES_PER_KTYPE 320 -> 100", "cli.py", "WINDOW_BYTES_PER_KTYPE = 320",
            "WINDOW_BYTES_PER_KTYPE = 100", (CLI,)),
+    Mutant("BLOCK_BYTES_PER_KTYPE 480 -> 100", "cli.py", "BLOCK_BYTES_PER_KTYPE = 480",
+           "BLOCK_BYTES_PER_KTYPE = 100", (CLI,)),
     Mutant("JSON key texts of K and j swapped", "cli.py", "for key in _JSON_KEYS[1:])]",
            "for key in [_JSON_KEYS[2], _JSON_KEYS[1], *_JSON_KEYS[3:]])]", (CLI,)),
     Mutant("JSON row separator without its comma", "cli.py", '_JSON_ROW_SEPARATOR = "\\n    },\\n"',
            '_JSON_ROW_SEPARATOR = "\\n    }\\n"', (CLI,)),
     Mutant("JSON last row keeps its separator", "cli.py", "[_JSON_ROW_SEPARATOR] * (n * width - 1)",
            "[_JSON_ROW_SEPARATOR] * (n * width)", (CLI,)),
+    Mutant("seeded blocks merged with >=", "verify.py", "if value > worst or", "if value >= worst or",
+           (f"{VERIFY}::test_blocked_seeded_checks_keep_the_lowest_seed_on_ties",)),
+    Mutant("seeded block loop drops the last partial block", "verify.py", "range(0, len(stack), size)",
+           "range(0, len(stack) // size * size, size)", BLOCKED),
     Mutant("method-agreement prediction forced true", "verify.py",
            "prediction_ok = not (normalized & (table.reached == infinite)).any()",
            "prediction_ok = True", (VERIFY,)),
