@@ -41,8 +41,10 @@ from .closedform import (
     z_gamma_ratio,  # unused here; perfbench/tracing.py rebinds this name
     z_spectral,  # unused here; perfbench/tracing.py rebinds this name
 )
-from .geometry import KType, Signature, doubled_shifts
-from .spectrum import BLOCK_KTYPES, SpectralOrder, at_class_base, recursion_spectrum, relative_difference
+from .geometry import KType, Signature
+from .geometry import doubled_shifts  # unused here; perfbench/tracing.py rebinds this name
+from .spectrum import (BLOCK_KTYPES, SpectralOrder, at_class_base, check_window, recursion_spectrum,
+                       relative_difference, window)
 from .verify import DEFAULT_CHECKS, run_suite
 
 SCHEMA_VERSION = 1
@@ -74,8 +76,8 @@ MAX_DIMENSION = 2**50
 #: Peak bytes per K-type of the window one degree beyond the request, (jmax + 2) x (kmax + 2), the largest over
 #: the commands with their transients held one block at a time.  tracemalloc peaks of one warm call at (2, 3),
 #: r in {0.37, 2, -1.3, 0.5}, were at most 253 on square windows from 89 x 89 to 301 x 301 (method agreement,
-#: and a table while it is computed) and 318 on thin windows up to 100001 x 2 (intertwining, whose eigenvalue
-#: grid reaches one degree beyond).  The wider window charges the work along the sides, of which a thin window
+#: and a table while it is computed) and 305 on thin windows up to 100001 x 2 (intertwining, whose commutator
+#: images reach one degree beyond).  The wider window charges the work along the sides, of which a thin window
 #: has as much as K-types.
 WINDOW_BYTES_PER_KTYPE = 320
 
@@ -88,12 +90,6 @@ CSV_COLUMNS = (
     "mu_recursion", "mu_closed_form", "mu_factorized_or_blank",
     "max_rel_disagreement",
 )
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 @functools.cache  # built once per process: parsing leaves the parsers as they were
@@ -175,8 +171,10 @@ def _validate(parser, args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
         parser.error(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({args.p}, {args.q})")
     if max(args.p, args.q) > MAX_DIMENSION:
         parser.error(f"sphere dimensions must satisfy p, q <= 2**50 = {MAX_DIMENSION}, got ({args.p}, {args.q})")
-    if args.jmax < 1 or args.kmax < 1:
-        parser.error(f"truncation must satisfy jmax >= 1 and kmax >= 1, got ({args.jmax}, {args.kmax})")
+    try:
+        check_window(args.jmax, args.kmax, 1)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "verify" and args.seed < 0:
         parser.error(f"seed must be >= 0, got {args.seed}")
     try:
@@ -244,9 +242,9 @@ def _spectrum_window(sig: Signature, order: SpectralOrder, jmax: int, kmax: int)
     compared = table.reached & ~poles & ~at_class_base(poles) & (zbase != 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disagreement = relative_difference(closed / zbase, recursion)
+    _, _, tj, tk = window(sig, jmax, kmax)
     return SpectrumWindow(
-        half_j=[doubled_shifts(sig, KType(j, 0))[0] / 2.0 for j in range(jmax + 1)],
-        half_k=[doubled_shifts(sig, KType(0, k))[1] / 2.0 for k in range(kmax + 1)],
+        half_j=(tj[:, 0] / 2.0).tolist(), half_k=(tk[0] / 2.0).tolist(),
         recursion=recursion, reached=table.reached, closed=closed, poles=poles,
         factorized=None if factorized is None else factorized + 0.0,
         disagreement=disagreement, compared=compared,
@@ -366,8 +364,7 @@ def cmd_verify(args, parser) -> int:
         return 1
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
-        print(f"{rep.name}: max_residual={_fmt(rep.max_residual)} "
-              f"tol={_fmt(rep.tolerance)} {status}")
+        print("%s: max_residual=%.17g tol=%.17g %s" % (rep.name, rep.max_residual, rep.tolerance, status))
     if args.output:
         bundle = {"schema_version": SCHEMA_VERSION, "reports": [rep.to_dict() for rep in reports]}
         if _write_output(args.output, [json.dumps(bundle, indent=2, sort_keys=True) + "\n"]):

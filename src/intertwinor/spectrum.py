@@ -188,11 +188,13 @@ class SpectrumTable:
     """Eigenvalue table of a window, normalized to 1 at the class bases (0, 0) and (1, 0).
 
     ``values`` covers the whole window and is meaningful where ``reached``.
+    ``singular``, shaped (4, jmax + 1, kmax + 1) as in edge_arrays, marks the
+    singular edges out of reached K-types; None marks none.
     """
 
     values: np.ndarray
     reached: np.ndarray
-    singular_edges: tuple = ()
+    singular: np.ndarray | None = None
 
     @cached_property
     def entries(self) -> dict[KType, float]:
@@ -201,6 +203,12 @@ class SpectrumTable:
             KType(j, k): self.values[j, k].item()
             for j, k in np.argwhere(self.reached).tolist()
         }
+
+    @cached_property
+    def singular_edges(self) -> tuple[tuple[KType, str], ...]:
+        """(K-type, direction) of each singular edge out of a reached K-type, in (j, k) order, then by direction."""
+        edges = [] if self.singular is None else np.argwhere(self.singular.transpose(1, 2, 0)).tolist()
+        return tuple((KType(j, k), DIRECTIONS[d]) for j, k, d in edges)
 
 
 def _tree_products(ratio: np.ndarray) -> np.ndarray:
@@ -228,10 +236,10 @@ def _tree_products(ratio: np.ndarray) -> np.ndarray:
     return values
 
 
-def _at_heads(grid: np.ndarray) -> np.ndarray:
-    """[d, j, k]: the entry of a float window grid at (j, k) + STEPS[DIRECTIONS[d]], nan off the window."""
+def _at_heads(grid: np.ndarray, fill=np.nan) -> np.ndarray:
+    """[d, j, k]: the entry of a window grid at (j, k) + STEPS[DIRECTIONS[d]], ``fill`` off the window."""
     nj, nk = grid.shape
-    padded = np.full((nj + 2, nk + 2), np.nan)
+    padded = np.full((nj + 2, nk + 2), fill, dtype=grid.dtype)
     padded[1:-1, 1:-1] = grid
     return np.stack([padded[1 + dj:1 + dj + nj, 1 + dk:1 + dk + nk]
                      for dj, dk in (STEPS[tag] for tag in DIRECTIONS)])
@@ -277,8 +285,7 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
 
     reached = ~np.isnan(values)
     values[~reached] = 0.0
-    edges = np.argwhere((singular & reached).transpose(1, 2, 0)).tolist()
-    return SpectrumTable(values, reached, tuple((KType(j, k), DIRECTIONS[d]) for j, k, d in edges))
+    return SpectrumTable(values, reached, singular & reached)
 
 
 def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int) -> float:

@@ -28,6 +28,7 @@ from .spectrum import (
     BLOCK_KTYPES,
     MAX_LOOP_LENGTH,
     SpectralOrder,
+    _at_heads,
     at_class_base,
     check_window,
     max_loop_deviation,
@@ -156,47 +157,39 @@ def _seeded_report(name: str, r, f: ZonalFunction, residual, tolerance: float,
     )
 
 
-def _apply_eigenvalues(f: ZonalFunction, r, spectrum) -> ZonalFunction:
-    """Diagonal action of the intertwining operator on every K-type present.
-
-    ``spectrum`` is z_spectral_grid over a window containing f's; every
-    entry depends only on its own K-type, so its leading corner is f's.  A
-    pole under a present coefficient raises, at the first such K-type of the
-    first function of a stack that has one.
-    """
-    mu, poles = (grid[: f.jmax + 1, : f.kmax + 1] for grid in spectrum)
-    present = f.coeffs != 0.0
-    if (poles & present).any():
-        *_, j, k = np.argwhere(poles & present)[0].tolist()
-        z_spectral(f.sig, r, KType(j, k))  # raises PoleAtKType naming the argument
-    return ZonalFunction(f.sig, np.where(present, f.coeffs * mu, 0.0))
-
-
 def check_intertwining(r, f: ZonalFunction, seed: int | None = None) -> VerificationReport:
     """Residual of A(T + (n/2 - r) varpi) f = (T + (n/2 + r) varpi) A f.
 
     With T = (1/2)[N, varpi] - (n/2) varpi the n/2 terms cancel, so both
     sides are computed as A((1/2)[N, varpi] - r varpi) f and
     ((1/2)[N, varpi] + r varpi) A f, each with two multiplications by varpi.
-    A acts diagonally by the closed-form eigenvalues, z_spectral_grid over
-    the window one degree beyond f's in j and in k.  The residual is
-    measured on interior coefficients (j <= jmax - 1, k <= kmax - 1 of the
-    input truncation), relative to the coefficient sup-norm of f.  ``f`` may
-    be a stack of functions along leading axes, such as seeded_stack; the
-    report names the worst one.  Both sides run on one block of functions at
-    a time (see _seeded_report), so memory beyond f and the eigenvalue grid
-    is bounded by a block; a pole raises at the first block that has one,
-    its left side first.  A term beyond the float range raises
+    A acts diagonally by z_spectral_grid over f's window: on the commutator
+    image of the left side, and on f before the commutator of the right.
+    The residual is measured on interior coefficients (j <= jmax - 1,
+    k <= kmax - 1 of the input truncation), relative to the coefficient
+    sup-norm of f.  ``f`` may be a stack of functions along leading axes,
+    such as seeded_stack; the report names the worst one.  First the check
+    raises PoleAtKType at the first window pole, in (j, k) order, that the
+    stack touches: where some function has a nonzero coefficient, or at a
+    diagonal neighbour of one.  Both sides vanish at the other poles, whose
+    eigenvalue is set to 0.  Then both sides run on one block of functions
+    at a time (see _seeded_report), so memory beyond f and the eigenvalue
+    grid is bounded by a block.  A term beyond the float range raises
     FloatingPointError.
     """
     order = SpectralOrder.coerce(r)
-    spectrum = z_spectral_grid(f.sig, order, f.jmax + 1, f.kmax + 1)
+    mu, poles = z_spectral_grid(f.sig, order, f.jmax, f.kmax)
+    present = (f.coeffs != 0.0).reshape((-1,) + mu.shape).any(axis=0)
+    touched = present | _at_heads(present, False).any(axis=0)
+    if (poles & touched).any():
+        j, k = np.argwhere(poles & touched)[0].tolist()
+        z_spectral(f.sig, order, KType(j, k))  # raises PoleAtKType naming the argument
+    mu[poles] = 0.0
     interior = (Ellipsis, slice(max(f.jmax, 1)), slice(max(f.kmax, 1)))
 
     def delta(g: ZonalFunction) -> np.ndarray:
-        left = _apply_eigenvalues(ZonalFunction(g.sig, _varpi_commutator(g, -order.r)), order, spectrum)
-        right = _varpi_commutator(_apply_eigenvalues(g, order, spectrum), order.r)
-        return left.coeffs[interior] - right[interior]
+        left = _varpi_commutator(g, -order.r)[interior] * mu[interior]
+        return left - _varpi_commutator(ZonalFunction(g.sig, g.coeffs * mu), order.r)[interior]
 
     with np.errstate(over="raise"):
         return _seeded_report("intertwining", order.r, f, delta, 1e-9, seed)

@@ -323,7 +323,7 @@ class TestExitCodes:
     def test_varpi_checks_peak_below_the_per_ktype_estimate(self):
         # lemma1 and intertwining over 13001 x 2 K-types, seeded stack included, one function a block: the
         # estimate is about 16 MB, where dense varpi matrices would need 4.2 GB.  On a window this thin the
-        # eigenvalue grid one degree beyond holds half as many K-types again, and it sets the peak near 12 MB
+        # commutator images one degree beyond hold half as many K-types again, and they set the peak near 12 MB
         tracemalloc.start()
         try:
             verify.run_suite(Signature(2, 3), 0.37, jmax=13_000, kmax=1, checks=("lemma1", "intertwining"))
@@ -415,6 +415,15 @@ def _call(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def test_intertwining_reads_only_the_requested_window():
+    # (2, 0), one degree beyond this window, is a Gamma pole at r = 0.5; the window itself has none, and the
+    # check once refused it there
+    code, out, err = _call(["verify", "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "1", "--kmax", "8",
+                            "--check", "intertwining"])
+    assert (code, err) == (0, "")
+    assert out.startswith("intertwining: max_residual=") and out.endswith(" tol=1.0000000000000001e-09 PASS\n")
 
 
 def test_reused_parser_matches_fresh_parser():
@@ -599,13 +608,15 @@ def reference_payload(window: cli.SpectrumWindow, sig: Signature, r: float) -> d
 
 
 def reference_text(window: cli.SpectrumWindow, fmt: str, sig: Signature, r: float) -> str:
-    """The table by the generic encoders: json.dumps of the dict rows, or their per-cell _fmt CSV join."""
+    """The table by the generic encoders: json.dumps of the dict rows, or a per-cell CSV join, floats by
+    format(x, ".17g") and the rest by str."""
     payload = reference_payload(window, sig, r)
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = [",".join(cli.CSV_COLUMNS)]
     for row in payload["rows"]:
-        lines.append(",".join(cli._fmt(row[c]) for c in cli.CSV_COLUMNS))
+        lines.append(",".join(format(row[c], ".17g") if isinstance(row[c], float) else str(row[c])
+                              for c in cli.CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

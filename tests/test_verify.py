@@ -16,6 +16,7 @@ from intertwinor.closedform import (
     factorized_eigenvalue_exact,
     z_gamma_grid,
     z_gamma_ratio,
+    z_spectral_grid,
 )
 from intertwinor.geometry import KType, Signature, scalar_curvature
 from intertwinor.spectrum import SpectrumTable, recursion_spectrum
@@ -449,26 +450,49 @@ def test_blocked_seeded_checks_report_the_first_nan(monkeypatch, marked):
         assert np.isnan(np.frombuffer(residual)[0]) and seed == 5 + marked[0] and not passed
 
 
-def test_blocked_intertwining_raises_the_pole_of_a_later_function(monkeypatch):
+def test_blocked_intertwining_raises_the_first_touched_pole(monkeypatch):
     # at (2, 3), r = 0.5 the closed form has a pole exactly where j > k.  Functions 0-2 live on j <= k - 2, so
-    # neither side of the identity meets a pole; function 3 adds (5, 3), whose left side first meets one at
-    # (4, 2); function 4, a full seeded function, would name (1, 0)
+    # they touch no pole.  Function 3 adds (5, 3), and the first pole the stack touches is (4, 2), a
+    # varpi-neighbour of (5, 3) where no function has a coefficient; with function 4, a full seeded function,
+    # it is (1, 0).  The pole is decided before the blocks, so every block size names the same one
     sig = Signature(2, 3)
     stack = seeded_stack(sig, 6, 6, 5).coeffs.copy()
     j, k = np.indices((7, 7))
     stack[:4, j > k - 2] = 0.0
     stack[3, 5, 3] = 1.0
-    f = ZonalFunction(sig, stack)
+    assert not stack[:4, 4, 2].any()
 
-    def message():
+    def message(functions):
         with pytest.raises(PoleAtKType) as raised:
-            check_intertwining(0.5, f, seed=5)
+            check_intertwining(0.5, ZonalFunction(sig, stack[:functions]), seed=5)
         return str(raised.value)
 
-    messages = _by_block_sizes(monkeypatch, message)
-    assert messages == [messages[0]] * 3
-    assert "at K-type KType(j=4, k=2)" in messages[0]
+    for functions, pole in ((4, KType(4, 2)), (5, KType(1, 0))):
+        messages = _by_block_sizes(monkeypatch, lambda: message(functions))
+        assert messages == [messages[0]] * 3
+        assert f" at K-type {pole}: " in messages[0]
     assert check_intertwining(0.5, ZonalFunction(sig, stack[:3]), seed=5).passed
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.integers(1, 6), q=st.integers(1, 6), jmax=st.integers(0, 8), kmax=st.integers(0, 8),
+       r=SEEDED_ORDERS, seed=st.integers(0, 2**64 + 10))
+@example(p=2, q=6, jmax=3, kmax=4, r=-0.0, seed=3)  # once named (4, 1), outside the window
+@example(p=1, q=4, jmax=1, kmax=8, r=0.5, seed=0)  # once refused at (2, 0), outside the window
+@example(p=1, q=5, jmax=3, kmax=4, r=-0.0, seed=3)  # once named (3, 0) by float residue alone
+@example(p=1, q=1, jmax=4, kmax=4, r=-2.5, seed=0)  # a pole at (0, 0)
+def test_seeded_intertwining_refuses_exactly_at_window_poles(p, q, jmax, kmax, r, seed):
+    # a seeded stack touches every K-type of its window, so the check refuses exactly where the closed form has
+    # a pole in the window, as spectrum labels it, and names the first one in (j, k) order
+    sig = Signature(p, q)
+    _, poles = z_spectral_grid(sig, r, jmax, kmax)
+    f = seeded_stack(sig, jmax, kmax, seed)
+    if not poles.any():
+        check_intertwining(r, f, seed=seed)
+        return
+    with pytest.raises(PoleAtKType) as raised:
+        check_intertwining(r, f, seed=seed)
+    assert f" at K-type {KType(*np.argwhere(poles)[0].tolist())}: " in str(raised.value)
 
 
 def test_shared_spectrum_raises_the_same_pole():

@@ -92,6 +92,14 @@ BLOCK_VERIFY = ["verify", "--p", "2", "--q", "3", "--jmax", "128", "--kmax", "12
                 "--check", "intertwining"]
 BLOCK_TABLE = ["spectrum", "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "200", "--kmax", "60"]
 
+#: intertwining where the window has no pole but the K-types one degree beyond it do, and where the first pole of
+#: the window is a numerator pole at (3, 0); after the others.
+POLE_CALLS = [
+    ["verify", "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "1", "--kmax", "8", "--check", "intertwining"],
+    ["verify", "--p", "1", "--q", "5", "--r", "-0.0", "--jmax", "3", "--kmax", "4", "--all"],
+]
+
+
 def calls(tmp: str) -> list[list[str]]:
     """The fixed argv list; ``tmp`` is the directory the --output files go to."""
     argvs = []
@@ -114,7 +122,8 @@ def calls(tmp: str) -> list[list[str]]:
                       "--format", fmt, "--output", f"{tmp}/large.{fmt}"])
     blocks = [[*BLOCK_TABLE, "--format", fmt, "--output", f"{tmp}/block.{fmt}"] for fmt in ("csv", "json")]
     blocks += [[*BLOCK_TABLE, "--format", fmt] for fmt in ("csv", "json")]
-    return argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS + LEMMA1_CALLS + [BLOCK_VERIFY, *blocks]
+    return (argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS + LEMMA1_CALLS + [BLOCK_VERIFY, *blocks]
+            + POLE_CALLS)
 
 
 def run(main, argv: list[str], tmp: str) -> tuple[str, str | None]:

@@ -46,7 +46,7 @@ INTERTWINING = (f"{VERIFY}::test_intertwining_random", "tests/test_acceptance.py
 #: The block-equivalence tests of the seeded checks.
 BLOCKED = tuple(f"{VERIFY}::test_blocked_{name}" for name in (
     "seeded_checks_equal_one_block", "seeded_checks_keep_the_lowest_seed_on_ties",
-    "seeded_checks_report_the_first_nan", "intertwining_raises_the_pole_of_a_later_function"))
+    "seeded_checks_report_the_first_nan", "intertwining_raises_the_first_touched_pole"))
 
 MUTANTS = [
     Mutant("GAMMA_DIRECT 150 -> 0", "closedform.py", "GAMMA_DIRECT = 150.0", "GAMMA_DIRECT = 0.0", (CLOSEDFORM,)),
@@ -79,6 +79,11 @@ MUTANTS = [
            (f"{VERIFY}::test_blocked_seeded_checks_keep_the_lowest_seed_on_ties",)),
     Mutant("seeded block loop drops the last partial block", "verify.py", "range(0, len(stack), size)",
            "range(0, len(stack) // size * size, size)", BLOCKED),
+    Mutant("intertwining pole mask without the varpi-neighbours", "verify.py",
+           "touched = present | _at_heads(present, False).any(axis=0)", "touched = present",
+           (f"{VERIFY}::test_blocked_intertwining_raises_the_first_touched_pole",)),
+    Mutant("intertwining eigenvalues left nan at untouched poles", "verify.py", "mu[poles] = 0.0",
+           "mu[poles] = mu[poles]", (f"{VERIFY}::test_intertwining_r_zero_is_exact",)),
     Mutant("method-agreement prediction forced true", "verify.py",
            "prediction_ok = not (normalized & (table.reached == infinite)).any()",
            "prediction_ok = True", (VERIFY,)),
@@ -90,8 +95,8 @@ MUTANTS = [
     Mutant("MAX_DIMENSION 2**50 -> 2**62", "cli.py", "MAX_DIMENSION = 2**50", "MAX_DIMENSION = 2**62", (CLI,)),
     Mutant("edge_arrays minimum side 1 -> 0", "spectrum.py", "check_window(jmax, kmax, 1)",
            "check_window(jmax, kmax, 0)", (SPECTRUM,)),
-    Mutant("recheck heads padded with 0.0, not nan", "spectrum.py", "padded = np.full((nj + 2, nk + 2), np.nan)",
-           "padded = np.full((nj + 2, nk + 2), 0.0)", (SPECTRUM,)),
+    Mutant("recheck heads padded with 0.0, not nan", "spectrum.py", "def _at_heads(grid: np.ndarray, fill=np.nan)",
+           "def _at_heads(grid: np.ndarray, fill=0.0)", (SPECTRUM,)),
     Mutant("REL_TOL 1e-10 -> 1e-6", "spectrum.py", "REL_TOL = 1e-10", "REL_TOL = 1e-6", (SPECTRUM,)),
     Mutant("mult_by_cos downward coefficient off by one", "zonal.py",
            "(j + 2.0 * lam - 1) / (2.0 * (j + lam))", "(j + 2.0 * lam) / (2.0 * (j + lam))", LEMMA1),

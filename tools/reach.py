@@ -36,6 +36,8 @@ EXPECTED = {
     "closedform.conformal_laplacian_eigenvalue_exact": TRACED,
     "spectrum.SpectrumTable.entries": "read by perfbench/tracing.py for spectrum.table_entries, "
                                       "which waits for ROADMAP item 7",
+    "spectrum.SpectrumTable.singular_edges": "read by perfbench/tracing.py for spectrum.singular_edges, "
+                                             "which waits for ROADMAP item 7",
     "verify.random_zonal": "library API: the seeded test function of acceptance criteria 5 and 6",
     "zonal.basis_element": "library API: the single-mode test function of the verify tests",
     "zonal.mult_by_cos": "library API: x * f along axis 0, the recurrence that multiply_by_varpi runs along "
