@@ -6,6 +6,12 @@ MAX_DIMENSION, an order beyond MAX_ABS_ORDER or too large for floating
 point, and a window too large for memory (see window_peak_bytes; refused
 before any allocation).  Output is byte-deterministic for a given flag set.
 
+Each flag is defined once, in COMMANDS.  A well-formed command (exact flag
+names, every value one that argparse reads as given) is read from that table
+alone (see _read); argparse, built from the same table and imported only
+when needed, parses everything else and prints every help, usage and error
+text.
+
 ``spectrum`` writes one fixed schema.  CSV cells print floats with "%.17g"
 ('.' decimal, 17 significant digits) and integers with str.  JSON is exactly
 what json.dumps(indent=2, sort_keys=True) prints: sorted keys, two-space
@@ -24,12 +30,12 @@ form undefined) or "zero-denominator" (recursion blocked), never as NaN.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
+import types
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
@@ -92,52 +98,137 @@ CSV_COLUMNS = (
 )
 
 
+class Flag(NamedTuple):
+    """One option ``--name`` of a command: its type (int, float or str; bool for a bare switch, list for a
+    repeatable one whose values append), default, help text and, if listed, its only accepted values."""
+
+    name: str
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+
+
+_COMMON_FLAGS = (
+    Flag("p", int, help="dimension of the first sphere", required=True),
+    Flag("q", int, help="dimension of the second sphere", required=True),
+    Flag("r", float, 0.37, "spectral order (operator order 2r)"),
+    Flag("jmax", int, 8),
+    Flag("kmax", int, 8),
+)
+
+#: Every command, its help text and its flags in the order --help lists them; the one definition of each flag,
+#: read by _read and by the argparse parsers alike.
+COMMANDS = {
+    "spectrum": ("tabulate eigenvalues by all methods", _COMMON_FLAGS + (
+        Flag("format", str, "csv", choices=("csv", "json")),
+        Flag("output", str, "-", "output path, '-' for stdout"),
+    )),
+    "verify": ("run identity checks", _COMMON_FLAGS + (
+        Flag("seed", int, 0),
+        Flag("all", bool, False, "run every check"),
+        Flag("check", list, None, "run a named check (repeatable)", DEFAULT_CHECKS),
+        Flag("output", str, None, "write the JSON report bundle here"),
+    )),
+}
+
+_FLAGS = {command: {flag.name: flag for flag in flags} for command, (_, flags) in COMMANDS.items()}
+
+
+#: The tokens that start with "-" and that argparse still reads as option values.
+_ARGPARSE_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
 @functools.cache  # built once per process: parsing leaves the parsers as they were
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and, by command name, its subparsers."""
+def _build_parser():
+    """The top-level argparse parser and, by command name, its subparsers, from COMMANDS."""
+    import argparse  # only for help, usage and errors: _read takes every well-formed command
+
     parser = argparse.ArgumentParser(
         prog="intertwinor",
         description="Eigenvalues of conformally invariant operators on S^p x S^q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--p", type=int, required=True, help="dimension of the first sphere")
-        sp.add_argument("--q", type=int, required=True, help="dimension of the second sphere")
-        sp.add_argument("--r", type=float, default=0.37, help="spectral order (operator order 2r)")
-        sp.add_argument("--jmax", type=int, default=8)
-        sp.add_argument("--kmax", type=int, default=8)
-
-    spectrum = sub.add_parser("spectrum", help="tabulate eigenvalues by all methods")
-    common(spectrum)
-    spectrum.add_argument("--format", choices=("csv", "json"), default="csv")
-    spectrum.add_argument("--output", default="-", help="output path, '-' for stdout")
-
-    verify = sub.add_parser("verify", help="run identity checks")
-    common(verify)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--all", action="store_true", help="run every check")
-    verify.add_argument("--check", action="append", choices=DEFAULT_CHECKS,
-                        help="run a named check (repeatable)")
-    verify.add_argument("--output", default=None, help="write the JSON report bundle here")
-    return parser, {"spectrum": spectrum, "verify": verify}
+    commands = {}
+    for command, (text, flags) in COMMANDS.items():
+        commands[command] = sub.add_parser(command, help=text)
+        for flag in flags:
+            if flag.type is bool:
+                commands[command].add_argument("--" + flag.name, action="store_true", help=flag.help)
+            else:
+                commands[command].add_argument(
+                    "--" + flag.name, action="append" if flag.type is list else "store",
+                    type=str if flag.type is list else flag.type, choices=flag.choices,
+                    required=flag.required, default=flag.default, help=flag.help)
+    return parser, commands
 
 
-def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
-    """(parser, parser.parse_args(argv)) with the same output, but a known command parsed by its subparser
-    alone; leftover tokens end in the top-level "unrecognized arguments" error, as in parse_args."""
+def _error(message: str):
+    """Exit 2 with ``message`` under the top-level usage, as argparse prints it."""
+    _build_parser()[0].error(message)
+
+
+def _read(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse gives for a well-formed command, read from COMMANDS alone; None for anything else.
+
+    Well formed: a command, then exact flag names, each "--flag VALUE" or "--flag=VALUE" (a bare switch has no
+    value), every required flag among them, and each VALUE one that argparse reads as a value and that converts
+    to the flag's type and choices.  The last value of a flag wins; a repeatable flag appends.
+    """
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    flags = _FLAGS[argv[0]]
+    values = {name: flag.default for name, flag in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        flag = flags.get(name[2:]) if name.startswith("--") else None
+        if flag is None or (joined and flag.type is bool) or value == "--":
+            return None
+        if flag.type is bool:
+            values[flag.name] = True
+            continue
+        if not joined:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and value != "-"
+                                 and not _ARGPARSE_NEGATIVE_NUMBER.fullmatch(value)):
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        if flag.type is list:
+            values[flag.name] = [*(values[flag.name] or ()), value]
+            continue
+        try:
+            values[flag.name] = flag.type(value)
+        except ValueError:
+            return None
+    if any(flag.required and values[name] is None for name, flag in flags.items()):
+        return None
+    return types.SimpleNamespace(command=argv[0], **values)
+
+
+def _parse(argv: list[str]):
+    """The namespace of parse_args(argv) on the top-level parser: _read's, or else argparse's, with a known
+    command parsed by its subparser alone; leftover tokens end in the top-level "unrecognized arguments"
+    error, as in parse_args, and a flag left without its value ("--flag=--") in its subparser's error."""
+    args = _read(argv)
+    if args is not None:
+        return args
     parser, commands = _build_parser()
     if not argv or argv[0] not in commands:
-        return parser, parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return parser, args
-
-
-#: The tokens that start with "-" and that argparse still reads as option values.
-_ARGPARSE_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+        args = parser.parse_args(argv)
+    else:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+    # argparse drops "--" from an explicit value: "--flag=--" stores no value, an empty list
+    for flag in COMMANDS[args.command][1]:
+        value = getattr(args, flag.name)
+        if value == [] or flag.type is list and value and [] in value:
+            commands[args.command].error(f"argument --{flag.name}: expected one argument")
+    return args
 
 
 def _join_order_values(argv: list[str]) -> list[str]:
@@ -165,26 +256,26 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def _validate(parser, args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
+def _validate(args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
     """The signature, the order and the checks verify runs (none for spectrum); invalid flags exit 2."""
     if args.p < 1 or args.q < 1:
-        parser.error(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({args.p}, {args.q})")
+        _error(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({args.p}, {args.q})")
     if max(args.p, args.q) > MAX_DIMENSION:
-        parser.error(f"sphere dimensions must satisfy p, q <= 2**50 = {MAX_DIMENSION}, got ({args.p}, {args.q})")
+        _error(f"sphere dimensions must satisfy p, q <= 2**50 = {MAX_DIMENSION}, got ({args.p}, {args.q})")
     try:
         check_window(args.jmax, args.kmax, 1)
     except ValueError as exc:
-        parser.error(str(exc))
+        _error(str(exc))
     if args.command == "verify" and args.seed < 0:
-        parser.error(f"seed must be >= 0, got {args.seed}")
+        _error(f"seed must be >= 0, got {args.seed}")
     try:
         order = SpectralOrder(args.r)
     except ValueError as exc:
-        parser.error(str(exc))
+        _error(str(exc))
     if order.is_positive_integer and order.as_integer > MAX_INTEGER_ORDER:
-        parser.error(f"integer order must satisfy r <= {MAX_INTEGER_ORDER}, got r = {args.r}")
+        _error(f"integer order must satisfy r <= {MAX_INTEGER_ORDER}, got r = {args.r}")
     if abs(order.r) > MAX_ABS_ORDER:
-        parser.error(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
+        _error(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
     checks = () if args.command == "spectrum" else tuple(DEFAULT_CHECKS if args.all or not args.check else args.check)
     # Refused before any allocation: a window whose first arrays fit can still outgrow memory later.
     estimate, memory = window_peak_bytes(args.jmax, args.kmax), _physical_memory()
@@ -344,8 +435,8 @@ def _write_output(path: str, pieces: Iterable[str]) -> int:
     return 0
 
 
-def cmd_spectrum(args, parser) -> int:
-    sig, order, _ = _validate(parser, args)
+def cmd_spectrum(args) -> int:
+    sig, order, _ = _validate(args)
     window = _spectrum_window(sig, order, args.jmax, args.kmax)
     pieces = _spectrum_blocks(window, args.format, sig, order.r)
     if args.output != "-":
@@ -354,8 +445,8 @@ def cmd_spectrum(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
-    sig, order, checks = _validate(parser, args)
+def cmd_verify(args) -> int:
+    sig, order, checks = _validate(args)
     try:
         reports = run_suite(sig, order, jmax=args.jmax, kmax=args.kmax,
                             seed=args.seed, checks=checks)
@@ -365,7 +456,7 @@ def cmd_verify(args, parser) -> int:
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print("%s: max_residual=%.17g tol=%.17g %s" % (rep.name, rep.max_residual, rep.tolerance, status))
-    if args.output:
+    if args.output is not None:
         bundle = {"schema_version": SCHEMA_VERSION, "reports": [rep.to_dict() for rep in reports]}
         if _write_output(args.output, [json.dumps(bundle, indent=2, sort_keys=True) + "\n"]):
             return 1
@@ -373,10 +464,10 @@ def cmd_verify(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser, args = _parse(_join_order_values(sys.argv[1:] if argv is None else argv))
+    args = _parse(_join_order_values(sys.argv[1:] if argv is None else argv))
     command = cmd_spectrum if args.command == "spectrum" else cmd_verify
     try:
-        return command(args, parser)
+        return command(args)
     except (OverflowError, FloatingPointError) as exc:  # nothing is written before the values are complete
         print(f"error: r = {args.r} overflows floating point: {exc}", file=sys.stderr)
         return 2

@@ -399,6 +399,14 @@ class TestExitCodes:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("command", [["spectrum"], ["verify", "--check", "inversion"]])
+    def test_empty_output_path_exits_1(self, capsys, command):
+        # an empty --output names no file: both commands say so and exit 1, and verify still prints its verdicts
+        code, out, err = run_cli(capsys, *command, "--p", "1", "--q", "1", "--r", "0.5", "--output", "")
+        assert code == 1
+        assert err.startswith("error: cannot write : ") and "Traceback" not in err
+        assert out == "" if command == ["spectrum"] else out.startswith("inversion: ") and out.endswith(" PASS\n")
+
 
 def _package_env():
     """The environment with this checkout's src/ first on PYTHONPATH, for a child interpreter."""
@@ -467,6 +475,21 @@ def test_subcommand_help_prints_subcommand_usage():
     assert out.startswith("usage: intertwinor spectrum [-h] --p P --q Q")
 
 
+_NAN = object()  # stands for every NaN in a parsed namespace, so that NaN compares equal to NaN
+
+
+def _parse_outcome(parse, argv):
+    """(the parsed namespace as a dict, or the exit code; stdout; stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {key: _NAN if isinstance(value, float) and value != value else value
+                      for key, value in vars(parse(list(argv))).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--p", "2", "--q", "3"], ["verify", "--q", "3", "--p", "1", "--all", "--seed", "4"],
     ["verify", "--p", "1", "--q", "2", "--check", "inversion", "--check", "lemma1", "--output", "x.json"],
@@ -476,17 +499,114 @@ def test_subcommand_help_prints_subcommand_usage():
 ])
 def test_subparser_parse_matches_full_parse(argv):
     # cli._parse gives what the top-level parse_args gives: the same namespace, or the same exit and output
-    def outcome(parse):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                result = vars(parse(list(argv)))
-            except SystemExit as exc:
-                result = exc.code
-        return result, out.getvalue(), err.getvalue()
-
     parser, _ = cli._build_parser()
-    assert outcome(lambda a: cli._parse(a)[1]) == outcome(parser.parse_args)
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+
+
+#: Values that argparse may read as an option, as no value or as a bad one: half of them start with "-".
+ODD_VALUES = st.one_of(st.sampled_from([
+    "-", "--", "-x", "-h", "--p", "--output", "-1", "-.5", "-1.", "-1e-08", "-inf", "-nan", "-1_0", "-5\n",
+    "-lemma1", "-a b",
+]), st.sampled_from([
+    "", " ", " 5", " -5", "5 ", "1_0", "nan", "inf", "1e300", "0x10", "csv", "json", "xml", "inversion", "lemma1",
+    "=", "a=b",
+]))
+#: Tokens that no well-formed command holds.
+STRAY_TOKENS = st.sampled_from(["-h", "--help", "--", "extra", "--bogus", "-p", "--=1"])
+
+
+def _typical_value(flag):
+    if flag.type is bool:
+        return st.none()
+    if flag.choices is not None:
+        return st.sampled_from(flag.choices)
+    return {int: st.integers(-3, 2**70).map(str), float: st.floats().map(repr),
+            str: st.sampled_from(["-", "out.json", "a b"])}[flag.type]
+
+
+@st.composite
+def perturbed_argvs(draw):
+    """A command of cli.COMMANDS with --p, --q and other flags of its table (any may repeat), each with a typical
+    value, separate or after "=", and at most one perturbation: one more flag with an odd value (for a switch, any
+    value), an abbreviated name, "--FLAG=--", a missing --p or --q, or a stray token."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = cli.COMMANDS[command][1]
+    chosen = [*flags[:2], *draw(st.lists(st.sampled_from(flags), max_size=6))]
+    chunks = [["--" + flag.name, draw(_typical_value(flag)), draw(st.booleans())] for flag in chosen]
+    at = draw(st.integers(0, len(chunks) - 1))
+    perturbation = draw(st.sampled_from(["none", "value", "value", "abbreviation", "double dash", "missing",
+                                         "stray"]))
+    if perturbation == "value":
+        flag = draw(st.sampled_from(flags))
+        chunks.append(["--" + flag.name, draw(ODD_VALUES), flag.type is bool or draw(st.booleans())])
+    elif perturbation == "abbreviation" and len(chunks[at][0]) > 3:
+        chunks[at][0] = chunks[at][0][:-1]
+    elif perturbation == "double dash" and chosen[at].type is not bool:
+        chunks[at][1:] = "--", True
+    elif perturbation == "missing":
+        del chunks[at % 2]
+    elif perturbation == "stray":
+        chunks.append([draw(STRAY_TOKENS), None, False])
+    tokens = []
+    for name, value, joined in draw(st.permutations(chunks)):
+        tokens += [name] if value is None else [f"{name}={value}"] if joined else [name, value]
+    return [command, *tokens]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=perturbed_argvs())
+def test_reader_matches_argparse(argv):
+    # Where cli._read accepts an argv, argparse returns the same namespace.  Everywhere else cli._parse is
+    # argparse, except that "--FLAG=--", which argparse stores as an empty list, exits 2.
+    parser, _ = cli._build_parser()
+    expected = _parse_outcome(parser.parse_args, argv)
+    if cli._read(argv) is not None:
+        assert _parse_outcome(cli._read, argv) == expected
+    values = expected[0].values() if isinstance(expected[0], dict) else ()
+    if [] in values or any(isinstance(value, list) and [] in value for value in values):
+        code, out, err = _parse_outcome(cli._parse, argv)
+        assert (code, out) == (2, "") and err.endswith(": expected one argument\n")
+    else:
+        assert _parse_outcome(cli._parse, argv) == expected
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--output", ["spectrum", "--p", "2", "--q", "3", "--output=--"]), ("--p", ["spectrum", "--p=--", "--q", "3"]),
+    ("--jmax", ["spectrum", "--p", "2", "--q", "3", "--jmax=--"]),
+    ("--format", ["spectrum", "--p", "2", "--q", "3", "--format=--"]),
+    ("--seed", ["verify", "--p", "2", "--q", "3", "--seed=--"]),
+    ("--check", ["verify", "--p", "2", "--q", "3", "--check=--"]),
+    ("--r", ["verify", "--p", "2", "--q", "3", "--r=--"]),
+    ("--check", ["verify", "--p", "2", "--q", "3", "--chec=--", "--check", "inversion"]),
+    ("--output", ["verify", "--p", "2", "--q", "3", "--check", "inversion", "--output=--"]),
+])
+def test_flag_written_with_double_dash_value_exits_2(flag, argv, tmp_path, monkeypatch):
+    # argparse strips "--" from an explicit value and stores an empty list; the CLI names the flag and exits 2
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _call(argv)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.endswith(f"error: argument {flag}: expected one argument\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_well_formed_commands_load_no_argparse():
+    # A spectrum and a verify call are read from the flag table: argparse, and the gettext and locale modules it
+    # loads, stay out of the process.  --help still prints argparse's usage.
+    code = (
+        "import sys, io, contextlib\n"
+        "import intertwinor.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = max(intertwinor.cli.main(['spectrum', '--p', '2', '--q', '3', '--r', '-1e-08']),\n"
+        "             intertwinor.cli.main(['verify', '--p', '2', '--q', '3', '--check=inversion', '--all']))\n"
+        "print(rc, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "intertwinor.cli.main(['spectrum', '--help'])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_package_env(), timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    first, usage = done.stdout.split("\n", 1)
+    assert first == "0 []"
+    assert usage.startswith("usage: intertwinor spectrum [-h] --p P --q Q")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])

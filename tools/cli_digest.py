@@ -100,6 +100,15 @@ POLE_CALLS = [
 ]
 
 
+#: "--FLAG=--", which argparse reads as no value at all; after the others.
+DOUBLE_DASH_CALLS = [
+    ["spectrum", "--p", "2", "--q", "3", "--output=--"], ["spectrum", "--p=--", "--q", "3"],
+    ["spectrum", "--p", "2", "--q", "3", "--jmax=--"], ["spectrum", "--p", "2", "--q", "3", "--format=--"],
+    ["verify", "--p", "2", "--q", "3", "--seed=--"], ["verify", "--p", "2", "--q", "3", "--check=--"],
+    ["verify", "--p", "2", "--q", "3", "--r=--"],
+    ["verify", "--p", "2", "--q", "3", "--check", "inversion", "--output=--"],
+]
+
 def calls(tmp: str) -> list[list[str]]:
     """The fixed argv list; ``tmp`` is the directory the --output files go to."""
     argvs = []
@@ -123,7 +132,7 @@ def calls(tmp: str) -> list[list[str]]:
     blocks = [[*BLOCK_TABLE, "--format", fmt, "--output", f"{tmp}/block.{fmt}"] for fmt in ("csv", "json")]
     blocks += [[*BLOCK_TABLE, "--format", fmt] for fmt in ("csv", "json")]
     return (argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS + LEMMA1_CALLS + [BLOCK_VERIFY, *blocks]
-            + POLE_CALLS)
+            + POLE_CALLS + DOUBLE_DASH_CALLS)
 
 
 def run(main, argv: list[str], tmp: str) -> tuple[str, str | None]:

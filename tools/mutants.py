@@ -47,6 +47,8 @@ INTERTWINING = (f"{VERIFY}::test_intertwining_random", "tests/test_acceptance.py
 BLOCKED = tuple(f"{VERIFY}::test_blocked_{name}" for name in (
     "seeded_checks_equal_one_block", "seeded_checks_keep_the_lowest_seed_on_ties",
     "seeded_checks_report_the_first_nan", "intertwining_raises_the_first_touched_pole"))
+#: The hypothesis test of the flag reader against argparse, alone.
+READER = (f"{CLI}::test_reader_matches_argparse",)
 
 MUTANTS = [
     Mutant("GAMMA_DIRECT 150 -> 0", "closedform.py", "GAMMA_DIRECT = 150.0", "GAMMA_DIRECT = 0.0", (CLOSEDFORM,)),
@@ -105,6 +107,10 @@ MUTANTS = [
     Mutant("apply_N eigenvalue j(p + j)", "zonal.py", "nj = j * (f.sig.p - 1 + j)", "nj = j * (f.sig.p + j)", LEMMA1),
     Mutant("banded D downward coefficient off by one", "zonal.py", "(n * up, -(n + 2 * lam) * down)",
            "(n * up, -(n + 2 * lam - 1) * down)", LEMMA1),
+    Mutant("flag reader skips the choices check", "cli.py",
+           "flag.choices is not None and value not in flag.choices", "False", READER),
+    Mutant("flag reader takes a separate value that starts with '-'", "cli.py",
+           'if value is None or (value.startswith("-")', "if value is None or (False", READER),
     Mutant("LIMIT_STEP 1e-6 -> 1e-4", "closedform.py", "LIMIT_STEP = 1e-6", "LIMIT_STEP = 1e-4", (CLOSEDFORM, CLI),
            survives="removed by ROADMAP item 3"),
 ]
