@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -215,6 +214,8 @@ def _factorized_float(lines, r: int) -> np.ndarray:
 
 def factorized_eigenvalue_exact(sig: Signature, r: int, v: KType) -> Fraction:
     """Exact polynomial eigenvalue prod_m (K+J+1-r+2m)(K-J+1-r+2m), m < r."""
+    from fractions import Fraction  # on first use: no CLI call needs it
+
     r = int(r)
     return Fraction(_factorized_numerator(sig, *doubled_shifts(sig, v), v.parity, r), 4**r)
 
@@ -235,8 +236,9 @@ def parity_constant(sig: Signature, r: int, parity: int) -> float:
     if n3n4:
         return 4**r / n3n4
     members = (KType(j, s - j) for s in itertools.count(parity, 2) for j in range(s + 1))
-    probe = next(v for v in members if factorized_eigenvalue_exact(sig, r, v))
-    poly = float(factorized_eigenvalue_exact(sig, r, probe))
+    numerators = ((v, _factorized_numerator(sig, *doubled_shifts(sig, v), v.parity, r)) for v in members)
+    probe, numerator = next((v, n) for v, n in numerators if n)
+    poly = numerator / 4**r  # int / int rounds once, as float(factorized_eigenvalue_exact(sig, r, probe))
     above = z_gamma_ratio(sig, r + LIMIT_STEP, probe) / poly
     below = z_gamma_ratio(sig, r - LIMIT_STEP, probe) / poly
     return 0.5 * (above + below)
@@ -273,5 +275,7 @@ def z_spectral(sig: Signature, r, v: KType) -> float:
 
 def conformal_laplacian_eigenvalue_exact(sig: Signature, v: KType) -> Fraction:
     """Eigenvalue of the Yamabe operator of (-g_p + g_q) on V(j, k): K^2 - J^2."""
+    from fractions import Fraction  # on first use: no CLI call needs it
+
     tj, tk = doubled_shifts(sig, v)
     return Fraction(tk * tk - tj * tj, 4)

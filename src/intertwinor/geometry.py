@@ -10,7 +10,7 @@ half-integers, so they are carried around as exact doubled integers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Quadrant tags for the four lattice moves (j, k) -> (j +/- 1, k +/- 1):
 #: first character is the j step, second the k step.
@@ -20,19 +20,15 @@ DIRECTIONS = ("++", "+-", "-+", "--")
 STEPS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 
 
-@dataclass(frozen=True, order=True)
-class Signature:
+class Signature(NamedTuple("Signature", [("p", int), ("q", int)])):
     """Dimensions (p, q) of the two sphere factors."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError(
-                "sphere dimensions must satisfy p >= 1 and q >= 1, "
-                f"got (p, q) = ({self.p}, {self.q})"
-            )
+    def __new__(cls, p: int, q: int):
+        if p < 1 or q < 1:
+            raise ValueError(f"sphere dimensions must satisfy p >= 1 and q >= 1, got (p, q) = ({p}, {q})")
+        return super().__new__(cls, p, q)
 
     @property
     def n(self) -> int:
@@ -40,16 +36,15 @@ class Signature:
         return self.p + self.q
 
 
-@dataclass(frozen=True, order=True)
-class KType:
+class KType(NamedTuple("KType", [("j", int), ("k", int)])):
     """Lattice point (j, k): harmonic orders on the first and second factor."""
 
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.j < 0 or self.k < 0:
-            raise ValueError(f"harmonic orders must be nonnegative, got ({self.j}, {self.k})")
+    def __new__(cls, j: int, k: int):
+        if j < 0 or k < 0:
+            raise ValueError(f"harmonic orders must be nonnegative, got ({j}, {k})")
+        return super().__new__(cls, j, k)
 
     @property
     def parity(self) -> int:

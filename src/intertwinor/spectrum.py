@@ -24,8 +24,8 @@ single-point form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,15 +59,15 @@ class PathInconsistency(RuntimeError):
     """Two lattice paths produced incompatible eigenvalues (implementation bug)."""
 
 
-@dataclass(frozen=True)
-class SpectralOrder:
+class SpectralOrder(NamedTuple("SpectralOrder", [("r", float)])):
     """The order parameter r (the operator has order 2r)."""
 
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not np.isfinite(self.r):
-            raise ValueError(f"spectral order must be finite, got r = {self.r}")
+    def __new__(cls, r: float):
+        if not math.isfinite(r):
+            raise ValueError(f"spectral order must be finite, got r = {r}")
+        return super().__new__(cls, r)
 
     @classmethod
     def coerce(cls, value) -> "SpectralOrder":
@@ -183,8 +183,7 @@ def at_class_base(grid: np.ndarray) -> np.ndarray:
     return bases[(j + k) % 2]
 
 
-@dataclass
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """Eigenvalue table of a window, normalized to 1 at the class bases (0, 0) and (1, 0).
 
     ``values`` covers the whole window and is meaningful where ``reached``.
@@ -196,7 +195,7 @@ class SpectrumTable:
     reached: np.ndarray
     singular: np.ndarray | None = None
 
-    @cached_property
+    @property
     def entries(self) -> dict[KType, float]:
         """Reached K-types and their eigenvalues."""
         return {
@@ -204,7 +203,7 @@ class SpectrumTable:
             for j, k in np.argwhere(self.reached).tolist()
         }
 
-    @cached_property
+    @property
     def singular_edges(self) -> tuple[tuple[KType, str], ...]:
         """(K-type, direction) of each singular edge out of a reached K-type, in (j, k) order, then by direction."""
         edges = [] if self.singular is None else np.argwhere(self.singular.transpose(1, 2, 0)).tolist()

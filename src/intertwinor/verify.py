@@ -7,9 +7,6 @@ given (signature, r, truncation, seed) and serialize to flat JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 import numpy as np
 
 from .closedform import (
@@ -48,24 +45,15 @@ from .zonal import (
 )
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one identity check."""
+    """Outcome of one identity check; it passes when max_residual <= tolerance.  Equality is identity."""
 
-    name: str
-    p: int
-    q: int
-    r: float | None
-    jmax: int
-    kmax: int
-    max_residual: float
-    tolerance: float
-    worst_location: tuple | None = None
-    extra: dict = field(default_factory=dict)
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = self.max_residual <= self.tolerance
+    def __init__(self, name: str, p: int, q: int, r: float | None, jmax: int, kmax: int, max_residual: float,
+                 tolerance: float, worst_location: tuple | None = None, extra: dict | None = None):
+        self.name, self.p, self.q, self.r, self.jmax, self.kmax = name, p, q, r, jmax, kmax
+        self.max_residual, self.tolerance, self.worst_location = max_residual, tolerance, worst_location
+        self.extra = {} if extra is None else extra
+        self.passed = max_residual <= tolerance
 
     def to_dict(self) -> dict:
         out = {
@@ -255,13 +243,9 @@ def check_conformal_laplacian(sig: Signature, jmax: int, kmax: int) -> Verificat
     mismatch = _factorized_numerator(sig, tj, tk, (j + k) % 2, 1) != tk * tk - tj * tj
     mismatches = int(mismatch.sum())
     where = tuple(np.argwhere(mismatch)[0].tolist()) if mismatches else None
-    # (n-2)/(4(n-1)) * Scal must equal ((q-1)^2 - (p-1)^2)/4, exactly.
+    # (n-2)/(4(n-1)) * Scal must equal ((q-1)^2 - (p-1)^2)/4, exactly: both sides times 4(n-1), in integers.
     n = sig.n
-    curvature_ok = (
-        n == 2
-        or Fraction(n - 2, 4 * (n - 1)) * scalar_curvature(sig)
-        == Fraction((sig.q - 1) ** 2 - (sig.p - 1) ** 2, 4)
-    )
+    curvature_ok = n == 2 or (n - 2) * scalar_curvature(sig) == (n - 1) * ((sig.q - 1) ** 2 - (sig.p - 1) ** 2)
     if not curvature_ok:
         mismatches += 1
     return VerificationReport(

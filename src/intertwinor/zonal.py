@@ -25,8 +25,7 @@ stencil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,22 +107,21 @@ def _derivative_columns(lam: float, deg: int, x: np.ndarray) -> np.ndarray:
     return D
 
 
-@dataclass(eq=False, frozen=True)
 class ZonalFunction:
     """Dense coefficient array over the tensor-product zonal basis.
 
     Leading axes, if any, index a stack of functions; the operators below
-    act on each function of a stack alike.
+    act on each function of a stack alike.  Equality is identity.
     """
 
-    sig: Signature
-    coeffs: np.ndarray  # shape (..., jmax + 1, kmax + 1)
+    __slots__ = ("sig", "coeffs")
 
-    def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
+    def __init__(self, sig: Signature, coeffs):
+        arr = np.atleast_2d(np.asarray(coeffs, dtype=float))  # shape (..., jmax + 1, kmax + 1)
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", arr)
+        self.sig = sig
+        self.coeffs = arr
 
     @property
     def jmax(self) -> int:
@@ -212,15 +210,14 @@ def apply_T_banded(f: ZonalFunction) -> ZonalFunction:
     return ZonalFunction(f.sig, out)
 
 
-@dataclass(eq=False, frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(NamedTuple):
     """Gauss-Jacobi nodes and weights for both angular factors, in x = cos theta.
 
     ``Vx``, ``Dx`` (``Vy``, ``Dy``) are the value and derivative Vandermondes
     of the zonal basis at the nodes up to ``max_degree_x`` (``max_degree_y``).
     Column j of a recurrence depends only on the columns before it, so the
     first m + 1 columns are the Vandermonde of degree m, bit for bit.  The
-    weights are computed on first use: only ``project`` reads them.
+    weights are computed on each read: only ``project`` reads them, once.
     """
 
     sig: Signature
@@ -233,11 +230,11 @@ class QuadratureGrid:
     Vy: np.ndarray
     Dy: np.ndarray
 
-    @cached_property
+    @property
     def wx(self) -> np.ndarray:
         return _christoffel_weights(self.x, 0.5 * (self.sig.p - 2))
 
-    @cached_property
+    @property
     def wy(self) -> np.ndarray:
         return _christoffel_weights(self.y, 0.5 * (self.sig.q - 2))
 

@@ -591,21 +591,29 @@ def test_flag_written_with_double_dash_value_exits_2(flag, argv, tmp_path, monke
 
 def test_well_formed_commands_load_no_argparse():
     # A spectrum and a verify call are read from the flag table: argparse, and the gettext and locale modules it
-    # loads, stay out of the process.  --help still prints argparse's usage.
+    # loads, stay out of the process.  Neither the import nor any call loads dataclasses, or fractions and the
+    # decimal module it imports: not the parity-constant probe (5, 3) at r = 2, nor verify --all at r = 2.
+    # --help still prints argparse's usage.
     code = (
         "import sys, io, contextlib\n"
         "import intertwinor.cli\n"
+        "unused = ('argparse', 'gettext', 'locale', 'dataclasses', 'fractions', 'decimal')\n"
+        "loaded = [sorted(m for m in unused if m in sys.modules)]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = max(intertwinor.cli.main(['spectrum', '--p', '2', '--q', '3', '--r', '-1e-08']),\n"
-        "             intertwinor.cli.main(['verify', '--p', '2', '--q', '3', '--check=inversion', '--all']))\n"
-        "print(rc, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "    for argv in (['spectrum', '--p', '2', '--q', '3', '--r', '-1e-08'],\n"
+        "                 ['verify', '--p', '2', '--q', '3', '--check=inversion', '--all'],\n"
+        "                 ['spectrum', '--p', '5', '--q', '3', '--r', '2', '--jmax', '8', '--kmax', '4'],\n"
+        "                 ['verify', '--p', '2', '--q', '3', '--r', '2', '--all']):\n"
+        "        rc = intertwinor.cli.main(argv)\n"
+        "        loaded.append((rc, sorted(m for m in unused if m in sys.modules)))\n"
+        "print(loaded)\n"
         "intertwinor.cli.main(['spectrum', '--help'])\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_package_env(), timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     first, usage = done.stdout.split("\n", 1)
-    assert first == "0 []"
+    assert first == repr([[], (0, []), (0, []), (0, []), (0, [])])
     assert usage.startswith("usage: intertwinor spectrum [-h] --p P --q Q")
 
 

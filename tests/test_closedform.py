@@ -1,7 +1,8 @@
 import math
 import re
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, count, product
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from intertwinor import closedform
 from intertwinor.closedform import (
     GAMMA_DIRECT,
+    LIMIT_STEP,
     PoleAtKType,
     _log_gamma,
     conformal_laplacian_eigenvalue_exact,
@@ -161,6 +163,9 @@ class TestFactorized:
 
     def test_order_two_example(self):
         assert factorized_eigenvalue_exact(Signature(1, 1), 2, KType(0, 0)) == 1
+        # exact rationals: at (2, 3), r = 2, (1, 0), J = 3/2 and K = 1 give (3/2)(-3/2) (7/2)(1/2) = -63/16
+        value = factorized_eigenvalue_exact(Signature(2, 3), 2, KType(1, 0))
+        assert type(value) is Fraction and value == Fraction(-63, 16)
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
@@ -252,6 +257,24 @@ class TestParityConstant:
                 assert abs(c - float(ref)) <= 1e-14 * abs(float(ref)), (p, q, r, parity)
         assert double_pole_classes == [(5, 1, 1, 0), (6, 2, 1, 0)]
 
+    def test_limit_convention_probe_is_the_fraction_probe(self):
+        # the probe of every class with N3 N4 = 0 (p, q <= 6, r <= 8): the first member with a nonzero
+        # polynomial, found and rounded through the exact Fraction polynomial, gives the same constant bit for bit
+        classes = 0
+        for p, q, r, parity in product(range(1, 7), range(1, 7), range(1, 9), (0, 1)):
+            sig = Signature(p, q)
+            pairs = closedform._gamma_pairs(sig, 0, 0, parity)[2:]
+            if math.prod(closedform._pochhammer(fourc - 2 * r, r) for fourc, _ in pairs):
+                continue
+            classes += 1
+            members = (KType(j, s - j) for s in count(parity, 2) for j in range(s + 1))
+            probe = next(v for v in members if factorized_eigenvalue_exact(sig, r, v))
+            poly = float(factorized_eigenvalue_exact(sig, r, probe))
+            expected = 0.5 * (z_gamma_ratio(sig, r + LIMIT_STEP, probe) / poly
+                              + z_gamma_ratio(sig, r - LIMIT_STEP, probe) / poly)
+            assert parity_constant(sig, r, parity) == expected, (p, q, r, parity)
+        assert classes == 179
+
     def test_limit_convention_is_deterministic(self):
         # the Gamma constant is singular here; the limit value must at least
         # be finite, nonzero, and reproducible
@@ -265,6 +288,8 @@ class TestConformalLaplacian:
     def test_examples(self):
         assert conformal_laplacian_eigenvalue_exact(Signature(1, 3), KType(0, 0)) == 1
         assert conformal_laplacian_eigenvalue_exact(Signature(2, 2), KType(1, 0)) == -2
+        value = conformal_laplacian_eigenvalue_exact(Signature(2, 5), KType(0, 0))
+        assert type(value) is Fraction and value == Fraction(15, 4)
 
     def test_vanishes_on_diagonal(self):
         sig = Signature(3, 3)  # J = K iff j = k
@@ -445,6 +470,27 @@ class TestGammaGrid:
             for j in range(10):
                 for k in range(10):
                     assert grid[j, k] == float(factorized_eigenvalue_exact(sig, r, KType(j, k)))
+
+
+#: The power of each Gamma pair in the integer-order route: pairs 1-2 are the factors N1 N2 of the polynomial
+#: (_factorized_numerator), pairs 3-4 the denominator of the class constant 4**r / (N3 N4) (parity_constant).
+INTEGER_ROUTE_POWERS = (1, 1, -1, -1)
+
+
+def test_certificate_gamma_pairs_are_pochhammer_ratios():
+    # Routes 2 and 3 by identity: each Gamma pair (4c, sigma) of _gamma_pairs, read with p and q symbolic, is
+    # Gamma(c + sigma r/2) / Gamma(c - sigma r/2) = (_pochhammer(4c - 2r, r) / 4**r)**power for symbolic 4c, with
+    # the power the integer-order route gives the pair, r = 1..8
+    import sympy  # here, not at the top: the module's other tests load without it
+
+    p, q, tj, tk, eps, fourc = sympy.symbols("p q tj tk eps fourc")
+    pairs = closedform._gamma_pairs(SimpleNamespace(p=p, q=q), tj, tk, eps)
+    for r in range(1, 9):
+        half_r = sympy.Rational(r, 2)
+        for index, ((_, sigma), power) in enumerate(zip(pairs, INTEGER_ROUTE_POWERS)):
+            gamma_pair = sympy.gamma(fourc / 4 + sigma * half_r) / sympy.gamma(fourc / 4 - sigma * half_r)
+            pochhammer = (closedform._pochhammer(fourc - 2 * r, r) / sympy.Integer(4) ** r) ** power
+            assert sympy.simplify(sympy.gammasimp(gamma_pair / pochhammer)) == 1, (r, index)
 
 
 class TestSingularSet:

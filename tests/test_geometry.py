@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from intertwinor.geometry import (
@@ -9,6 +11,7 @@ from intertwinor.geometry import (
     neighbor,
     scalar_curvature,
 )
+from intertwinor.spectrum import SpectralOrder
 
 
 def neighbors(v):
@@ -16,7 +19,8 @@ def neighbors(v):
 
 
 def test_signature_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("sphere dimensions must satisfy p >= 1 and q >= 1, "
+                                                   "got (p, q) = (0, 3)")):
         Signature(0, 3)
     with pytest.raises(ValueError):
         Signature(2, -1)
@@ -24,9 +28,30 @@ def test_signature_validation():
 
 
 def test_ktype_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("harmonic orders must be nonnegative, got (-1, 0)")):
         KType(-1, 0)
+    with pytest.raises(ValueError):
+        KType(0, -1)
     assert KType(1, 2).parity == 1
+
+
+@pytest.mark.parametrize("record, text", [(Signature(2, 3), "Signature(p=2, q=3)"), (KType(1, 0), "KType(j=1, k=0)"),
+                                          (SpectralOrder(0.5), "SpectralOrder(r=0.5)")])
+def test_value_records_are_immutable_tuples(record, text):
+    # repr, equality, hashing and unpacking are those of the tuple of fields; no field or new attribute is set
+    assert repr(record) == text
+    fields = tuple(record)
+    assert record == fields and hash(record) == hash(fields) == hash(type(record)(*fields))
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    assert tuple(record) == fields
+
+
+def test_ktypes_sort_by_j_then_k():
+    ktypes = [KType(j, k) for j in range(3, -1, -1) for k in (2, 0, 1)]
+    assert sorted(ktypes) == [KType(j, k) for j in range(4) for k in range(3)]
+    assert sorted([Signature(3, 1), Signature(1, 4), Signature(1, 2)]) == [(1, 2), (1, 4), (3, 1)]
 
 
 def test_neighbors_examples():

@@ -46,7 +46,7 @@ def test_spectral_order_flags():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_spectral_order_rejects_non_finite(value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^spectral order must be finite, got r = {value}$"):
         SpectralOrder(value)
     with pytest.raises(ValueError):
         SpectralOrder.coerce(value)

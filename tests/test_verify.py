@@ -273,6 +273,15 @@ def test_conformal_laplacian_matches_fraction_loop(p):
             assert rep.passed
 
 
+def test_conformal_laplacian_curvature_in_integers_matches_fraction_form():
+    # the check's curvature identity, in integers, against the reference's Fraction form for p, q <= 50
+    for p in range(1, 51):
+        for q in range(1, 51):
+            sig = Signature(p, q)
+            rep = check_conformal_laplacian(sig, 0, 0)
+            assert (rep.max_residual, rep.worst_location) == (float(reference_conformal_laplacian(sig, 0, 0)[0]), None)
+
+
 def test_conformal_laplacian_reports_first_mismatch_row_major(monkeypatch):
     # Break the factorized side at (2, 7) and (3, 1): two mismatches, and the
     # first location in row-major order is (2, 7), not the smaller k of (3, 1).
@@ -537,6 +546,12 @@ def test_report_roundtrips_to_json():
     assert back["tolerance"] == rep.tolerance
     with pytest.raises(TypeError):  # the verdict is derived, never passed in
         VerificationReport("x", 1, 1, None, 1, 1, max_residual=1.0, tolerance=0.0, passed=True)
+    made = VerificationReport(name="x", p=1, q=1, r=None, jmax=1, kmax=1, max_residual=1.0, tolerance=1.0)
+    assert made.passed and made.extra == {} and made.worst_location is None
+    assert not VerificationReport("x", 1, 1, None, 1, 1, float("nan"), 1.0).passed
+    # equal fields make equal dictionaries, not equal reports: a report compares by identity
+    again = check_method_agreement(Signature(1, 2), 0.37, 6, 6)
+    assert again.to_dict() == rep.to_dict() and again != rep
 
 
 def test_check_table_calls_rebound_names(monkeypatch):

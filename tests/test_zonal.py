@@ -33,6 +33,20 @@ from intertwinor.zonal import (
 from scipy.special import eval_chebyt, eval_chebyu, eval_gegenbauer, roots_jacobi
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_zonal_function_rejects_non_finite_coefficients(bad):
+    coeffs = np.zeros((2, 3, 3))
+    coeffs[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        ZonalFunction(Signature(2, 3), coeffs)
+
+
+def test_zonal_function_holds_a_float_array_and_compares_by_identity():
+    f = ZonalFunction(Signature(2, 3), [1, 2])
+    assert f.coeffs.dtype == float and f.coeffs.shape == (1, 2) and (f.jmax, f.kmax) == (0, 1)
+    assert f == f and f != ZonalFunction(Signature(2, 3), [1, 2])
+
+
 def _eval_1d(lam, c, x):
     if lam == 0:
         return sum(cj * eval_chebyt(j, x) for j, cj in enumerate(c))

@@ -37,8 +37,8 @@ class Mutant(NamedTuple):
     survives: str | None = None  # why the listed tests cannot kill it, for an expected survivor
 
 
-CLI, CLOSEDFORM, SPECTRUM, VERIFY, ZONAL = (f"tests/test_{name}.py"
-                                            for name in ("cli", "closedform", "spectrum", "verify", "zonal"))
+CLI, CLOSEDFORM, GEOMETRY, SPECTRUM, VERIFY, ZONAL = (
+    f"tests/test_{name}.py" for name in ("cli", "closedform", "geometry", "spectrum", "verify", "zonal"))
 #: The lemma1 tests alone: each of the two coefficient-space routes of Lemma 1 is the other's oracle.
 LEMMA1 = (f"{VERIFY}::test_lemma1_random", "tests/test_acceptance.py::test_05_conformal_field_commutator")
 #: The intertwining tests alone.
@@ -111,8 +111,19 @@ MUTANTS = [
            "flag.choices is not None and value not in flag.choices", "False", READER),
     Mutant("flag reader takes a separate value that starts with '-'", "cli.py",
            'if value is None or (value.startswith("-")', "if value is None or (False", READER),
+    Mutant("KType accepts j = -1", "geometry.py", "if j < 0 or k < 0:\n            raise",
+           "if j < -1 or k < 0:\n            raise",
+           (f"{GEOMETRY}::test_ktype_validation",)),
+    Mutant("ZonalFunction accepts a non-finite coefficient", "zonal.py", "if not np.all(np.isfinite(arr)):",
+           "if False:", (f"{ZONAL}::test_zonal_function_rejects_non_finite_coefficients",)),
+    Mutant("Gamma pair 3 with sigma flipped", "closedform.py", "(2 * eps - (sig.p - sig.q) + 2, -1),",
+           "(2 * eps - (sig.p - sig.q) + 2, +1),",
+           (f"{CLOSEDFORM}::test_certificate_gamma_pairs_are_pochhammer_ratios",)),
+    Mutant("conformal-laplacian curvature without its factor n - 1", "verify.py",
+           "== (n - 1) * ((sig.q - 1) ** 2", "== n * ((sig.q - 1) ** 2",
+           (f"{VERIFY}::test_conformal_laplacian_curvature_in_integers_matches_fraction_form",)),
     Mutant("LIMIT_STEP 1e-6 -> 1e-4", "closedform.py", "LIMIT_STEP = 1e-6", "LIMIT_STEP = 1e-4", (CLOSEDFORM, CLI),
-           survives="removed by ROADMAP item 3"),
+           survives="removed by ROADMAP item 4"),
 ]
 
 

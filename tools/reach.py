@@ -22,7 +22,7 @@ import cli_digest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-TRACED = "rebound by perfbench/tracing.py, which waits for ROADMAP item 7"
+TRACED = "rebound by perfbench/tracing.py, which waits for ROADMAP item 2"
 QUADRATURE = ("library API: acceptance criterion 9 (quadrature round trip and norms); "
               "tier-1 oracle of the banded operator")
 
@@ -34,10 +34,11 @@ EXPECTED = {
     "geometry.neighbor": TRACED,
     "closedform.singular_ktypes": TRACED,
     "closedform.conformal_laplacian_eigenvalue_exact": TRACED,
+    "closedform.factorized_eigenvalue_exact": TRACED,
     "spectrum.SpectrumTable.entries": "read by perfbench/tracing.py for spectrum.table_entries, "
-                                      "which waits for ROADMAP item 7",
+                                      "which waits for ROADMAP item 2",
     "spectrum.SpectrumTable.singular_edges": "read by perfbench/tracing.py for spectrum.singular_edges, "
-                                             "which waits for ROADMAP item 7",
+                                             "which waits for ROADMAP item 2",
     "verify.random_zonal": "library API: the seeded test function of acceptance criteria 5 and 6",
     "zonal.basis_element": "library API: the single-mode test function of the verify tests",
     "zonal.mult_by_cos": "library API: x * f along axis 0, the recurrence that multiply_by_varpi runs along "
