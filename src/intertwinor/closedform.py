@@ -26,14 +26,13 @@ and a window, or one K-type, gathers its entries from the lines by index.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 import numpy as np
 
 from .geometry import KType, Signature, doubled_shifts
-from .spectrum import SpectralOrder, check_window, window
+from .spectrum import SpectralOrder, check_window, window_index
 
 #: Step of the limit convention for a parity constant with a class Gamma pole.
 LIMIT_STEP = 1e-6
@@ -50,16 +49,21 @@ class PoleAtKType(ArithmeticError):
 GAMMA_DIRECT = 150.0
 
 
-def _log_gamma(x: float) -> tuple[float, float]:
-    """log |Gamma(x)| and the sign of Gamma(x); (inf, 1.0) at an exact pole.
+def _log_gamma(x: np.ndarray, poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log |Gamma(x)| and the sign of Gamma(x) over an array of arguments, in one pass; (inf, 1.0) at a pole.
 
-    Gamma(x) < 0 exactly when x < 0 and floor(x) is odd (DLMF 5.4, 5.5.1).
+    A pole is an argument that ``poles`` flags (the exact pole mask of _argument) or a float x that is a
+    nonpositive integer, as rounding can make an argument whose exact value is none.  No other argument
+    of the closed form makes math.gamma or math.lgamma raise.  Gamma(x) < 0 exactly when x < 0 and floor(x)
+    is odd (DLMF 5.4, 5.5.1).
     """
-    try:
-        log_magnitude = math.log(abs(math.gamma(x))) if abs(x) < GAMMA_DIRECT else math.lgamma(x)
-    except (ValueError, OverflowError):  # x a nonpositive integer, or |x| near the float limit
-        return math.inf, 1.0
-    return log_magnitude, -1.0 if x < 0 and math.floor(x) % 2 else 1.0
+    floor = np.floor(x)
+    poles = poles | (x <= 0) & (x == floor)
+    logs = [math.inf if pole else math.log(abs(math.gamma(v))) if abs(v) < GAMMA_DIRECT else math.lgamma(v)
+            for v, pole in zip(x.ravel().tolist(), poles.ravel().tolist())]
+    signs = np.where(np.fmod(floor, 2) == -1, -1.0, 1.0)  # fmod is -1 exactly where floor(x) is odd and negative
+    signs[poles] = 1.0
+    return np.array(logs).reshape(x.shape), signs
 
 
 def _gamma_pairs(sig: Signature, tj, tk, eps):
@@ -90,23 +94,6 @@ def _argument(order: SpectralOrder, fourc, s):
     return x, (four_x <= 0) & (four_x % 4 == 0)
 
 
-#: Windows of at most this many K-types keep their gather index in the cache of _line_index, whose
-#: 256 entries then hold at most 2.6 MB; larger windows build it per call.
-CACHED_WINDOW = 256
-
-
-@functools.lru_cache(maxsize=256)  # windows repeat: 340 of the 471 calls of a request-mix pass hit
-def _line_index(nj: int, nk: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, parity) of an nj x nk window: see _lines."""
-    a = np.arange(nj)[:, None]
-    s = a + np.arange(nk)
-    n = nj + nk - 1
-    parity = s % 2
-    index = np.stack([s, s - 2 * a + (n + nj - 1), parity + 2 * n, parity + 2 * n + min(n, 2)])
-    index.flags.writeable = parity.flags.writeable = False
-    return index, parity
-
-
 def _lines(sig: Signature, corner: KType, nj: int, nk: int):
     """(4c, s, parities, index, parity): the Gamma pairs over the nj x nk window at ``corner`` = (j0, k0),
     each on its line, and where each K-type of the window reads them.
@@ -115,20 +102,20 @@ def _lines(sig: Signature, corner: KType, nj: int, nk: int):
     so each is evaluated once per line value: pair 1 on (j0, k0 + i) and pair 2 on (j0 + nj - 1, k0 + i),
     i < nj + nk - 1, pairs 3-4 on the parities of j0 + k0 + i, i < 2.  The lines are concatenated in pair
     order; s holds the sign of 2r in each argument, numerator row (sigma) over denominator row (-sigma).
+    ``index`` and ``parity`` are the ``lines`` and ``parity`` of the window's spectrum.window_index record:
     ``index``, shaped (4, nj, nk), holds for K-type (j0 + a, k0 + b) entry a + b of pair 1, b - a + nj - 1
-    of pair 2 and parity = (a + b) % 2 of pairs 3-4, each plus its line's offset.  It is built first, so a
-    window too large for memory fails before any line is evaluated, and an empty one raises ValueError.
+    of pair 2 and parity = (a + b) % 2 of pairs 3-4, each plus its line's offset.  The record comes first,
+    so a window too large for memory fails before any line is evaluated, and an empty one raises ValueError.
     """
     check_window(nj - 1, nk - 1, 0)
-    index, parity = (_line_index if nj * nk <= CACHED_WINDOW else _line_index.__wrapped__)(nj, nk)
+    index = window_index(nj, nk)
     n = nj + nk - 1
-    _, k, tj, tk = window(sig, corner.j + nj - 1, corner.k + n - 1)
-    parities = (corner.parity + k[0, : min(n, 2)]) % 2
+    tj, tk = doubled_shifts(sig, corner)  # 2J at j0 and j0 + nj - 1, 2K along k0 + i
+    parities = np.array([corner.parity, 1 - corner.parity][: min(n, 2)])
     (first, s1), (second, s2), (third, s3), (fourth, s4) = \
-        _gamma_pairs(sig, tj[[corner.j, -1]], tk[:, corner.k:], parities)
-    lines = (first[0], second[1], third, fourth)
-    sides = np.array([[s1, s2, s3, s4], [-s1, -s2, -s3, -s4]]).repeat([line.size for line in lines], axis=1)
-    return np.concatenate(lines), sides, parities, index, parity
+        _gamma_pairs(sig, np.array([[tj], [tj + 2 * nj - 2]]), tk + 2 * np.arange(n), parities)
+    sides = np.array([[s1, s2, s3, s4], [-s1, -s2, -s3, -s4]])[:, index.pair]
+    return np.concatenate((first[0], second[1], third, fourth)), sides, parities, index.lines, index.parity
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -139,13 +126,13 @@ def _exp(x: np.ndarray) -> np.ndarray:
 def _gamma_ratio(order: SpectralOrder, lines):
     """(values, poles, flags) of the eight-Gamma ratio over the window of ``lines``; nan at poles.
 
-    log-Gamma runs once per argument of the lines, O(n) calls for a window of
-    side n; each K-type gathers its four pairs' log differences, signs and poles.
+    log-Gamma runs in one pass over the arguments of the lines, O(n) of them for
+    a window of side n; each K-type gathers its four pairs' log differences, signs and poles.
     ``flags`` holds the pole of each argument, shaped like the lines'
     arguments: numerator row over denominator row.
     """
     x, flags = _argument(order, *lines[:2])  # numerator row, denominator row
-    logs, signs = (np.array(v).reshape(x.shape) for v in zip(*map(_log_gamma, x.ravel().tolist())))
+    logs, signs = _log_gamma(x, flags)
     index = lines[3]
     with np.errstate(invalid="ignore"):  # inf - inf at poles; masked below
         log_total = (logs[0] - logs[1])[index].sum(axis=0)  # ((pair 1 + pair 2) + pair 3) + pair 4

@@ -24,11 +24,12 @@ single-point form.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .geometry import DIRECTIONS, STEPS, KType, Signature, doubled_shifts, neighbor
 
@@ -103,11 +104,59 @@ def check_window(jmax: int, kmax: int, least: int) -> None:
         raise ValueError(f"truncation must satisfy jmax >= {least} and kmax >= {least}, got ({jmax}, {kmax})")
 
 
+class WindowIndex(NamedTuple):
+    """Index arithmetic of an nj x nk window, for every signature and order; read-only arrays (see window_index).
+
+    ``j``, ``k``: the index column and row; ``parity``: (j + k) % 2; ``inside[d]``: the edge in DIRECTIONS[d]
+    has its head in the window.  ``lines`` and ``pair`` lay out the closed form's lines (closedform._lines):
+    where each K-type reads each of the four Gamma pairs, and the pair of each entry of the concatenated lines.
+    """
+
+    j: np.ndarray
+    k: np.ndarray
+    parity: np.ndarray
+    inside: np.ndarray
+    lines: np.ndarray
+    pair: np.ndarray
+
+    def shifts(self, sig: Signature):
+        """Doubled shifts 2J (column) and 2K (row) of the window's K-types."""
+        return 2 * self.j + sig.p - 1, 2 * self.k + sig.q - 1
+
+
+#: Windows of at most this many K-types keep their index record in the cache of _index, whose 256 entries then
+#: hold at most 3.6 MB of arrays; larger windows build it per call.
+CACHED_WINDOW = 256
+
+
+@functools.lru_cache(maxsize=256)  # windows repeat within a request and across requests
+def _index(nj: int, nk: int) -> WindowIndex:
+    j, k = np.arange(nj)[:, None], np.arange(nk)[None, :]
+    n = nj + nk - 1
+    lines = np.empty((4, nj, nk), dtype=np.intp)  # each line's entries in place: no transient of the window's size
+    np.add(j, k, out=lines[0])
+    np.subtract(k + (n + nj - 1), j, out=lines[1])
+    parity = lines[0] & 1
+    np.add(parity, 2 * n, out=lines[2])
+    np.add(lines[2], min(n, 2), out=lines[3])
+    inside = np.ones((4, nj, nk), dtype=bool)  # a step of +1 leaves from the last row (column), -1 from the first
+    for d, (dj, dk) in enumerate(STEPS[tag] for tag in DIRECTIONS):
+        inside[d, -1 if dj > 0 else 0] = inside[d, :, -1 if dk > 0 else 0] = False
+    record = WindowIndex(j, k, parity, inside, lines, np.repeat(np.arange(4), [n, n, min(n, 2), min(n, 2)]))
+    for array in record:
+        array.flags.writeable = False
+    return record
+
+
+def window_index(nj: int, nk: int) -> WindowIndex:
+    """The index record of an nj x nk window: cached up to CACHED_WINDOW K-types, built per call beyond."""
+    return (_index if nj * nk <= CACHED_WINDOW else _index.__wrapped__)(nj, nk)
+
+
 def window(sig: Signature, jmax: int, kmax: int):
-    """Index grids j, k and doubled shifts 2J, 2K of [0, jmax] x [0, kmax] (column, row arrays)."""
-    j = np.arange(jmax + 1)[:, None]
-    k = np.arange(kmax + 1)[None, :]
-    return j, k, 2 * j + sig.p - 1, 2 * k + sig.q - 1
+    """Index grids j, k and doubled shifts 2J, 2K of [0, jmax] x [0, kmax] (column, row arrays; j, k read-only)."""
+    index = window_index(jmax + 1, kmax + 1)
+    return (index.j, index.k, *index.shifts(sig))
 
 
 #: (dj, dk) of DIRECTIONS[d] at [d], each shaped (4, 1, 1) to broadcast over a window.
@@ -150,13 +199,12 @@ def edge_arrays(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np
     """
     check_window(jmax, kmax, 1)
     order = SpectralOrder.coerce(r)
-    j, k, tj, tk = window(sig, jmax, kmax)
-    inside = (0 <= j + _DJ) & (j + _DJ <= jmax) & (0 <= k + _DK) & (k + _DK <= kmax)
-    two_h = _two_h(tj, tk, _DJ, _DK)
-    singular = inside & _singular(two_h, order)
+    index = window_index(jmax + 1, kmax + 1)
+    two_h = _two_h(*index.shifts(sig), _DJ, _DK)
+    singular = index.inside & _singular(two_h, order)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = _ratio(two_h, order.r)
-    ratio[~inside | singular] = np.nan
+    ratio[~index.inside | singular] = np.nan
     return singular, ratio
 
 
@@ -178,9 +226,7 @@ def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
 
 def at_class_base(grid: np.ndarray) -> np.ndarray:
     """Each entry of a window grid (jmax >= 1) replaced by the entry at its class base, (0, 0) or (1, 0)."""
-    bases = grid[:2, 0]
-    j, k = np.indices(grid.shape)
-    return bases[(j + k) % 2]
+    return grid[:2, 0][window_index(*grid.shape).parity]
 
 
 class SpectrumTable(NamedTuple):
@@ -235,13 +281,18 @@ def _tree_products(ratio: np.ndarray) -> np.ndarray:
     return values
 
 
+#: (target, source) slices of a window grid under which each K-type reads its head in DIRECTIONS[d]: along an
+#: axis, entry i reads i + 1 for a step of +1 and i - 1 for a step of -1.
+_AXIS_SLICES = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1))}
+_HEAD_SLICES = [tuple(zip(*(_AXIS_SLICES[step] for step in STEPS[tag]))) for tag in DIRECTIONS]
+
+
 def _at_heads(grid: np.ndarray, fill=np.nan) -> np.ndarray:
     """[d, j, k]: the entry of a window grid at (j, k) + STEPS[DIRECTIONS[d]], ``fill`` off the window."""
-    nj, nk = grid.shape
-    padded = np.full((nj + 2, nk + 2), fill, dtype=grid.dtype)
-    padded[1:-1, 1:-1] = grid
-    return np.stack([padded[1 + dj:1 + dj + nj, 1 + dk:1 + dk + nk]
-                     for dj, dk in (STEPS[tag] for tag in DIRECTIONS)])
+    heads = np.full((4,) + grid.shape, fill, dtype=grid.dtype)
+    for head, (target, source) in zip(heads, _HEAD_SLICES):
+        head[target] = grid[source]
+    return heads
 
 
 def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable:
@@ -276,7 +327,7 @@ def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable
 
     with np.errstate(invalid="ignore"):
         bad = relative_difference(_at_heads(values), values * ratio) > REL_TOL
-    for d, count in enumerate(bad.sum(axis=(1, 2)).tolist()):
+    for d, count in enumerate(bad.sum(axis=(1, 2)).tolist() if bad.any() else ()):
         if count:
             raise PathInconsistency(
                 f"{count} edges in direction {DIRECTIONS[d]!r} disagree with table values"
@@ -312,31 +363,34 @@ def max_loop_deviation(sig: Signature, r, jmax: int, kmax: int) -> float:
     # start with |a|, |b| <= min(i, depth - i) and a = b = i (mod 2); with |a| > jmax or |b| > kmax it
     # has left the window from every start.
     reach = [min(depth // 2, side) for side in (jmax, kmax)]
-    ratio = np.pad(edge_arrays(sig, r, jmax, kmax)[1], ((0, 0), (reach[0],) * 2, (reach[1],) * 2),
-                   constant_values=np.nan)
-    # at[d, reach[0] + a, reach[1] + b]: the ratios in direction d at offset (a, b) from every start
-    at = sliding_window_view(ratio, (nj, nk), axis=(1, 2))
+    ratio = edge_arrays(sig, r, jmax, kmax)[1]  # first: it refuses a window below 1 x 1 before any allocation
+    padded = np.full((4, nj + 2 * reach[0], nk + 2 * reach[1]), np.nan)
+    padded[:, reach[0]:reach[0] + nj, reach[1]:reach[1] + nk] = ratio
+    # at[d, reach[0] + a, reach[1] + b]: the ratios in direction d at offset (a, b) from every start, as a view
+    at = as_strided(padded, (4, 2 * reach[0] + 1, 2 * reach[1] + 1, nj, nk), padded.strides + padded.strides[1:],
+                    writeable=False)
     # extremes[:, x, y]: the largest product and minus the smallest (both maxima) at the offset
     # (2x - held[0], 2y - held[1]), where held holds the largest |a| and |b| of the step
     extremes = np.ones((2, 1, 1, nj, nk))
     extremes[1] = -1.0
     held = [0, 0]
     worst = 0.0
+    # for each direction, the step along j and along k as 1 for +1 and 0 for -1
+    raises = [(int(dj > 0), int(dk > 0)) for dj, dk in (STEPS[tag] for tag in DIRECTIONS)]
+    ones = np.array([[[-1.0]], [[1.0]]])
     for i in range(1, depth + 1):
-        bound = [min(i, depth - i, side) for side in (jmax, kmax)]
-        bound = [n - (n - i) % 2 for n in bound]
-        products = extremes[:, None] * at[(slice(None),) + tuple(
-            slice(c - n, c + n + 1, 2) for c, n in zip(reach, held))]
+        (hj, hk), (rj, rk) = held, reach
+        bound = [n - (n - i) % 2 for n in (min(i, depth - i, side) for side in (jmax, kmax))]
+        products = extremes[:, None] * at[:, rj - hj:rj + hj + 1:2, rk - hk:rk + hk + 1:2]
         np.fmax(products, -products[::-1], out=products)  # rho < 0 swaps max and -min
         # step[:, x, y] at the offset (2x - held[0] - 1, 2y - held[1] - 1): a step of +1 adds 1 to x (y)
-        step = np.full((2, held[0] + 2, held[1] + 2, nj, nk), np.nan)
-        for d, tag in enumerate(DIRECTIONS):
-            heads = (slice(None),) + tuple(slice(s > 0, (s > 0) + n + 1) for s, n in zip(STEPS[tag], held))
-            np.fmax(step[heads], products[:, d], out=step[heads])
-        extremes = step[(slice(None),) + tuple(
-            slice((n + 1 - c) // 2, (n + 1 + c) // 2 + 1) for n, c in zip(held, bound))]
-        held = bound
+        step = np.full((2, hj + 2, hk + 2, nj, nk), np.nan)
+        for d, (x, y) in enumerate(raises):
+            heads = step[:, x:x + hj + 1, y:y + hk + 1]
+            np.fmax(heads, products[:, d], out=heads)
+        (bj, bk) = held = bound
+        extremes = step[:, (hj + 1 - bj) // 2:(hj + 1 + bj) // 2 + 1, (hk + 1 - bk) // 2:(hk + 1 + bk) // 2 + 1]
         if i % 2 == 0:  # max |x - 1| over the closed walks is max(max - 1, 1 - min)
-            closed = extremes[:, held[0] // 2, held[1] // 2] + [[[-1.0]], [[1.0]]]
+            closed = extremes[:, bj // 2, bk // 2] + ones
             worst = float(np.fmax.reduce(closed, axis=None, initial=worst))
     return worst

@@ -31,7 +31,7 @@ from .spectrum import (
     max_loop_deviation,
     recursion_spectrum,
     relative_difference,
-    window,
+    window_index,
 )
 from .zonal import (
     ZonalFunction,
@@ -216,8 +216,7 @@ def check_method_agreement(sig: Signature, r, jmax: int, kmax: int) -> Verificat
     comparable = normalized & ~infinite & table.reached
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(comparable, relative_difference(mu / at_class_base(mu), table.values), 0.0)
-    j, k = np.indices(poles.shape)
-    by_class = np.where((j + k) % 2 == np.arange(2)[:, None, None], rel, 0.0)  # even class first
+    by_class = np.where(window_index(jmax + 1, kmax + 1).parity == np.arange(2)[:, None, None], rel, 0.0)  # even first
     residual, (_, *worst) = _worst(by_class)
     where = tuple(worst) if residual else None
     report = VerificationReport(
@@ -239,8 +238,9 @@ def check_conformal_laplacian(sig: Signature, jmax: int, kmax: int) -> Verificat
     side, 4(K^2 - J^2) on the other.  A negative jmax or kmax raises ValueError.
     """
     check_window(jmax, kmax, 0)
-    j, k, tj, tk = window(sig, jmax, kmax)
-    mismatch = _factorized_numerator(sig, tj, tk, (j + k) % 2, 1) != tk * tk - tj * tj
+    index = window_index(jmax + 1, kmax + 1)
+    tj, tk = index.shifts(sig)
+    mismatch = _factorized_numerator(sig, tj, tk, index.parity, 1) != tk * tk - tj * tj
     mismatches = int(mismatch.sum())
     where = tuple(np.argwhere(mismatch)[0].tolist()) if mismatches else None
     # (n-2)/(4(n-1)) * Scal must equal ((q-1)^2 - (p-1)^2)/4, exactly: both sides times 4(n-1), in integers.

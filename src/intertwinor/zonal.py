@@ -43,14 +43,20 @@ def gegenbauer_index(d: int) -> float:
     return 0.5 * (d - 1)
 
 
-def _times_x(lam: float, c: np.ndarray, axis: int) -> np.ndarray:
-    """x * f along the negative ``axis`` of c: the recurrence of mult_by_cos, upward terms first."""
-    tail = (slice(None),) * (-1 - axis)  # the axes after ``axis``
-    j = np.arange(c.shape[axis], dtype=float).reshape((-1,) + (1,) * len(tail))
+def _x_columns(lam: float, n: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down): the coefficients of x G_j on G_{j+1} and on G_{j-1}, j < n, shaped as columns along the
+    negative ``axis`` of a coefficient array (see mult_by_cos)."""
+    j = np.arange(n, dtype=float).reshape((-1,) + (1,) * (-1 - axis))
     if lam == 0:
-        up, down = np.where(j == 0, 1.0, 0.5), np.full(j.shape, 0.5)
-    else:
-        up, down = (j + 1) / (2.0 * (j + lam)), (j + 2.0 * lam - 1) / (2.0 * (j + lam))
+        return np.where(j == 0, 1.0, 0.5), np.full(j.shape, 0.5)
+    twice = 2.0 * (j + lam)
+    return (j + 1) / twice, (j + 2.0 * lam - 1) / twice
+
+
+def _times_x(columns: tuple[np.ndarray, np.ndarray], c: np.ndarray, axis: int) -> np.ndarray:
+    """x * f along the negative ``axis`` of c, with the _x_columns of that axis: upward terms first."""
+    up, down = columns
+    tail = (slice(None),) * (-1 - axis)  # the axes after ``axis``
     out = np.zeros(c.shape[:axis] + (c.shape[axis] + 1,) + c.shape[axis:][1:])
     np.multiply(up, c, out=out[(..., slice(1, None), *tail)])
     out[(..., slice(None, -2), *tail)] += down[1:] * c[(..., slice(1, None), *tail)]
@@ -67,7 +73,7 @@ def mult_by_cos(lam: float, c) -> np.ndarray:
     before the downward ones, as a loop over j would.
     """
     c = np.asarray(c, dtype=float)
-    return _times_x(lam, c, -c.ndim)
+    return _times_x(_x_columns(lam, len(c), -c.ndim), c, -c.ndim)
 
 
 def gegenbauer_norm(d: int, j: int) -> float:
@@ -141,33 +147,43 @@ def basis_element(sig: Signature, j: int, k: int, jmax=None, kmax=None) -> Zonal
     return ZonalFunction(sig, c)
 
 
+def _varpi(f: ZonalFunction):
+    """Multiplication by varpi of coefficient arrays over f's window, f's or another stack's: the recurrence of
+    mult_by_cos along j, then along k, each with one set of _x_columns for every array."""
+    along_j = _x_columns(gegenbauer_index(f.sig.p), f.jmax + 1, -2)
+    along_k = _x_columns(gegenbauer_index(f.sig.q), f.kmax + 1, -1)
+    return lambda c: _times_x(along_k, _times_x(along_j, c, -2), -1)
+
+
 def multiply_by_varpi(f: ZonalFunction) -> ZonalFunction:
     """Multiplication by varpi = cos tau * cos rho; degrees grow by one each.
 
     The recurrence of mult_by_cos along j, then along k, on f or on each function of a stack: linear
     in memory and time, no matrix.
     """
-    along_j = _times_x(gegenbauer_index(f.sig.p), f.coeffs, -2)
-    return ZonalFunction(f.sig, _times_x(gegenbauer_index(f.sig.q), along_j, -1))
+    return ZonalFunction(f.sig, _varpi(f)(f.coeffs))
+
+
+def _bochner(sig: Signature, nj: int, nk: int) -> np.ndarray:
+    """The eigenvalues j(p-1+j) + k(q-1+k) of N over the nj x nk window, as integers."""
+    j, k = np.arange(nj), np.arange(nk)
+    return (j * (sig.p - 1 + j))[:, None] + (k * (sig.q - 1 + k))[None, :]
 
 
 def apply_N(f: ZonalFunction) -> ZonalFunction:
     """Bochner Laplacian: diagonal with eigenvalue j(p-1+j) + k(q-1+k)."""
-    j = np.arange(f.jmax + 1)
-    k = np.arange(f.kmax + 1)
-    nj = j * (f.sig.p - 1 + j)
-    nk = k * (f.sig.q - 1 + k)
-    return ZonalFunction(f.sig, f.coeffs * (nj[:, None] + nk[None, :]))
+    return ZonalFunction(f.sig, f.coeffs * _bochner(f.sig, f.jmax + 1, f.kmax + 1))
 
 
 def _varpi_commutator(f: ZonalFunction, shift: float) -> np.ndarray:
     """Coefficients of (1/2)[N, varpi] f + shift * varpi f: two multiplications by varpi, of f and of N f."""
-    vnf = multiply_by_varpi(apply_N(f)).coeffs  # first, while no other product is held: a lower peak
-    vf = multiply_by_varpi(f)
-    out = apply_N(vf).coeffs  # updated in place: fewer transients the size of a stack
+    varpi = _varpi(f)
+    vnf = varpi(f.coeffs * _bochner(f.sig, f.jmax + 1, f.kmax + 1))  # first, while no other product is held
+    vf = varpi(f.coeffs)
+    out = vf * _bochner(f.sig, f.jmax + 2, f.kmax + 2)  # updated in place: fewer transients the size of a stack
     out -= vnf
     out *= 0.5
-    out += shift * vf.coeffs
+    out += shift * vf
     return out
 
 

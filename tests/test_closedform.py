@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intertwinor import closedform
+from intertwinor import closedform, spectrum
 from intertwinor.closedform import (
     GAMMA_DIRECT,
     LIMIT_STEP,
@@ -34,32 +34,42 @@ def neighbors(v):
     return [(w, tag) for tag in DIRECTIONS if (w := neighbor(v, tag)) is not None]
 
 
+def _log_gamma_of(xs, poles=None):
+    """closedform._log_gamma over the list xs in one pass, poles flagged by ``poles`` (none by default), as
+    a list of (log |Gamma(x)|, sign) float pairs."""
+    logs, signs = _log_gamma(np.array(xs, dtype=float), np.zeros(len(xs), dtype=bool) if poles is None
+                             else np.array(poles))
+    return list(zip(logs.tolist(), signs.tolist()))
+
+
 class TestSignedLogGamma:
-    """closedform._log_gamma: log |Gamma(x)| and the sign of Gamma(x)."""
+    """closedform._log_gamma: log |Gamma(x)| and the sign of Gamma(x), over an array of arguments."""
 
     def test_trivial_values(self):
-        log_magnitude, sign = _log_gamma(1.0)
+        (log_magnitude, sign), (half_log, _) = _log_gamma_of([1.0, 0.5])
         assert log_magnitude == pytest.approx(0.0, abs=1e-15)
         assert sign == 1.0
-        assert _log_gamma(0.5)[0] == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+        assert half_log == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
 
     def test_negative_argument_via_recurrence_oracle(self):
         # Gamma(-1.5) = Gamma(0.5) / ((-1.5) * (-0.5)) = 4 sqrt(pi) / 3
-        log_magnitude, sign = _log_gamma(-1.5)
+        [(log_magnitude, sign)] = _log_gamma_of([-1.5])
         assert sign == 1.0
         assert sign * math.exp(log_magnitude) == pytest.approx(4 * math.sqrt(math.pi) / 3, rel=1e-13)
 
     def test_against_mpmath(self):
         xs = [0.1, 0.37, 1.0, 2.5, 7.3, -0.4, -1.2, -2.7, -6.9, 10.0]
-        for x in xs:
-            log_magnitude, sign = _log_gamma(x)
+        for x, (log_magnitude, sign) in zip(xs, _log_gamma_of(xs)):
             ref = mpmath.gamma(x)
             assert sign == (1 if ref > 0 else -1)
             assert log_magnitude == pytest.approx(float(mpmath.log(abs(ref))), rel=1e-12)
 
     def test_poles(self):
-        for x in (0.0, -1.0, -7.0):
-            assert _log_gamma(x) == (math.inf, 1.0)
+        # an exact nonpositive integer is a pole whether or not the mask flags it; a flagged argument is one
+        # wherever it lies, as at an order within TWO_R_TOL of a half-integer
+        xs = [0.0, -1.0, -7.0]
+        assert _log_gamma_of(xs) == [(math.inf, 1.0)] * 3
+        assert _log_gamma_of(xs + [-2.5 + 1e-10], [True] * 4) == [(math.inf, 1.0)] * 4
 
     def test_sign_rule_and_log_against_mpmath(self):
         # Negative non-integers on both sides of every pole down to -12, points
@@ -69,8 +79,7 @@ class TestSignedLogGamma:
         xs += [-n + d for n in (0, 3, 7) for d in (-1e-13, 1e-13)]
         xs += [1e-9, 0.5, 1.5, 2.0, 33.3, 149.9, 170.5, 1234.5, -149.5, -160.5, -200.25]
         with mpmath.workdps(40):
-            for x in xs:
-                log_magnitude, sign = _log_gamma(x)
+            for x, (log_magnitude, sign) in zip(xs, _log_gamma_of(xs)):
                 ref = mpmath.gamma(mpmath.mpf(x))  # the float x exactly
                 assert sign == (1 if ref > 0 else -1), x
                 ref_log = float(mpmath.log(abs(ref)))
@@ -81,12 +90,46 @@ class TestSignedLogGamma:
         # the two paths differ in the last bit on some arguments of each side
         below, above = (0.37, 2.5, 33.3), (150.5, 160.5)
         assert max(below) < GAMMA_DIRECT <= min(above)
-        for x in below:
-            assert _log_gamma(x)[0] == math.log(abs(math.gamma(x))), x
-        for x in above:
-            assert _log_gamma(x)[0] == math.lgamma(x), x
+        for x, (log_magnitude, _) in zip(below, _log_gamma_of(below)):
+            assert log_magnitude == math.log(abs(math.gamma(x))), x
+        for x, (log_magnitude, _) in zip(above, _log_gamma_of(above)):
+            assert log_magnitude == math.lgamma(x), x
         assert any(math.log(abs(math.gamma(x))) != math.lgamma(x) for x in below)
         assert any(math.log(abs(math.gamma(x))) != math.lgamma(x) for x in above)
+
+
+def _scalar_log_gamma(x: float) -> tuple[float, float]:
+    """The scalar rule the batch replaced: log |Gamma(x)| and the sign of Gamma(x), (inf, 1.0) where math raises."""
+    try:
+        log_magnitude = math.log(abs(math.gamma(x))) if abs(x) < GAMMA_DIRECT else math.lgamma(x)
+    except (ValueError, OverflowError):  # x a nonpositive integer, or |x| near the float limit
+        return math.inf, 1.0
+    return log_magnitude, -1.0 if x < 0 and math.floor(x) % 2 else 1.0
+
+
+#: Exact nonpositive integers, +/-GAMMA_DIRECT and their float neighbours, negative half-integers and every
+#: normal float up to 2**53 in size (math.gamma overflows on subnormals, which no Gamma argument reaches).
+GAMMA_ARGUMENTS = st.one_of(
+    st.integers(-2**53, 0).map(float),
+    st.sampled_from([f(g) for g in (GAMMA_DIRECT, -GAMMA_DIRECT) for f in
+                     (lambda g: g, lambda g: math.nextafter(g, math.inf), lambda g: math.nextafter(g, -math.inf))]),
+    st.integers(-2**52, -1).map(lambda n: n + 0.5),
+    st.floats(-2.0**53, 2.0**53, allow_subnormal=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(GAMMA_ARGUMENTS, min_size=1, max_size=40), data=st.data())
+def test_log_gamma_batch_is_the_scalar_rule(xs, data):
+    # off the poles the batch gives the scalar rule's expressions and DLMF 5.4 sign bit for bit; on a flagged
+    # argument or a float nonpositive integer it gives (inf, 1.0), as the scalar rule did where math raised
+    poles = data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+    for x, pole, (log_magnitude, sign) in zip(xs, poles, _log_gamma_of(xs, poles)):
+        if pole or x <= 0 and x == math.floor(x):
+            assert (log_magnitude, sign) == (math.inf, 1.0), x
+        else:
+            expected_log, expected_sign = _scalar_log_gamma(x)
+            assert float.hex(log_magnitude) == float.hex(expected_log) and sign == expected_sign, x
 
 
 class TestZSpectral:
@@ -493,6 +536,26 @@ def test_certificate_gamma_pairs_are_pochhammer_ratios():
             assert sympy.simplify(sympy.gammasimp(gamma_pair / pochhammer)) == 1, (r, index)
 
 
+def test_certificate_gamma_ratio_steps_are_transition_ratios():
+    # Routes 1 and 2 by identity: for each of DIRECTIONS, Z(v + step)/Z(v) built from the Gamma pairs of
+    # _gamma_pairs is the transition ratio (h + r)/(h - r), with 2h from spectrum._two_h; p, q, r, 2J, 2K and
+    # the parity symbolic (a step keeps the parity)
+    import sympy  # here, not at the top: the module's other tests load without it
+
+    p, q, r, tj, tk, eps = sympy.symbols("p q r tj tk eps")
+    sig = SimpleNamespace(p=p, q=q)
+
+    def z(tj, tk):
+        return sympy.Mul(*(sympy.gamma((fourc + 2 * sigma * r) / 4) / sympy.gamma((fourc - 2 * sigma * r) / 4)
+                           for fourc, sigma in closedform._gamma_pairs(sig, tj, tk, eps)))
+
+    for tag in DIRECTIONS:
+        dj, dk = STEPS[tag]
+        h = spectrum._two_h(tj, tk, dj, dk) / 2
+        ratio = z(tj + 2 * dj, tk + 2 * dk) / z(tj, tk)
+        assert sympy.simplify(sympy.combsimp(sympy.expand_func(ratio * (h - r) / (h + r)))) == 1, tag
+
+
 class TestSingularSet:
     def test_empty_for_generic_order(self):
         assert singular_ktypes(Signature(2, 3), 0.37, 0, 10, 10) == set()
@@ -525,7 +588,7 @@ def _reference_gamma_ratio(sig, order, tj, tk, eps):
     side = np.repeat([sigma for _, sigma in pairs], [len(span) for span in spans])
     x, pole = closedform._argument(order, distinct, np.array([side, -side]))
     (num_log, den_log), (num_sign, den_sign) = \
-        np.array([closedform._log_gamma(v) for v in x.ravel().tolist()]).T.reshape(2, *x.shape)
+        np.array([_scalar_log_gamma(v) for v in x.ravel().tolist()]).T.reshape(2, *x.shape)
     with np.errstate(invalid="ignore"):
         log_total = np.asarray((num_log - den_log)[index].sum(axis=0))
     sign = (num_sign * den_sign)[index].prod(axis=0)
@@ -634,7 +697,8 @@ def test_line_tables_match_reference(p, q, jmax, kmax, r, data):
 
 
 @pytest.mark.parametrize("p,q,r,jmax,kmax", [(2, 3, 0.37, 80, 80), (2, 3, 2.0, 80, 80), (1, 4, 0.5, 150, 3),
-                                             (3, 1, 1.5, 4, 150), (6, 6, 3.0, 40, 40), (2, 3, -1e12 - 0.37, 60, 60)])
+                                             (3, 1, 1.5, 4, 150), (6, 6, 3.0, 40, 40), (2, 3, -1e12 - 0.37, 60, 60),
+                                             (2, 3, 2.0**51 - 0.25, 12, 12)])  # rounding puts arguments on poles
 def test_line_tables_match_reference_on_large_windows(p, q, r, jmax, kmax):
     window_args = (Signature(p, q), r, jmax, kmax)
     _assert_same_outcome(z_gamma_grid, _reference_gamma_grid, *window_args)
@@ -642,14 +706,17 @@ def test_line_tables_match_reference_on_large_windows(p, q, r, jmax, kmax):
 
 
 def test_only_small_windows_keep_their_gather_index():
-    # the index cache holds windows of at most CACHED_WINDOW K-types, so its memory stays bounded
-    closedform._line_index.cache_clear()
+    # the index record cache holds windows of at most CACHED_WINDOW K-types, so its memory stays bounded
+    spectrum._index.cache_clear()
     sig = Signature(2, 3)
     for jmax, kmax in [(80, 80), (16, 16), (12, 12), (0, 0), (12, 12)]:  # 81^2 and 17^2 > CACHED_WINDOW
         z_gamma_grid(sig, 0.37, jmax, kmax)
-    assert closedform._line_index.cache_info()[:2] == (1, 2)  # (hits, misses): 13 x 13 and 1 x 1 only
-    index, parity = closedform._line_index(13, 13)
-    assert not index.flags.writeable and not parity.flags.writeable
+    window(sig, 100000, 1)  # thin: 200002 K-types
+    assert spectrum._index.cache_info()[:2] == (1, 2)  # (hits, misses): 13 x 13 and 1 x 1 only
+    record = spectrum.window_index(13, 13)
+    assert spectrum._index.cache_info()[:2] == (2, 2)
+    assert record._fields == ("j", "k", "parity", "inside", "lines", "pair")
+    assert not any(array.flags.writeable for array in record)
 
 
 @pytest.mark.parametrize("jmax, kmax", [(-1, 3), (3, -1), (-2, -2)])

@@ -66,7 +66,7 @@ MUTANTS = [
     Mutant("MAX_INTEGER_ORDER 100 -> 98", "cli.py", "MAX_INTEGER_ORDER = 100", "MAX_INTEGER_ORDER = 98", (CLI,)),
     Mutant("MAX_LOOP_LENGTH 8 -> 4", "spectrum.py", "MAX_LOOP_LENGTH = 8", "MAX_LOOP_LENGTH = 4", (VERIFY,)),
     Mutant("GRID_MARGIN 4 -> 1", "zonal.py", "GRID_MARGIN = 4", "GRID_MARGIN = 1", (ZONAL,)),
-    Mutant("CACHED_WINDOW 256 -> 0", "closedform.py", "CACHED_WINDOW = 256", "CACHED_WINDOW = 0", (CLOSEDFORM,)),
+    Mutant("CACHED_WINDOW 256 -> 0", "spectrum.py", "CACHED_WINDOW = 256", "CACHED_WINDOW = 0", (CLOSEDFORM,)),
     Mutant("WINDOW_BYTES_PER_KTYPE 320 -> 100", "cli.py", "WINDOW_BYTES_PER_KTYPE = 320",
            "WINDOW_BYTES_PER_KTYPE = 100", (CLI,)),
     Mutant("BLOCK_BYTES_PER_KTYPE 480 -> 100", "cli.py", "BLOCK_BYTES_PER_KTYPE = 480",
@@ -101,10 +101,10 @@ MUTANTS = [
            "def _at_heads(grid: np.ndarray, fill=0.0)", (SPECTRUM,)),
     Mutant("REL_TOL 1e-10 -> 1e-6", "spectrum.py", "REL_TOL = 1e-10", "REL_TOL = 1e-6", (SPECTRUM,)),
     Mutant("mult_by_cos downward coefficient off by one", "zonal.py",
-           "(j + 2.0 * lam - 1) / (2.0 * (j + lam))", "(j + 2.0 * lam) / (2.0 * (j + lam))", LEMMA1),
-    Mutant("varpi k-axis pass with p's index", "zonal.py", "_times_x(gegenbauer_index(f.sig.q), along_j, -1)",
-           "_times_x(gegenbauer_index(f.sig.p), along_j, -1)", LEMMA1 + INTERTWINING),
-    Mutant("apply_N eigenvalue j(p + j)", "zonal.py", "nj = j * (f.sig.p - 1 + j)", "nj = j * (f.sig.p + j)", LEMMA1),
+           "(j + 2.0 * lam - 1) / twice", "(j + 2.0 * lam) / twice", LEMMA1),
+    Mutant("varpi k-axis pass with p's index", "zonal.py", "_x_columns(gegenbauer_index(f.sig.q), f.kmax + 1, -1)",
+           "_x_columns(gegenbauer_index(f.sig.p), f.kmax + 1, -1)", LEMMA1 + INTERTWINING),
+    Mutant("N eigenvalue j(p + j)", "zonal.py", "(j * (sig.p - 1 + j))", "(j * (sig.p + j))", LEMMA1),
     Mutant("banded D downward coefficient off by one", "zonal.py", "(n * up, -(n + 2 * lam) * down)",
            "(n * up, -(n + 2 * lam - 1) * down)", LEMMA1),
     Mutant("flag reader skips the choices check", "cli.py",
@@ -122,6 +122,14 @@ MUTANTS = [
     Mutant("conformal-laplacian curvature without its factor n - 1", "verify.py",
            "== (n - 1) * ((sig.q - 1) ** 2", "== n * ((sig.q - 1) ** 2",
            (f"{VERIFY}::test_conformal_laplacian_curvature_in_integers_matches_fraction_form",)),
+    Mutant("log-Gamma sign rule on odd positive floors", "closedform.py", "np.fmod(floor, 2) == -1",
+           "np.fmod(floor, 2) == 1",
+           (f"{CLOSEDFORM}::test_log_gamma_batch_is_the_scalar_rule",)),
+    Mutant("edge mask of the index record off by one at the far side", "spectrum.py",
+           "inside[d, -1 if dj > 0 else 0]", "inside[d, -2 if dj > 0 else 0]",
+           (f"{SPECTRUM}::test_edge_arrays_equal_per_direction_reference",)),
+    Mutant("2h with an offset", "spectrum.py", "return (dj * tj + 2) + dk * tk", "return (dj * tj + 3) + dk * tk",
+           (f"{CLOSEDFORM}::test_certificate_gamma_ratio_steps_are_transition_ratios",)),
     Mutant("LIMIT_STEP 1e-6 -> 1e-4", "closedform.py", "LIMIT_STEP = 1e-6", "LIMIT_STEP = 1e-4", (CLOSEDFORM, CLI),
            survives="removed by ROADMAP item 4"),
 ]

@@ -41,7 +41,11 @@ EXPECTED = {
                                              "which waits for ROADMAP item 2",
     "verify.random_zonal": "library API: the seeded test function of acceptance criteria 5 and 6",
     "zonal.basis_element": "library API: the single-mode test function of the verify tests",
-    "zonal.mult_by_cos": "library API: x * f along axis 0, the recurrence that multiply_by_varpi runs along "
+    "zonal.apply_N": "library API: the Bochner Laplacian of the commutator identity's tests; "
+                     "zonal._varpi_commutator reads its eigenvalues through zonal._bochner",
+    "zonal.multiply_by_varpi": "library API, rebound by perfbench/tracing.py; zonal._varpi_commutator runs its "
+                               "recurrence through zonal._varpi, with the columns of both products built once",
+    "zonal.mult_by_cos": "library API: x * f along axis 0, the recurrence that zonal._varpi runs along "
                          "each axis through zonal._times_x",
     "zonal.project": QUADRATURE,
     "zonal.gegenbauer_norm": QUADRATURE,
