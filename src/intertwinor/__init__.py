@@ -6,8 +6,8 @@ integer orders -- plus a zonal-function calculus that machine-verifies the
 defining operator identities on band-limited functions.
 """
 
-from .geometry import DIRECTIONS, KType, Signature, scalar_curvature
-from .spectrum import SpectralOrder, SpectrumTable, ZeroDenominator, \
+from .geometry import DIRECTIONS, KType, Signature, SpectralOrder, scalar_curvature
+from .spectrum import SpectrumTable, ZeroDenominator, \
     PathInconsistency, recursion_spectrum, transition_ratio, max_loop_deviation
 from .closedform import PoleAtKType, z_spectral, z_spectral_grid, \
     factorized_eigenvalue_exact, parity_constant, conformal_laplacian_eigenvalue_exact

@@ -47,10 +47,8 @@ from .closedform import (
     z_gamma_ratio,  # unused here; perfbench/tracing.py rebinds this name
     z_spectral,  # unused here; perfbench/tracing.py rebinds this name
 )
-from .geometry import KType, Signature
-from .geometry import doubled_shifts  # unused here; perfbench/tracing.py rebinds this name
-from .spectrum import (BLOCK_KTYPES, SpectralOrder, at_class_base, check_window, recursion_spectrum,
-                       relative_difference, window)
+from .geometry import KType, Signature, SpectralOrder, check_window, doubled_shifts, window_index
+from .spectrum import BLOCK_KTYPES, at_class_base, recursion_spectrum, relative_difference
 from .verify import DEFAULT_CHECKS, run_suite
 
 SCHEMA_VERSION = 1
@@ -333,7 +331,7 @@ def _spectrum_window(sig: Signature, order: SpectralOrder, jmax: int, kmax: int)
     compared = table.reached & ~poles & ~at_class_base(poles) & (zbase != 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disagreement = relative_difference(closed / zbase, recursion)
-    _, _, tj, tk = window(sig, jmax, kmax)
+    tj, tk = doubled_shifts(sig, window_index(jmax + 1, kmax + 1))
     return SpectrumWindow(
         half_j=(tj[:, 0] / 2.0).tolist(), half_k=(tk[0] / 2.0).tolist(),
         recursion=recursion, reached=table.reached, closed=closed, poles=poles,

@@ -31,8 +31,7 @@ import math
 
 import numpy as np
 
-from .geometry import KType, Signature, doubled_shifts
-from .spectrum import SpectralOrder, check_window, window_index
+from .geometry import KType, Signature, SpectralOrder, check_window, doubled_shifts, window_index
 
 #: Step of the limit convention for a parity constant with a class Gamma pole.
 LIMIT_STEP = 1e-6
@@ -57,13 +56,13 @@ def _log_gamma(x: np.ndarray, poles: np.ndarray) -> tuple[np.ndarray, np.ndarray
     of the closed form makes math.gamma or math.lgamma raise.  Gamma(x) < 0 exactly when x < 0 and floor(x)
     is odd (DLMF 5.4, 5.5.1).
     """
+    logs = np.array([math.inf if pole or (v <= 0 and v.is_integer())
+                     else math.log(abs(math.gamma(v))) if abs(v) < GAMMA_DIRECT else math.lgamma(v)
+                     for v, pole in zip(x.ravel().tolist(), poles.ravel().tolist())]).reshape(x.shape)
     floor = np.floor(x)
-    poles = poles | (x <= 0) & (x == floor)
-    logs = [math.inf if pole else math.log(abs(math.gamma(v))) if abs(v) < GAMMA_DIRECT else math.lgamma(v)
-            for v, pole in zip(x.ravel().tolist(), poles.ravel().tolist())]
     signs = np.where(np.fmod(floor, 2) == -1, -1.0, 1.0)  # fmod is -1 exactly where floor(x) is odd and negative
-    signs[poles] = 1.0
-    return np.array(logs).reshape(x.shape), signs
+    signs[logs == math.inf] = 1.0  # the poles: no other log is infinite
+    return logs, signs
 
 
 def _gamma_pairs(sig: Signature, tj, tk, eps):
@@ -95,17 +94,17 @@ def _argument(order: SpectralOrder, fourc, s):
 
 
 def _lines(sig: Signature, corner: KType, nj: int, nk: int):
-    """(4c, s, parities, index, parity): the Gamma pairs over the nj x nk window at ``corner`` = (j0, k0),
-    each on its line, and where each K-type of the window reads them.
+    """(4c, s, parities, index): the Gamma pairs over the nj x nk window at ``corner`` = (j0, k0), each on
+    its line, and the window's index record, which says where each K-type reads them.
 
     Pair 1 depends on a K-type only through j + k, pair 2 through k - j and pairs 3-4 through the parity,
     so each is evaluated once per line value: pair 1 on (j0, k0 + i) and pair 2 on (j0 + nj - 1, k0 + i),
     i < nj + nk - 1, pairs 3-4 on the parities of j0 + k0 + i, i < 2.  The lines are concatenated in pair
     order; s holds the sign of 2r in each argument, numerator row (sigma) over denominator row (-sigma).
-    ``index`` and ``parity`` are the ``lines`` and ``parity`` of the window's spectrum.window_index record:
-    ``index``, shaped (4, nj, nk), holds for K-type (j0 + a, k0 + b) entry a + b of pair 1, b - a + nj - 1
-    of pair 2 and parity = (a + b) % 2 of pairs 3-4, each plus its line's offset.  The record comes first,
-    so a window too large for memory fails before any line is evaluated, and an empty one raises ValueError.
+    ``index`` is geometry.window_index(nj, nk): its ``lines``, shaped (4, nj, nk), hold for K-type
+    (j0 + a, k0 + b) entry a + b of pair 1, b - a + nj - 1 of pair 2 and parity = (a + b) % 2 of pairs 3-4,
+    each plus its line's offset.  The record comes first, so a window too large for memory fails before any
+    line is evaluated, and an empty one raises ValueError.
     """
     check_window(nj - 1, nk - 1, 0)
     index = window_index(nj, nk)
@@ -115,7 +114,7 @@ def _lines(sig: Signature, corner: KType, nj: int, nk: int):
     (first, s1), (second, s2), (third, s3), (fourth, s4) = \
         _gamma_pairs(sig, np.array([[tj], [tj + 2 * nj - 2]]), tk + 2 * np.arange(n), parities)
     sides = np.array([[s1, s2, s3, s4], [-s1, -s2, -s3, -s4]])[:, index.pair]
-    return np.concatenate((first[0], second[1], third, fourth)), sides, parities, index.lines, index.parity
+    return np.concatenate((first[0], second[1], third, fourth)), sides, parities, index
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -133,7 +132,7 @@ def _gamma_ratio(order: SpectralOrder, lines):
     """
     x, flags = _argument(order, *lines[:2])  # numerator row, denominator row
     logs, signs = _log_gamma(x, flags)
-    index = lines[3]
+    index = lines[3].lines
     with np.errstate(invalid="ignore"):  # inf - inf at poles; masked below
         log_total = (logs[0] - logs[1])[index].sum(axis=0)  # ((pair 1 + pair 2) + pair 3) + pair 4
     poles = (flags[0] | flags[1])[index].any(axis=0)
@@ -150,7 +149,7 @@ def z_gamma_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, n
     """
     lines = _lines(sig, KType(0, 0), jmax + 1, kmax + 1)
     values, poles, flags = _gamma_ratio(SpectralOrder.coerce(r), lines)
-    return values, poles, flags[0][lines[3]].any(axis=0)
+    return values, poles, flags[0][lines[3].lines].any(axis=0)
 
 
 def z_gamma_ratio(sig: Signature, r, v: KType) -> float:
@@ -194,16 +193,19 @@ def _factorized_numerator(sig: Signature, tj, tk, eps, r: int):
 def _factorized_float(lines, r: int) -> np.ndarray:
     """The polynomial over the window of ``lines``: N1 N2 / 4**r rounded once, N1 and N2 exact
     Python ints along the lines of pairs 1-2."""
-    fourc, _, parities, index, _ = lines
+    fourc, _, parities, index = lines
     numbers = _pochhammer(fourc[: -2 * parities.size].astype(object) - 2 * r, r)  # the lines of pairs 1-2
-    return np.asarray(numbers[index[0]] * numbers[index[1]] / 4**r, dtype=float)
+    return np.asarray(numbers[index.lines[0]] * numbers[index.lines[1]] / 4**r, dtype=float)
 
 
 def factorized_eigenvalue_exact(sig: Signature, r: int, v: KType) -> Fraction:
-    """Exact polynomial eigenvalue prod_m (K+J+1-r+2m)(K-J+1-r+2m), m < r."""
+    """Exact polynomial eigenvalue prod_m (K+J+1-r+2m)(K-J+1-r+2m), m < r.
+
+    r is a positive integer, or within TWO_R_TOL of one; any other order raises ValueError.
+    """
     from fractions import Fraction  # on first use: no CLI call needs it
 
-    r = int(r)
+    r = SpectralOrder.coerce(r).as_integer
     return Fraction(_factorized_numerator(sig, *doubled_shifts(sig, v), v.parity, r), 4**r)
 
 
@@ -214,11 +216,11 @@ def parity_constant(sig: Signature, r: int, parity: int) -> float:
     Gamma pair has a pole at this order, and the constant is pinned by a
     symmetric evaluation at r +/- LIMIT_STEP on the first class member with a
     nonzero polynomial, in (j + k, j) order: deterministic, but
-    convention-dependent.
+    convention-dependent.  r is read as in factorized_eigenvalue_exact.
     """
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity}")
-    r = int(r)
+    r = SpectralOrder.coerce(r).as_integer
     n3n4 = math.prod(_pochhammer(fourc - 2 * r, r) for fourc, _ in _gamma_pairs(sig, 0, 0, parity)[2:])
     if n3n4:
         return 4**r / n3n4
@@ -239,7 +241,7 @@ def _closed_form(sig: Signature, order: SpectralOrder, corner: KType, nj: int, n
         return *_gamma_ratio(order, lines)[:2], None
     factorized = _factorized_float(lines, order.as_integer)
     scale = np.array([parity_constant(sig, order.as_integer, parity) for parity in lines[2].tolist()])
-    return scale[lines[4]] * factorized, np.zeros(factorized.shape, dtype=bool), factorized
+    return scale[lines[3].parity] * factorized, np.zeros(factorized.shape, dtype=bool), factorized
 
 
 def z_spectral_grid(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,18 +20,15 @@ from .closedform import (
     z_spectral,
     z_spectral_grid,
 )
-from .geometry import KType, Signature, scalar_curvature
+from .geometry import KType, Signature, SpectralOrder, check_window, doubled_shifts, scalar_curvature, window_index
 from .spectrum import (
     BLOCK_KTYPES,
     MAX_LOOP_LENGTH,
-    SpectralOrder,
     _at_heads,
     at_class_base,
-    check_window,
     max_loop_deviation,
     recursion_spectrum,
     relative_difference,
-    window_index,
 )
 from .zonal import (
     ZonalFunction,
@@ -239,7 +236,7 @@ def check_conformal_laplacian(sig: Signature, jmax: int, kmax: int) -> Verificat
     """
     check_window(jmax, kmax, 0)
     index = window_index(jmax + 1, kmax + 1)
-    tj, tk = index.shifts(sig)
+    tj, tk = doubled_shifts(sig, index)
     mismatch = _factorized_numerator(sig, tj, tk, index.parity, 1) != tk * tk - tj * tj
     mismatches = int(mismatch.sum())
     where = tuple(np.argwhere(mismatch)[0].tolist()) if mismatches else None

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from intertwinor import cli, verify
 from intertwinor.cli import main
-from intertwinor.geometry import Signature
-from intertwinor.spectrum import SpectralOrder
+from intertwinor.geometry import Signature, SpectralOrder
 
 
 def run_cli(capsys, *args):

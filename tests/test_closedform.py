@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intertwinor import closedform, spectrum
+from intertwinor import closedform, geometry, spectrum
 from intertwinor.closedform import (
     GAMMA_DIRECT,
     LIMIT_STEP,
@@ -25,13 +25,19 @@ from intertwinor.closedform import (
     z_spectral,
     z_spectral_grid,
 )
-from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, neighbor
+from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, SpectralOrder, neighbor
 from intertwinor.geometry import doubled_shifts
-from intertwinor.spectrum import SpectralOrder, edge_arrays, recursion_spectrum, transition_ratio, window
+from intertwinor.spectrum import edge_arrays, recursion_spectrum, transition_ratio
 
 
 def neighbors(v):
     return [(w, tag) for tag in DIRECTIONS if (w := neighbor(v, tag)) is not None]
+
+
+def _window(sig, jmax, kmax):
+    """Index grids j, k (column, row) of [0, jmax] x [0, kmax] and their doubled shifts 2J, 2K."""
+    j, k = np.ogrid[:jmax + 1, :kmax + 1]
+    return j, k, 2 * j + sig.p - 1, 2 * k + sig.q - 1
 
 
 def _log_gamma_of(xs, poles=None):
@@ -211,8 +217,15 @@ class TestFactorized:
         assert type(value) is Fraction and value == Fraction(-63, 16)
 
     def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            factorized_eigenvalue_exact(Signature(1, 1), 0, KType(0, 0))
+        # a non-integer order is refused too, not truncated to the integer below it
+        for r in (0, 2.5):
+            with pytest.raises(ValueError, match=f"^r = {float(r)} is not a positive integer$"):
+                factorized_eigenvalue_exact(Signature(1, 1), r, KType(0, 0))
+            with pytest.raises(ValueError, match=f"^r = {float(r)} is not a positive integer$"):
+                parity_constant(Signature(2, 3), r, 0)
+        # an order within TWO_R_TOL of an integer is that integer, as the CLI reads it
+        assert parity_constant(Signature(2, 3), 2 + 4e-10, 0) == parity_constant(Signature(2, 3), 2, 0)
+        assert factorized_eigenvalue_exact(Signature(2, 3), 2 - 4e-10, KType(1, 1)) == Fraction(-135, 16)
         # the window route prints no factorized column at a nonpositive order
         assert _factorized_grid(Signature(1, 1), 0, 2, 2) is None
 
@@ -599,7 +612,7 @@ def _reference_gamma_ratio(sig, order, tj, tk, eps):
 
 def _reference_gamma_grid(sig, r, jmax, kmax):
     """(values, poles, numerator poles) over the window, each Gamma argument tested on its own."""
-    j, k, tj, tk = window(sig, jmax, kmax)
+    j, k, tj, tk = _window(sig, jmax, kmax)
     order = SpectralOrder.coerce(r)
     infinite = np.logical_or.reduce([closedform._argument(order, fourc, sigma)[1]
                                      for fourc, sigma in closedform._gamma_pairs(sig, tj, tk, (j + k) % 2)])
@@ -627,7 +640,7 @@ def _factorized_grid(sig, r, jmax, kmax):
 
 def _reference_factorized_grid(sig, r, jmax, kmax):
     """Each entry's exact polynomial N1 N2 from object arrays over the window, divided by 4**r once."""
-    j, k, tj, tk = window(sig, jmax, kmax)
+    j, k, tj, tk = _window(sig, jmax, kmax)
     numerator = closedform._factorized_numerator(sig, tj.astype(object), tk.astype(object), (j + k) % 2, r)
     return np.asarray(numerator / 4**r, dtype=float)
 
@@ -636,7 +649,7 @@ def _reference_spectral_grid(sig, r, jmax, kmax):
     order = SpectralOrder.coerce(r)
     if not order.is_positive_integer:
         return _reference_gamma_grid(sig, order, jmax, kmax)[:2]
-    j, k, _, _ = window(sig, jmax, kmax)
+    j, k, _, _ = _window(sig, jmax, kmax)
     eps = (j + k) % 2
     scale = np.zeros(eps.shape)
     for parity in (0, 1):
@@ -707,14 +720,14 @@ def test_line_tables_match_reference_on_large_windows(p, q, r, jmax, kmax):
 
 def test_only_small_windows_keep_their_gather_index():
     # the index record cache holds windows of at most CACHED_WINDOW K-types, so its memory stays bounded
-    spectrum._index.cache_clear()
+    geometry._index.cache_clear()
     sig = Signature(2, 3)
     for jmax, kmax in [(80, 80), (16, 16), (12, 12), (0, 0), (12, 12)]:  # 81^2 and 17^2 > CACHED_WINDOW
         z_gamma_grid(sig, 0.37, jmax, kmax)
-    window(sig, 100000, 1)  # thin: 200002 K-types
-    assert spectrum._index.cache_info()[:2] == (1, 2)  # (hits, misses): 13 x 13 and 1 x 1 only
-    record = spectrum.window_index(13, 13)
-    assert spectrum._index.cache_info()[:2] == (2, 2)
+    geometry.window_index(100001, 2)  # thin: 200002 K-types
+    assert geometry._index.cache_info()[:2] == (1, 2)  # (hits, misses): 13 x 13 and 1 x 1 only
+    record = geometry.window_index(13, 13)
+    assert geometry._index.cache_info()[:2] == (2, 2)
     assert record._fields == ("j", "k", "parity", "inside", "lines", "pair")
     assert not any(array.flags.writeable for array in record)
 

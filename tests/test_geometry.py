@@ -1,17 +1,20 @@
+import ast
 import re
+from pathlib import Path
 
 import pytest
 
+from intertwinor import closedform, spectrum
 from intertwinor.geometry import (
     DIRECTIONS,
     STEPS,
     KType,
     Signature,
+    SpectralOrder,
     doubled_shifts,
     neighbor,
     scalar_curvature,
 )
-from intertwinor.spectrum import SpectralOrder
 
 
 def neighbors(v):
@@ -109,3 +112,25 @@ def test_direction_tags_cover_all_steps():
     assert set(DIRECTIONS) == set(STEPS)
     assert {STEPS[d] for d in DIRECTIONS} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
     assert neighbor(KType(0, 0), "--") is None
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The modules of the package that a source file imports anywhere in it, relatively or by its name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["intertwinor" if node.level else None, node.module]))
+            modules = [f"{module}.{alias.name}" for alias in node.names] if module == "intertwinor" else [module]
+        else:
+            continue
+        found |= {module.removeprefix("intertwinor.") for module in modules if module.split(".")[0] == "intertwinor"}
+    return found
+
+
+@pytest.mark.parametrize("route", [spectrum, closedform], ids=lambda module: module.__name__)
+def test_spectral_routes_meet_only_in_geometry(route):
+    # the recursion and the closed form share no code but the lattice and index layer, so an error in one
+    # cannot move both sides of their cross-check alike
+    assert _package_imports(Path(route.__file__)) <= {"geometry"}

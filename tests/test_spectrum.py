@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertwinor import spectrum
-from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, neighbor
+from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, SpectralOrder, neighbor
 from intertwinor.spectrum import (
     REL_TOL,
     PathInconsistency,
-    SpectralOrder,
     ZeroDenominator,
     at_class_base,
     edge_arrays,
@@ -23,7 +22,6 @@ from intertwinor.spectrum import (
     recursion_spectrum,
     relative_difference,
     transition_ratio,
-    window,
 )
 from intertwinor.verify import check_loop_consistency, check_method_agreement
 
@@ -205,7 +203,8 @@ def _edge_slices(direction, nj, nk):
 def _reference_edge_arrays(sig, r, jmax, kmax):
     """edge_arrays built one direction at a time, on the slice of edges whose head is in the window."""
     order = SpectralOrder.coerce(r)
-    _, _, tj, tk = window(sig, jmax, kmax)
+    j, k = np.ogrid[:jmax + 1, :kmax + 1]
+    tj, tk = 2 * j + sig.p - 1, 2 * k + sig.q - 1
     singular = np.zeros((4, jmax + 1, kmax + 1), dtype=bool)
     ratio = np.full(singular.shape, np.nan)
     for d, tag in enumerate(DIRECTIONS):

@@ -1,12 +1,12 @@
 """Mutation sweep: each entry of MUTANTS breaks one constant or line of the package, and its tests must fail.
 
-For every entry the script copies ``src/``, ``tests/`` and ``pyproject.toml`` (which holds the pytest
-settings) to a temporary directory, replaces the entry's old text, which must occur exactly once in its
-file, by the new text, and runs pytest there on the entry's test files or test ids alone, stopping at the
-first failure.  A mutant is killed when a test fails.  One line per mutant gives its verdict and run time.  The
-script exits 1 when a mutant survives without a reason in the table, when a mutant marked as a survivor
-is killed, or when an old text is not found, so the table stays exact.  It assumes the unmutated tests
-pass; run the package tests first.
+For every entry the script copies ``src/``, ``tests/``, ``tools/`` and ``pyproject.toml`` (which holds the
+pytest settings) to a temporary directory, replaces the entry's old text, which must occur exactly once in
+its file, by the new text, and runs there the entry's check alone: pytest on its test files or test ids,
+stopping at the first failure, or its script under ``tools/``.  A mutant is killed when a test fails or the
+script exits 1.  One line per mutant gives its verdict and run time.  The script exits 1 when a mutant
+survives without a reason in the table, when a mutant marked as a survivor is killed, or when an old text
+is not found, so the table stays exact.  It assumes the unmutated tests and tools pass; run them first.
 
     python tools/mutants.py
 """
@@ -33,7 +33,7 @@ class Mutant(NamedTuple):
     file: str  # relative to src/intertwinor
     old: str
     new: str
-    tests: tuple[str, ...]  # test files or pytest node ids, relative to the checkout
+    tests: tuple[str, ...]  # test files or pytest node ids, or one script under tools/, relative to the checkout
     survives: str | None = None  # why the listed tests cannot kill it, for an expected survivor
 
 
@@ -49,6 +49,8 @@ BLOCKED = tuple(f"{VERIFY}::test_blocked_{name}" for name in (
     "seeded_checks_report_the_first_nan", "intertwining_raises_the_first_touched_pole"))
 #: The hypothesis test of the flag reader against argparse, alone.
 READER = (f"{CLI}::test_reader_matches_argparse",)
+#: The route independence check (ROADMAP item 11), alone.
+INDEPENDENCE = ("tools/independence.py",)
 
 MUTANTS = [
     Mutant("GAMMA_DIRECT 150 -> 0", "closedform.py", "GAMMA_DIRECT = 150.0", "GAMMA_DIRECT = 0.0", (CLOSEDFORM,)),
@@ -66,7 +68,7 @@ MUTANTS = [
     Mutant("MAX_INTEGER_ORDER 100 -> 98", "cli.py", "MAX_INTEGER_ORDER = 100", "MAX_INTEGER_ORDER = 98", (CLI,)),
     Mutant("MAX_LOOP_LENGTH 8 -> 4", "spectrum.py", "MAX_LOOP_LENGTH = 8", "MAX_LOOP_LENGTH = 4", (VERIFY,)),
     Mutant("GRID_MARGIN 4 -> 1", "zonal.py", "GRID_MARGIN = 4", "GRID_MARGIN = 1", (ZONAL,)),
-    Mutant("CACHED_WINDOW 256 -> 0", "spectrum.py", "CACHED_WINDOW = 256", "CACHED_WINDOW = 0", (CLOSEDFORM,)),
+    Mutant("CACHED_WINDOW 256 -> 0", "geometry.py", "CACHED_WINDOW = 256", "CACHED_WINDOW = 0", (CLOSEDFORM,)),
     Mutant("WINDOW_BYTES_PER_KTYPE 320 -> 100", "cli.py", "WINDOW_BYTES_PER_KTYPE = 320",
            "WINDOW_BYTES_PER_KTYPE = 100", (CLI,)),
     Mutant("BLOCK_BYTES_PER_KTYPE 480 -> 100", "cli.py", "BLOCK_BYTES_PER_KTYPE = 480",
@@ -125,11 +127,25 @@ MUTANTS = [
     Mutant("log-Gamma sign rule on odd positive floors", "closedform.py", "np.fmod(floor, 2) == -1",
            "np.fmod(floor, 2) == 1",
            (f"{CLOSEDFORM}::test_log_gamma_batch_is_the_scalar_rule",)),
-    Mutant("edge mask of the index record off by one at the far side", "spectrum.py",
+    Mutant("edge mask of the index record off by one at the far side", "geometry.py",
            "inside[d, -1 if dj > 0 else 0]", "inside[d, -2 if dj > 0 else 0]",
            (f"{SPECTRUM}::test_edge_arrays_equal_per_direction_reference",)),
     Mutant("2h with an offset", "spectrum.py", "return (dj * tj + 2) + dk * tk", "return (dj * tj + 3) + dk * tk",
            (f"{CLOSEDFORM}::test_certificate_gamma_ratio_steps_are_transition_ratios",)),
+    Mutant("the recursion calls z_gamma_grid for its base values", "spectrum.py",
+           "    singular, ratio = edge_arrays(sig, order, jmax, kmax)\n",
+           "    singular, ratio = edge_arrays(sig, order, jmax, kmax)\n"
+           "    from .closedform import z_gamma_grid\n    z_gamma_grid(sig, order, 1, 0)\n", INDEPENDENCE),
+    Mutant("the Gamma ratio calls spectrum.relative_difference", "closedform.py",
+           "    logs, signs = _log_gamma(x, flags)\n",
+           "    logs, signs = _log_gamma(x, flags)\n    from .spectrum import relative_difference\n"
+           "    relative_difference(x, x)\n", INDEPENDENCE),
+    Mutant("_factorized_float calls _gamma_ratio", "closedform.py", "    fourc, _, parities, index = lines\n",
+           "    fourc, _, parities, index = lines\n    _gamma_ratio(SpectralOrder(r), lines)\n", INDEPENDENCE),
+    Mutant("apply_T_banded calls _times_x", "zonal.py",
+           "    out = np.zeros(f.coeffs.shape[:-2] + (f.jmax + 2, f.kmax + 2))\n",
+           "    out = np.zeros(f.coeffs.shape[:-2] + (f.jmax + 2, f.kmax + 2))\n"
+           "    _times_x(_x_columns(gegenbauer_index(f.sig.q), f.kmax + 1, -1), f.coeffs, -1)\n", INDEPENDENCE),
     Mutant("LIMIT_STEP 1e-6 -> 1e-4", "closedform.py", "LIMIT_STEP = 1e-6", "LIMIT_STEP = 1e-4", (CLOSEDFORM, CLI),
            survives="removed by ROADMAP item 4"),
 ]
@@ -139,7 +155,7 @@ def run(mutant: Mutant) -> str:
     """'killed', 'survived' or 'error: ...' for one mutant, on a fresh temporary copy."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "tools"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         path = copy / "src" / "intertwinor" / mutant.file
@@ -148,14 +164,15 @@ def run(mutant: Mutant) -> str:
             return f"error: the old text occurs {text.count(mutant.old)} times in {mutant.file}"
         path.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        check = mutant.tests if mutant.tests[0].startswith("tools/") else \
+            ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests)
         try:
-            done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                                   *mutant.tests], cwd=copy, env=env, capture_output=True, text=True,
+            done = subprocess.run([sys.executable, *check], cwd=copy, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return "killed"
-    if done.returncode not in (0, 1):  # 1: tests failed; anything else is an error of the run itself
-        return f"error: pytest exited {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
+    if done.returncode not in (0, 1):  # 1: tests or the script failed; anything else is an error of the run itself
+        return f"error: the check exited {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
     return "killed" if done.returncode == 1 else "survived"
 
 
