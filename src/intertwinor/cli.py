@@ -59,12 +59,17 @@ SCHEMA_VERSION = 1
 #: 2**53 is an integer, so without a bound those products need not end.
 MAX_INTEGER_ORDER = 100
 
-#: Largest |r| accepted, for every order.  A Gamma argument (4c +/- 2r)/4 is
-#: an exact float while |4c| + 2|r| < 2**53; beyond that the sum rounds, an
-#: argument can land on a false pole, and the closed form prints nan (the
-#: smallest such |r| in a scan was 2**52 - 1, at p = 1, q = 4, jmax = kmax =
-#: 12).  No order within this bound printed nan in a scan of p, q <= 6 and
-#: windows up to 40 x 40, and 2r stays within the int64 pole arithmetic.
+#: Largest |r| accepted, for every order.  4c +/- 2r is a whole multiple of
+#: g = min(1, the lowest set bit of 2r), so a Gamma argument (4c +/- 2r)/4 is
+#: an exact float while |4c| + 2|r| < 2**53 * g.  A fractional bit of 2r
+#: lowers that bound below this one: at r = 2**51 - 0.25, 2r = 2**52 - 0.5 and
+#: g = 1/2, so 4c + 2r rounds once it passes 2**52.  Rounding can put an
+#: argument on a pole that its exact value is not.  closedform._log_gamma
+#: reads such an argument as a pole, so the closed form prints no nan, but it
+#: prints 0 in 36 of the 169 cells of (2, 3), 13 x 13, at that r, where the
+#: recursion prints +-1, with no label.  At integer 2r, g = 1, and the first
+#: false pole of a scan was at |r| = 2**52 - 1, p = 1, q = 4, jmax = kmax = 12.
+#: 2r stays within the int64 pole arithmetic.
 #: Within the bound the closed form loses relative accuracy as |r| grows,
 #: since each Gamma pair is a difference of log-Gammas of size about
 #: |r|/2 log|r|: against 60-digit mpmath, 1.2e-12 at |r| ~ 1e3, 2e-9 at 1e6,
@@ -73,8 +78,9 @@ MAX_ABS_ORDER = 2**51
 
 #: Largest sphere dimension p or q accepted.  Within it, and with |r| <= MAX_ABS_ORDER, the largest 4c of a
 #: Gamma argument plus 2|r|, p + q + 2(j + k) + 2 + 2|r|, stays below 2**53 for any window that fits memory,
-#: so every Gamma argument, every 2h and every int64 sum of the doubled shifts is exact.  Without a bound,
-#: p = q = 2**62 - 1 wraps 4c in int64 and the closed form prints nan.
+#: so every 2h and every int64 sum of the doubled shifts is exact, and every Gamma argument at integer 2r (see
+#: MAX_ABS_ORDER for a fractional 2r).  Without a bound, p = q = 2**62 - 1 wraps 4c in int64 and the closed
+#: form prints nan.
 MAX_DIMENSION = 2**50
 
 #: Peak bytes per K-type of the window one degree beyond the request, (jmax + 2) x (kmax + 2), the largest over
@@ -340,13 +346,8 @@ def _spectrum_window(sig: Signature, order: SpectralOrder, jmax: int, kmax: int)
     )
 
 
+#: The JSON tokens of the non-finite cells, as json.dumps prints them.
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x: float) -> str:
-    """x as json.dumps prints a float: float.__repr__, with the NaN and Infinity tokens."""
-    text = float.__repr__(x)
-    return _JSON_SPECIAL.get(text, text)
 
 
 #: The rows and the document around them as json.dumps(indent=2, sort_keys=True) prints them: each cell of a
@@ -411,7 +412,7 @@ def _spectrum_blocks(window: SpectrumWindow, fmt: str, sig: Signature, r: float)
         return "".join(parts)
 
     yield (",".join(CSV_COLUMNS) + "\n" if fmt == "csv"
-           else _JSON_HEAD % (nj - 1, nk - 1, sig.p, sig.q, _json_float(r)))
+           else _JSON_HEAD % (nj - 1, nk - 1, sig.p, sig.q, json.dumps(r)))
     step = max(1, BLOCK_KTYPES // nk)
     for start in range(0, nj, step):
         if start and fmt == "json":

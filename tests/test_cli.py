@@ -424,6 +424,24 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_module_entry_point_streams_a_multi_block_table(fmt):
+    # python -m intertwinor.cli writes a table of 201 x 61 K-types at a half-integer order, more than one block
+    # of BLOCK_KTYPES, to a pipe block by block: the same bytes as the in-process call, and a table that parses
+    argv = ["spectrum", "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "200", "--kmax", "60", "--format", fmt]
+    assert 201 * 61 == 12261 > cli.BLOCK_KTYPES
+    done = subprocess.run([sys.executable, "-m", "intertwinor.cli", *argv], capture_output=True,
+                          env=_package_env(), timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    code, out, err = _call(argv)
+    assert (code, err) == (0, "") and done.stdout == out.encode()
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 12262 and rows[0] == list(cli.CSV_COLUMNS) and all(len(row) == 9 for row in rows)
+    else:
+        assert len(json.loads(out)["rows"]) == 12261
+
+
 def test_intertwining_reads_only_the_requested_window():
     # (2, 0), one degree beyond this window, is a Gamma pole at r = 0.5; the window itself has none, and the
     # check once refused it there

@@ -1,33 +1,22 @@
-"""Route independence: the package functions each route enters, held to one module rule.
+"""Route independence: the two routes of each pair share no package function off that pair's allowlist.
 
-The routes are the entry points of ``routes()``: the recursion, the raw Gamma ratio and the integer-order
-polynomial (the three spectrum routes), and the commutator and banded forms of Lemma 1.  Each argument set
-runs in-process under ``sys.setprofile`` with the window index cache cleared first, so every route enters
-what it builds; the arguments cover generic, integer and half-integer r (the polynomial is defined at
-integer r only).  The script exits 1 when a route of ``MODULES`` enters a module beyond its own, so that
-the spectrum routes meet only in ``geometry``, the lattice and index layer, or when the two routes of a
-pair of ``ALLOWED`` both enter a function outside ``geometry`` that is not on that pair's allowlist; it
-prints each such function and every one a pair shares, as ``<module>.<qualified name>``.  Shared code
-would let one error move both sides of a comparison alike.  Comprehensions and lambdas count as part of
-the function that holds them.
+The routes are the entry points of ``routes()``: the raw Gamma ratio and the integer-order polynomial, the two
+closed-form routes of the spectrum, and the commutator and banded forms of Lemma 1.  Each argument set runs
+in-process under ``reach.entered()`` with the window index cache cleared first, so every route enters what it
+builds; the arguments cover generic, integer and half-integer r (the polynomial is defined at integer r only).
+The script prints every function the two routes of a pair of ``ALLOWED`` both enter, as
+``<module>.<qualified name>``, and exits 1 when one of them lies outside ``geometry`` and off that pair's
+allowlist, and 2 with the traceback when it raises.  Shared code would let one error move both sides of a
+comparison alike.  That the recursion and the closed form meet only in ``geometry``, the lattice and index
+layer, is a tier-1 test: ``tests/test_geometry.py::test_spectral_routes_meet_only_in_geometry`` reads every
+import of both modules.
 
     python tools/independence.py
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-#: Route: the only modules it may enter.  The recursion uses transition ratios alone, never the closed form,
-#: and the closed form never the recursion.
-MODULES = {
-    "recursion": {"spectrum", "geometry"},
-    "gamma": {"closedform", "geometry"},
-    "polynomial": {"closedform", "geometry"},
-}
+from reach import entered, exit_status
 
 #: (route, route): the functions outside geometry both may enter.  The Gamma ratio and the polynomial read one
 #: table of Gamma pair arguments, laid out on the same lines, so only method agreement against the recursion
@@ -42,7 +31,7 @@ ALLOWED = {
 
 def routes():
     """{route: [(entry point, arguments), ...]} over the imported package."""
-    from intertwinor import closedform, spectrum, verify, zonal
+    from intertwinor import closedform, verify, zonal
     from intertwinor.geometry import KType, Signature
 
     windows = [(Signature(2, 3), 6, 5), (Signature(1, 4), 4, 7)]
@@ -50,7 +39,6 @@ def routes():
     integer = [(sig, r, jmax, kmax) for sig, jmax, kmax in windows for r in (1, 2, 3)]
     functions = [verify.seeded_stack(sig, jmax, kmax, 0) for sig, jmax, kmax in windows]
     return {
-        "recursion": [(spectrum.recursion_spectrum, args) for args in generic],
         "gamma": [(closedform.z_gamma_grid, args) for args in generic]
                  + [(closedform.z_gamma_ratio, (sig, r, KType(2, 1))) for sig, r, _, _ in generic],
         "polynomial": [(closedform.z_spectral_grid, args) for args in integer],
@@ -59,48 +47,36 @@ def routes():
     }
 
 
-def entered() -> dict[str, set[str]]:
-    """{route: the package functions its entry points enter}, by "<module>.<qualified name>"."""
-    sys.path.insert(0, str(SRC))
+def found() -> dict[str, set[str]]:
+    """{route: the package functions its entry points enter}."""
     from intertwinor import geometry
 
-    package = str(SRC / "intertwinor")
+    def run(function, args):
+        try:
+            function(*args)
+        except ArithmeticError:  # a pole: the route ran up to it
+            pass
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename.startswith(package) and not code.co_name.startswith("<"):
-            seen.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
-
-    found = {}
+    names = {}
     for route, entries in routes().items():
-        seen = found[route] = set()
+        names[route] = set()
         for function, args in entries:
             geometry._index.cache_clear()
-            sys.setprofile(profile)
-            try:
-                function(*args)
-            except ArithmeticError:  # a pole: the route ran up to it
-                pass
-            finally:
-                sys.setprofile(None)
-    return found
+            names[route] |= entered(lambda: run(function, args))
+    return names
 
 
 def main() -> int:
-    found = entered()
+    names = found()
     bad = 0
-    for route, modules in MODULES.items():
-        for name in sorted(name for name in found[route] if name.split(".")[0] not in modules):
-            bad += 1
-            print(f"{route}: {name}  NOT ALLOWED: outside {', '.join(sorted(modules))}")
     for (a, b), allowed in ALLOWED.items():
-        for name in sorted(found[a] & found[b]):
+        for name in sorted(names[a] & names[b]):
             shared = name.startswith("geometry.") or name in allowed
             bad += not shared
             print(f"{a} / {b}: {name}  {'allowed' if shared else 'NOT ALLOWED'}")
-    print(f"{len(MODULES)} routes held to their modules, {len(ALLOWED)} pairs: {bad} functions not allowed")
+    print(f"{len(ALLOWED)} pairs: {bad} functions not allowed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_status(main))

@@ -3,10 +3,12 @@
 For every entry the script copies ``src/``, ``tests/``, ``tools/`` and ``pyproject.toml`` (which holds the
 pytest settings) to a temporary directory, replaces the entry's old text, which must occur exactly once in
 its file, by the new text, and runs there the entry's check alone: pytest on its test files or test ids,
-stopping at the first failure, or its script under ``tools/``.  A mutant is killed when a test fails or the
-script exits 1.  One line per mutant gives its verdict and run time.  The script exits 1 when a mutant
-survives without a reason in the table, when a mutant marked as a survivor is killed, or when an old text
-is not found, so the table stays exact.  It assumes the unmutated tests and tools pass; run them first.
+stopping at the first failure, or its script under ``tools/``.  A mutant is killed when its check exits 1: a
+test failed, or the script gave its failing verdict.  Any status but 0 and 1 is an error, not a kill: pytest
+exits 2 on an error in collection, and the scripts exit 2 when they raise.  One line per mutant gives its
+verdict and run time.  The script exits 1 when a mutant survives without a reason in the table, when a mutant
+marked as a survivor is killed, when a check ends in an error, or when an old text is not found, so the table
+stays exact.  It assumes the unmutated tests and tools pass; run them first.
 
     python tools/mutants.py
 """
@@ -49,8 +51,10 @@ BLOCKED = tuple(f"{VERIFY}::test_blocked_{name}" for name in (
     "seeded_checks_report_the_first_nan", "intertwining_raises_the_first_touched_pole"))
 #: The hypothesis test of the flag reader against argparse, alone.
 READER = (f"{CLI}::test_reader_matches_argparse",)
-#: The route independence check (ROADMAP item 11), alone.
+#: The route independence check of the two allowlisted pairs (ROADMAP item 11), alone.
 INDEPENDENCE = ("tools/independence.py",)
+#: The tier-1 test that the recursion and the closed form import no package module but geometry, alone.
+MODULE_RULE = (f"{GEOMETRY}::test_spectral_routes_meet_only_in_geometry",)
 
 MUTANTS = [
     Mutant("GAMMA_DIRECT 150 -> 0", "closedform.py", "GAMMA_DIRECT = 150.0", "GAMMA_DIRECT = 0.0", (CLOSEDFORM,)),
@@ -135,11 +139,11 @@ MUTANTS = [
     Mutant("the recursion calls z_gamma_grid for its base values", "spectrum.py",
            "    singular, ratio = edge_arrays(sig, order, jmax, kmax)\n",
            "    singular, ratio = edge_arrays(sig, order, jmax, kmax)\n"
-           "    from .closedform import z_gamma_grid\n    z_gamma_grid(sig, order, 1, 0)\n", INDEPENDENCE),
+           "    from .closedform import z_gamma_grid\n    z_gamma_grid(sig, order, 1, 0)\n", MODULE_RULE),
     Mutant("the Gamma ratio calls spectrum.relative_difference", "closedform.py",
            "    logs, signs = _log_gamma(x, flags)\n",
            "    logs, signs = _log_gamma(x, flags)\n    from .spectrum import relative_difference\n"
-           "    relative_difference(x, x)\n", INDEPENDENCE),
+           "    relative_difference(x, x)\n", MODULE_RULE),
     Mutant("_factorized_float calls _gamma_ratio", "closedform.py", "    fourc, _, parities, index = lines\n",
            "    fourc, _, parities, index = lines\n    _gamma_ratio(SpectralOrder(r), lines)\n", INDEPENDENCE),
     Mutant("apply_T_banded calls _times_x", "zonal.py",
@@ -172,7 +176,7 @@ def run(mutant: Mutant) -> str:
         except subprocess.TimeoutExpired:
             return "killed"
     if done.returncode not in (0, 1):  # 1: tests or the script failed; anything else is an error of the run itself
-        return f"error: the check exited {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
+        return f"error: the check exited {done.returncode}: {(done.stdout + done.stderr).strip().splitlines()[-1:]}"
     return "killed" if done.returncode == 1 else "survived"
 
 

@@ -1,26 +1,30 @@
 """Definitions in the intertwinor package that no call of tools/cli_digest.py enters.
 
-Runs every argv of ``cli_digest.calls()`` in-process under ``sys.setprofile``,
+Runs every argv of ``cli_digest.calls()`` in-process under ``entered()``,
 with the package imported under the profiler too, and prints each function or
 method defined in ``src/intertwinor`` whose code is never entered, one line
 ``<module>.<qualified name>  <reason>`` each.  ``EXPECTED`` names the
 definitions that may stay unreached and why.  The script exits 1 when an
 unreached definition is not in ``EXPECTED``, or when an entry of ``EXPECTED``
-is reached or no longer defined, so the table stays exact.
+is reached or no longer defined, so the table stays exact, and 2 with the
+traceback when it raises.  ``tools/independence.py`` records its routes with
+the same ``entered()``.
 
-    python tools/reach.py   # Python 3.11 or later: it matches code objects by co_qualname
+    python tools/reach.py   # Python 3.11 or later: it names code objects by co_qualname
 """
 
 from __future__ import annotations
 
 import sys
 import tempfile
+import traceback
 import types
 from pathlib import Path
 
 import cli_digest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))  # this checkout's package, ahead of an installed one
 
 TRACED = "rebound by perfbench/tracing.py, which waits for ROADMAP item 2"
 QUADRATURE = ("library API: acceptance criterion 9 (quadrature round trip and norms); "
@@ -65,9 +69,9 @@ EXPECTED = {
 }
 
 
-def definitions() -> dict[str, types.CodeType]:
-    """Every def in the package, by "<module>.<qualified name>", from the compiled source."""
-    found = {}
+def definitions() -> set[str]:
+    """Every def in the package, as "<module>.<qualified name>", from the compiled source."""
+    found = set()
     for path in sorted((SRC / "intertwinor").glob("*.py")):
         stack = [compile(path.read_text(), str(path), "exec")]
         while stack:
@@ -76,35 +80,52 @@ def definitions() -> dict[str, types.CodeType]:
                 if isinstance(const, types.CodeType):
                     stack.append(const)
                     if not const.co_name.startswith("<"):  # not a lambda or comprehension
-                        found[f"{path.stem}.{const.co_qualname}"] = const
+                        found.add(f"{path.stem}.{const.co_qualname}")
     return found
 
 
-def entered() -> set[tuple[str, str, int]]:
-    """(file, qualified name, first line) of every Python function entered by the digest calls."""
+def entered(call) -> set[str]:
+    """The package functions that ``call()`` enters, as "<module>.<qualified name>".
+
+    A lambda or comprehension counts as the function that holds it, and one at the top level of a module as
+    that module's body, e.g. "cli.<module>".
+    """
     codes = set()
 
     def profile(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
 
-    sys.path.insert(0, str(SRC))
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.setprofile(profile)
-        try:
-            from intertwinor import cli
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    holders = {(Path(code.co_filename).stem, code.co_qualname.split(".<locals>.<")[0]) for code in codes
+               if code.co_filename.startswith(str(SRC / "intertwinor"))}
+    return {f"{module}.{'<module>' if holder.startswith('<') else holder}" for module, holder in holders}
 
-            for argv in cli_digest.calls(tmp):
-                cli_digest.run(cli.main, argv, tmp)
-        finally:
-            sys.setprofile(None)
-    return {(code.co_filename, code.co_qualname, code.co_firstlineno) for code in codes}
+
+def digest_calls() -> None:
+    """Import the CLI and run every call of ``cli_digest.calls()`` in-process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        from intertwinor import cli
+
+        for argv in cli_digest.calls(tmp):
+            cli_digest.run(cli.main, argv, tmp)
+
+
+def exit_status(main) -> int:
+    """``main()``, or 2 with the traceback on stderr when it raises: a crashed audit is no verdict."""
+    try:
+        return main()
+    except Exception:
+        traceback.print_exc()
+        return 2
 
 
 def main() -> int:
-    seen = entered()
-    unreached = [name for name, code in definitions().items()
-                 if (code.co_filename, code.co_qualname, code.co_firstlineno) not in seen]
+    unreached = sorted(definitions() - entered(digest_calls))
     unexpected = [name for name in unreached if name not in EXPECTED]
     stale = sorted(set(EXPECTED) - set(unreached))
     for name in unreached:
@@ -116,4 +137,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_status(main))
