@@ -65,10 +65,10 @@ MAX_INTEGER_ORDER = 100
 #: lowers that bound below this one: at r = 2**51 - 0.25, 2r = 2**52 - 0.5 and
 #: g = 1/2, so 4c + 2r rounds once it passes 2**52.  Rounding can put an
 #: argument on a pole that its exact value is not.  closedform._log_gamma
-#: reads such an argument as a pole, so the closed form prints no nan, but it
-#: prints 0 in 36 of the 169 cells of (2, 3), 13 x 13, at that r, where the
-#: recursion prints +-1, with no label.  At integer 2r, g = 1, and the first
-#: false pole of a scan was at |r| = 2**52 - 1, p = 1, q = 4, jmax = kmax = 12.
+#: reads such an argument as a pole, so the closed form prints "pole", not nan,
+#: in 36 of the 169 cells of (2, 3), 13 x 13, at that r, where the recursion
+#: prints +-1.  At integer 2r, g = 1, and the first false pole of a scan was at
+#: |r| = 2**52 - 1, p = 1, q = 4, jmax = kmax = 12.
 #: 2r stays within the int64 pole arithmetic.
 #: Within the bound the closed form loses relative accuracy as |r| grows,
 #: since each Gamma pair is a difference of log-Gammas of size about
@@ -78,9 +78,10 @@ MAX_ABS_ORDER = 2**51
 
 #: Largest sphere dimension p or q accepted.  Within it, and with |r| <= MAX_ABS_ORDER, the largest 4c of a
 #: Gamma argument plus 2|r|, p + q + 2(j + k) + 2 + 2|r|, stays below 2**53 for any window that fits memory,
-#: so every 2h and every int64 sum of the doubled shifts is exact, and every Gamma argument at integer 2r (see
-#: MAX_ABS_ORDER for a fractional 2r).  Without a bound, p = q = 2**62 - 1 wraps 4c in int64 and the closed
-#: form prints nan.
+#: so every 2h and every int64 sum of the doubled shifts is exact, and every Gamma argument at integer 2r.  At
+#: another 2r a large p or q can round an argument onto a pole, as a large |r| can (see MAX_ABS_ORDER); the cell
+#: prints "pole" (first at p = 2**25 + 2, q = 2, r = 2.0000000011 in a scan of p = 2**e + 2, 4, 6, e = 10..50).
+#: Without a bound, p = q = 2**62 - 1 wraps 4c in int64 and the closed form prints nan.
 MAX_DIMENSION = 2**50
 
 #: Peak bytes per K-type of the window one degree beyond the request, (jmax + 2) x (kmax + 2), the largest over
@@ -213,20 +214,13 @@ def _read(argv: list[str]) -> types.SimpleNamespace | None:
 
 
 def _parse(argv: list[str]):
-    """The namespace of parse_args(argv) on the top-level parser: _read's, or else argparse's, with a known
-    command parsed by its subparser alone; leftover tokens end in the top-level "unrecognized arguments"
-    error, as in parse_args, and a flag left without its value ("--flag=--") in its subparser's error."""
+    """The namespace of parse_args(argv) on the top-level parser: _read's, or else argparse's, and a flag left
+    without its value ("--flag=--") ends in its subparser's error."""
     args = _read(argv)
     if args is not None:
         return args
     parser, commands = _build_parser()
-    if not argv or argv[0] not in commands:
-        args = parser.parse_args(argv)
-    else:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
+    args = parser.parse_args(argv)
     # argparse drops "--" from an explicit value: "--flag=--" stores no value, an empty list
     for flag in COMMANDS[args.command][1]:
         value = getattr(args, flag.name)
@@ -262,8 +256,10 @@ def _is_float(text: str) -> bool:
 
 def _validate(args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
     """The signature, the order and the checks verify runs (none for spectrum); invalid flags exit 2."""
-    if args.p < 1 or args.q < 1:
-        _error(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({args.p}, {args.q})")
+    try:
+        sig = Signature(args.p, args.q)
+    except ValueError as exc:
+        _error(str(exc))
     if max(args.p, args.q) > MAX_DIMENSION:
         _error(f"sphere dimensions must satisfy p, q <= 2**50 = {MAX_DIMENSION}, got ({args.p}, {args.q})")
     try:
@@ -285,7 +281,7 @@ def _validate(args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
     estimate, memory = window_peak_bytes(args.jmax, args.kmax), _physical_memory()
     if memory is not None and estimate > memory:
         raise MemoryError(f"an estimated {estimate} bytes at peak, beyond the {memory} bytes of physical memory")
-    return Signature(args.p, args.q), order, checks
+    return sig, order, checks
 
 
 def window_peak_bytes(jmax: int, kmax: int) -> int:

@@ -18,8 +18,9 @@ The polynomial is the analytic continuation through the K-types where the raw
 ratio develops matched pole/zero pairs, so integer orders dispatch to it.
 
 All Gamma arguments are half-integer lattice translates of +/- r/2, so they
-can sit on a pole only when 2r is an integer; poles are then detected exactly
-from the integer 4x.  Pair 1 lives on the line j + k, pair 2 on k - j and
+can sit on a pole only when 2r is an integer, and are then set onto it from
+the integer 4x; the poles are the float arguments that are nonpositive integers
+(_log_gamma).  Pair 1 lives on the line j + k, pair 2 on k - j and
 pairs 3-4 on the parity: both routes evaluate each pair once per line value,
 and a window, or one K-type, gathers its entries from the lines by index.
 """
@@ -48,21 +49,21 @@ class PoleAtKType(ArithmeticError):
 GAMMA_DIRECT = 150.0
 
 
-def _log_gamma(x: np.ndarray, poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log |Gamma(x)| and the sign of Gamma(x) over an array of arguments, in one pass; (inf, 1.0) at a pole.
+def _log_gamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log |Gamma(x)|, the sign of Gamma(x) and the poles of an array of arguments in one pass; (inf, 1.0) at poles.
 
-    A pole is an argument that ``poles`` flags (the exact pole mask of _argument) or a float x that is a
-    nonpositive integer, as rounding can make an argument whose exact value is none.  No other argument
-    of the closed form makes math.gamma or math.lgamma raise.  Gamma(x) < 0 exactly when x < 0 and floor(x)
-    is odd (DLMF 5.4, 5.5.1).
+    The closed form's one pole rule: a pole is a float x that is a nonpositive integer, exact (see _argument) or
+    rounded.  No other argument of the closed form makes math.gamma or math.lgamma raise.  Gamma(x) < 0 exactly
+    when x < 0 and floor(x) is odd (DLMF 5.4, 5.5.1).
     """
-    logs = np.array([math.inf if pole or (v <= 0 and v.is_integer())
+    logs = np.array([math.inf if v <= 0 and v.is_integer()
                      else math.log(abs(math.gamma(v))) if abs(v) < GAMMA_DIRECT else math.lgamma(v)
-                     for v, pole in zip(x.ravel().tolist(), poles.ravel().tolist())]).reshape(x.shape)
+                     for v in x.ravel().tolist()]).reshape(x.shape)
+    poles = logs == math.inf  # no other log is infinite
     floor = np.floor(x)
     signs = np.where(np.fmod(floor, 2) == -1, -1.0, 1.0)  # fmod is -1 exactly where floor(x) is odd and negative
-    signs[logs == math.inf] = 1.0  # the poles: no other log is infinite
-    return logs, signs
+    signs[poles] = 1.0
+    return logs, signs, poles
 
 
 def _gamma_pairs(sig: Signature, tj, tk, eps):
@@ -81,16 +82,17 @@ def _gamma_pairs(sig: Signature, tj, tk, eps):
 
 
 def _argument(order: SpectralOrder, fourc, s):
-    """x = (4c + 2sr)/4 and its pole mask, for integer 4c and s = +/-1 (ints or integer arrays).
+    """x = (4c + 2sr)/4 for integer 4c and s = +/-1 (ints or integer arrays).
 
-    Poles need an integer 2r; the mask is all False otherwise.
+    Where 2r is within TWO_R_TOL of the integer two_r, an argument whose exact value at r = two_r/2 is a pole
+    is set to that pole, 4x/4, exactly, so _log_gamma reads it as one.
     """
     x = (fourc + s * 2.0 * order.r) / 4.0
     two_r = order.two_r
     if two_r is None:
-        return x, np.zeros(np.shape(x), dtype=bool)
+        return x
     four_x = fourc + s * two_r  # Gamma(x) has a pole where 4x is an integer multiple of 4, at most 0
-    return x, (four_x <= 0) & (four_x % 4 == 0)
+    return np.where((four_x <= 0) & (four_x % 4 == 0), four_x / 4, x)
 
 
 def _lines(sig: Signature, corner: KType, nj: int, nk: int):
@@ -130,8 +132,7 @@ def _gamma_ratio(order: SpectralOrder, lines):
     ``flags`` holds the pole of each argument, shaped like the lines'
     arguments: numerator row over denominator row.
     """
-    x, flags = _argument(order, *lines[:2])  # numerator row, denominator row
-    logs, signs = _log_gamma(x, flags)
+    logs, signs, flags = _log_gamma(_argument(order, *lines[:2]))  # numerator row, denominator row
     index = lines[3].lines
     with np.errstate(invalid="ignore"):  # inf - inf at poles; masked below
         log_total = (logs[0] - logs[1])[index].sum(axis=0)  # ((pair 1 + pair 2) + pair 3) + pair 4

@@ -36,7 +36,7 @@ class Signature(NamedTuple("Signature", [("p", int), ("q", int)])):
 
     def __new__(cls, p: int, q: int):
         if p < 1 or q < 1:
-            raise ValueError(f"sphere dimensions must satisfy p >= 1 and q >= 1, got (p, q) = ({p}, {q})")
+            raise ValueError(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({p}, {q})")
         return super().__new__(cls, p, q)
 
     @property
@@ -84,8 +84,9 @@ def scalar_curvature(sig: Signature) -> int:
 #: |2r - round(2r)| below this treats 2r as the integer round(2r).  Edge
 #: singularities (h = r) and Gamma-argument poles need an integer 2r, because
 #: 2h and 4c are integers, so they are detected exactly and only then: at any
-#: other r, |h - r| > 5e-10 on every edge and every Gamma argument is more
-#: than 2.5e-10 from a pole.
+#: other r, |h - r| > 5e-10 on every edge and the exact value of every Gamma
+#: argument is more than 2.5e-10 from a pole.  Its float can still round onto
+#: one at a large p, q or |r|, and the closed form reads it as a pole.
 TWO_R_TOL = 1e-9
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intertwinor import closedform, geometry, spectrum
@@ -40,11 +40,11 @@ def _window(sig, jmax, kmax):
     return j, k, 2 * j + sig.p - 1, 2 * k + sig.q - 1
 
 
-def _log_gamma_of(xs, poles=None):
-    """closedform._log_gamma over the list xs in one pass, poles flagged by ``poles`` (none by default), as
-    a list of (log |Gamma(x)|, sign) float pairs."""
-    logs, signs = _log_gamma(np.array(xs, dtype=float), np.zeros(len(xs), dtype=bool) if poles is None
-                             else np.array(poles))
+def _log_gamma_of(xs):
+    """closedform._log_gamma over the list xs in one pass, as a list of (log |Gamma(x)|, sign) float pairs;
+    the poles it returns are exactly its infinite logs."""
+    logs, signs, poles = _log_gamma(np.array(xs, dtype=float))
+    assert poles.tolist() == (logs == math.inf).tolist()
     return list(zip(logs.tolist(), signs.tolist()))
 
 
@@ -71,11 +71,16 @@ class TestSignedLogGamma:
             assert log_magnitude == pytest.approx(float(mpmath.log(abs(ref))), rel=1e-12)
 
     def test_poles(self):
-        # an exact nonpositive integer is a pole whether or not the mask flags it; a flagged argument is one
-        # wherever it lies, as at an order within TWO_R_TOL of a half-integer
+        # a float nonpositive integer is a pole; at an order within TWO_R_TOL of a half-integer _argument sets
+        # an argument whose exact value is a pole onto it, and leaves the others as computed
         xs = [0.0, -1.0, -7.0]
         assert _log_gamma_of(xs) == [(math.inf, 1.0)] * 3
-        assert _log_gamma_of(xs + [-2.5 + 1e-10], [True] * 4) == [(math.inf, 1.0)] * 4
+        for r in (2.5 - 4e-10, 2.5 + 4e-10):
+            x = closedform._argument(SpectralOrder(r), np.array([-3, 1, 7, -13]), np.array([-1, -1, -1, 1]))
+            assert x.tolist() == [-2.0, -1.0, (7 - 2.0 * r) / 4, -2.0]
+            assert (-3 - 2.0 * r) / 4 != -2.0  # as computed, the first argument is no pole
+            assert [log for log, _ in _log_gamma_of(x.tolist())] == [math.inf, math.inf, pytest.approx(
+                math.lgamma((7 - 2.0 * r) / 4)), math.inf]
 
     def test_sign_rule_and_log_against_mpmath(self):
         # Negative non-integers on both sides of every pole down to -12, points
@@ -125,13 +130,12 @@ GAMMA_ARGUMENTS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(xs=st.lists(GAMMA_ARGUMENTS, min_size=1, max_size=40), data=st.data())
-def test_log_gamma_batch_is_the_scalar_rule(xs, data):
-    # off the poles the batch gives the scalar rule's expressions and DLMF 5.4 sign bit for bit; on a flagged
-    # argument or a float nonpositive integer it gives (inf, 1.0), as the scalar rule did where math raised
-    poles = data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
-    for x, pole, (log_magnitude, sign) in zip(xs, poles, _log_gamma_of(xs, poles)):
-        if pole or x <= 0 and x == math.floor(x):
+@given(xs=st.lists(GAMMA_ARGUMENTS, min_size=1, max_size=40))
+def test_log_gamma_batch_is_the_scalar_rule(xs):
+    # off the poles the batch gives the scalar rule's expressions and DLMF 5.4 sign bit for bit; on a float
+    # nonpositive integer it gives (inf, 1.0), as the scalar rule did where math raised
+    for x, (log_magnitude, sign) in zip(xs, _log_gamma_of(xs)):
+        if x <= 0 and x == math.floor(x):
             assert (log_magnitude, sign) == (math.inf, 1.0), x
         else:
             expected_log, expected_sign = _scalar_log_gamma(x)
@@ -599,22 +603,28 @@ def _reference_gamma_ratio(sig, order, tj, tk, eps):
     index = (np.array(starts)[:, None] + (fourc - lows[:, None]) // 2).reshape(4, *arrays[0].shape)
     distinct = np.array([c for span in spans for c in span])
     side = np.repeat([sigma for _, sigma in pairs], [len(span) for span in spans])
-    x, pole = closedform._argument(order, distinct, np.array([side, -side]))
+    x = closedform._argument(order, distinct, np.array([side, -side]))
     (num_log, den_log), (num_sign, den_sign) = \
         np.array([_scalar_log_gamma(v) for v in x.ravel().tolist()]).T.reshape(2, *x.shape)
     with np.errstate(invalid="ignore"):
         log_total = np.asarray((num_log - den_log)[index].sum(axis=0))
     sign = (num_sign * den_sign)[index].prod(axis=0)
-    poles = (pole[0] | pole[1])[index].any(axis=0)
+    poles = ((num_log == math.inf) | (den_log == math.inf))[index].any(axis=0)
     exp = np.fromiter(map(math.exp, log_total.ravel()), float, log_total.size).reshape(log_total.shape)
     return np.where(poles, np.nan, sign * exp), poles
+
+
+def _scalar_pole(order, fourc, s):
+    """Where the scalar rule finds a pole of the Gamma argument (4c + 2sr)/4, for ints or integer arrays."""
+    x = closedform._argument(order, fourc, s)
+    return np.vectorize(lambda v: _scalar_log_gamma(v)[0] == math.inf, otypes=[bool])(x)
 
 
 def _reference_gamma_grid(sig, r, jmax, kmax):
     """(values, poles, numerator poles) over the window, each Gamma argument tested on its own."""
     j, k, tj, tk = _window(sig, jmax, kmax)
     order = SpectralOrder.coerce(r)
-    infinite = np.logical_or.reduce([closedform._argument(order, fourc, sigma)[1]
+    infinite = np.logical_or.reduce([_scalar_pole(order, fourc, sigma)
                                      for fourc, sigma in closedform._gamma_pairs(sig, tj, tk, (j + k) % 2)])
     return (*_reference_gamma_ratio(sig, order, tj, tk, (j + k) % 2), infinite)
 
@@ -627,7 +637,7 @@ def _reference_gamma_ratio_at(sig, r, v):
     if pole:
         for fourc, sigma in closedform._gamma_pairs(sig, tj, tk, v.parity):
             for side, s in (("numerator", sigma), ("denominator", -sigma)):
-                if closedform._argument(order, fourc, s)[1]:
+                if _scalar_pole(order, fourc, s):
                     raise PoleAtKType(f"Gamma pole in {side} at K-type {v}: argument "
                                       f"({fourc} {'+' if s > 0 else '-'} 2r)/4 with r = {order.r}")
     return float(value)
@@ -716,6 +726,25 @@ def test_line_tables_match_reference_on_large_windows(p, q, r, jmax, kmax):
     window_args = (Signature(p, q), r, jmax, kmax)
     _assert_same_outcome(z_gamma_grid, _reference_gamma_grid, *window_args)
     _assert_same_outcome(z_spectral_grid, _reference_spectral_grid, *window_args)
+
+
+#: Orders just beyond TWO_R_TOL of a half-integer, where no argument is set onto a pole but rounding at a large
+#: dimension can put one there.
+NEAR_HALF_INTEGER_ORDERS = st.tuples(st.integers(-12, 12), st.sampled_from([-1, 1]), st.floats(1.1e-9, 1e-6)) \
+    .map(lambda t: t[0] / 2 + t[1] * t[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 2**50), q=st.integers(1, 6), r=NEAR_HALF_INTEGER_ORDERS, jmax=st.integers(0, 6),
+       kmax=st.integers(0, 6))
+@example(p=33554434, q=2, r=2.0000000011, jmax=2, kmax=2)
+@example(p=2**50, q=2, r=0.01, jmax=2, kmax=2)
+def test_values_are_finite_off_the_poles(p, q, r, jmax, kmax):
+    # one pole rule: an argument that rounding puts on a pole is a pole of the window, never an unlabelled inf
+    # or nan
+    for kernel in (z_gamma_grid, z_spectral_grid):
+        values, poles = kernel(Signature(p, q), r, jmax, kmax)[:2]
+        assert np.isfinite(values[~poles]).all() and np.isnan(values[poles]).all(), kernel.__name__
 
 
 def test_only_small_windows_keep_their_gather_index():

@@ -23,7 +23,7 @@ def neighbors(v):
 
 def test_signature_validation():
     with pytest.raises(ValueError, match=re.escape("sphere dimensions must satisfy p >= 1 and q >= 1, "
-                                                   "got (p, q) = (0, 3)")):
+                                                   "got (0, 3)")):
         Signature(0, 3)
     with pytest.raises(ValueError):
         Signature(2, -1)
