@@ -16,12 +16,13 @@ text.
 ('.' decimal, 17 significant digits) and integers with str.  JSON is exactly
 what json.dumps(indent=2, sort_keys=True) prints: sorted keys, two-space
 indent, floats as float.__repr__, and NaN, Infinity and -Infinity for
-non-finite floats.  A float column is one map of that formatter; then, by
+non-finite floats.  A float column of a block is formatted at once: in CSV
+one "%" over the block's values, in JSON one map of float.__repr__; then, by
 index, JSON's tokens replace "nan", "inf" and "-inf" where the column holds
 one, and labels replace the hidden cells, so a hidden value never prints.
-A table is written in blocks of whole rows, at most BLOCK_KTYPES K-types or
-one row (see _spectrum_blocks): JSON rows are one join per block, each cell
-after the text of its key; CSV rows are one "," join per row.
+A table is written in blocks of whole rows, at most TABLE_BLOCK_KTYPES
+K-types or one row (see _spectrum_blocks): JSON rows are one join per block,
+each cell after the text of its key; CSV rows are one "," join per row.
 ``verify`` status lines print floats with "%.17g".
 
 Singular table entries are first-class values, rendered as "pole" (closed
@@ -48,7 +49,7 @@ from .closedform import (
     z_spectral,  # unused here; perfbench/tracing.py rebinds this name
 )
 from .geometry import KType, Signature, SpectralOrder, check_window, doubled_shifts, window_index
-from .spectrum import BLOCK_KTYPES, at_class_base, recursion_spectrum, relative_difference
+from .spectrum import at_class_base, recursion_spectrum, relative_difference
 from .verify import DEFAULT_CHECKS, run_suite
 
 SCHEMA_VERSION = 1
@@ -92,9 +93,19 @@ MAX_DIMENSION = 2**50
 #: has as much as K-types.
 WINDOW_BYTES_PER_KTYPE = 320
 
-#: Peak bytes per K-type of one block beyond WINDOW_BYTES_PER_KTYPE: the cells and text of a JSON block, at
-#: most 470 in the same calls (91 x 91, r = 2), where a block holds nearly all of BLOCK_KTYPES K-types.
-BLOCK_BYTES_PER_KTYPE = 480
+#: Most K-types of one block of a spectrum table (see _spectrum_blocks), or one row where a row is longer.  A
+#: block's cells and text then take a few hundred KB, which the process reuses block after block: writing the
+#: two 81 x 81 tables of the benchmark in a fresh process took 7 and 3 minor page faults, against 846 and 1,301
+#: as one block each.  Blocks of 256, 1,024 and 2,048 K-types wrote them more slowly.
+TABLE_BLOCK_KTYPES = 512
+
+#: Peak bytes per K-type of one table block beyond WINDOW_BYTES_PER_KTYPE, the largest excess of any command over
+#: the window term in tracemalloc peaks of warm calls at (2, 3), r in {0.37, 2, -1.3, 0.5}, windows from 1 x 1 to
+#: 90 x 90 and thin ones: at most 959, at 10 x 10 by verify --all, whose loop-consistency check holds 0.53 MB over
+#: its window of at most 11 x 11 K-types, and 445 by the cells and text of a JSON block (22 x 22, r = 2).  The
+#: seeded checks' blocks of up to verify.BLOCK_KTYPES K-types stay below the estimate: at 40 x 40, one block of
+#: four functions (6,724 K-types), lemma1 and intertwining peaked at 0.53 of 1.08 MB.
+BLOCK_BYTES_PER_KTYPE = 1000
 
 CSV_COLUMNS = (
     "j", "k", "J", "K", "parity",
@@ -286,8 +297,9 @@ def _validate(args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
 
 def window_peak_bytes(jmax: int, kmax: int) -> int:
     """Estimated peak memory of any command over the window [0, jmax] x [0, kmax]: the window one degree beyond
-    it, and one block of BLOCK_KTYPES K-types, or of one row where a row is longer."""
-    return WINDOW_BYTES_PER_KTYPE * (jmax + 2) * (kmax + 2) + BLOCK_BYTES_PER_KTYPE * max(BLOCK_KTYPES, kmax + 1)
+    it, and one table block of TABLE_BLOCK_KTYPES K-types, or of one row where a row is longer."""
+    return (WINDOW_BYTES_PER_KTYPE * (jmax + 2) * (kmax + 2)
+            + BLOCK_BYTES_PER_KTYPE * max(TABLE_BLOCK_KTYPES, kmax + 1))
 
 
 def _physical_memory() -> int | None:
@@ -359,19 +371,22 @@ _JSON_TAIL = '\n    }\n  ],\n  "schema_version": %d\n}\n' % SCHEMA_VERSION
 def _spectrum_blocks(window: SpectrumWindow, fmt: str, sig: Signature, r: float) -> Iterator[str]:
     """The CSV or JSON table of ``window`` in consecutive pieces, row (j, k) in order of j, then k.
 
-    The rows come in blocks of max(1, BLOCK_KTYPES // (kmax + 1)) values of j, each column of a block formatted
-    at once; a block's text is made only when the one before it has been taken.
+    The rows come in blocks of max(1, TABLE_BLOCK_KTYPES // (kmax + 1)) values of j, each column of a block
+    formatted at once; a block's text is made only when the one before it has been taken.
     """
-    number = "%.17g".__mod__ if fmt == "csv" else float.__repr__
     quote = str if fmt == "csv" else json.dumps
     nj, nk = len(window.half_j), len(window.half_k)
 
     def column(values, hidden=None, label=""):
         values = np.asarray(values, dtype=float)
-        cells = list(map(number, values.ravel().tolist()))
-        if fmt == "json" and not np.isfinite(values).all():
-            for i in np.flatnonzero(~np.isfinite(values)).tolist():
-                cells[i] = _JSON_SPECIAL[cells[i]]
+        flat = values.ravel().tolist()
+        if fmt == "csv":  # one "%" over the column: the text of "%.17g" % value for each value
+            cells = ("\n".join(["%.17g"] * len(flat)) % tuple(flat)).split("\n")
+        else:
+            cells = list(map(float.__repr__, flat))
+            if not np.isfinite(values).all():
+                for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                    cells[i] = _JSON_SPECIAL[cells[i]]
         if hidden is not None and hidden.any():
             label = quote(label)
             for i in np.flatnonzero(hidden).tolist():
@@ -409,7 +424,7 @@ def _spectrum_blocks(window: SpectrumWindow, fmt: str, sig: Signature, r: float)
 
     yield (",".join(CSV_COLUMNS) + "\n" if fmt == "csv"
            else _JSON_HEAD % (nj - 1, nk - 1, sig.p, sig.q, json.dumps(r)))
-    step = max(1, BLOCK_KTYPES // nk)
+    step = max(1, TABLE_BLOCK_KTYPES // nk)
     for start in range(0, nj, step):
         if start and fmt == "json":
             yield _JSON_ROW_SEPARATOR

@@ -38,11 +38,6 @@ REL_TOL = 1e-10
 #: Length of the longest closed walk max_loop_deviation follows.
 MAX_LOOP_LENGTH = 8
 
-#: Most K-types a command holds transients for at a time: the seeded checks of verify run on blocks of whole
-#: functions and a spectrum table is formatted in blocks of whole rows, at least one function or row a block.
-#: The benchmark's tables (6,561 K-types) and every seeded stack up to 33 x 33 fit one block.
-BLOCK_KTYPES = 8192
-
 
 class ZeroDenominator(ArithmeticError):
     """The edge denominator h - r vanished: the eigenvalue quotient is singular."""

@@ -22,7 +22,6 @@ from .closedform import (
 )
 from .geometry import KType, Signature, SpectralOrder, check_window, doubled_shifts, scalar_curvature, window_index
 from .spectrum import (
-    BLOCK_KTYPES,
     MAX_LOOP_LENGTH,
     _at_heads,
     at_class_base,
@@ -101,6 +100,12 @@ def random_zonal(sig: Signature, jmax: int, kmax: int, seed: int) -> ZonalFuncti
 
 #: Seeded functions per random-function check: seeds seed, ..., seed + SEEDED_FUNCTIONS - 1.
 SEEDED_FUNCTIONS = 5
+
+#: Most K-types the seeded checks hold transients for at a time: they run on blocks of whole functions, at least
+#: one function a block (see _seeded_report).  Every seeded stack up to 33 x 33 is one block; at blocks of 512
+#: K-types, as a spectrum table is written (cli.TABLE_BLOCK_KTYPES), lemma1 and intertwining on 33 x 33 ran 2.7
+#: and 1.8 times slower (warm, best of 7 x 20 calls).
+BLOCK_KTYPES = 8192
 
 
 def seeded_stack(sig: Signature, jmax: int, kmax: int, seed: int) -> ZonalFunction:

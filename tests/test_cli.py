@@ -280,7 +280,7 @@ class TestExitCodes:
     def test_window_peak_estimate(self):
         # per K-type of the window one degree beyond, plus one block; never run the 3,000,000 x 30 call itself,
         # which the out-of-memory killer ends with no error line on a machine of 8 GiB where nothing refuses it
-        block = cli.BLOCK_BYTES_PER_KTYPE * cli.BLOCK_KTYPES
+        block = cli.BLOCK_BYTES_PER_KTYPE * cli.TABLE_BLOCK_KTYPES
         assert cli.window_peak_bytes(3, 2) == 5 * 4 * cli.WINDOW_BYTES_PER_KTYPE + block
         assert cli.window_peak_bytes(3_000_000, 30) == 3_000_002 * 32 * cli.WINDOW_BYTES_PER_KTYPE + block > 16 * 2**30
         # a row longer than a block is a block of its own
@@ -430,9 +430,9 @@ def _call(argv):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_module_entry_point_streams_a_multi_block_table(fmt):
     # python -m intertwinor.cli writes a table of 201 x 61 K-types at a half-integer order, more than one block
-    # of BLOCK_KTYPES, to a pipe block by block: the same bytes as the in-process call, and a table that parses
+    # of TABLE_BLOCK_KTYPES, to a pipe block by block: the same bytes as the in-process call, and a table that parses
     argv = ["spectrum", "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "200", "--kmax", "60", "--format", fmt]
-    assert 201 * 61 == 12261 > cli.BLOCK_KTYPES
+    assert 201 * 61 == 12261 > cli.TABLE_BLOCK_KTYPES
     done = subprocess.run([sys.executable, "-m", "intertwinor.cli", *argv], capture_output=True,
                           env=_package_env(), timeout=120)
     assert (done.returncode, done.stderr) == (0, b"")
@@ -880,7 +880,7 @@ def test_blocked_tables_equal_one_block(monkeypatch, tmp_path, r, fmt):
     window = cli._spectrum_window(sig, order, 12, 9)
     assert "".join(cli._spectrum_blocks(window, fmt, sig, order.r)) == one[1]
     for block_ktypes, rows in ((10, 1), (20, 2), (39, 3), (9, 1)):
-        monkeypatch.setattr(cli, "BLOCK_KTYPES", block_ktypes)
+        monkeypatch.setattr(cli, "TABLE_BLOCK_KTYPES", block_ktypes)
         pieces = list(cli._spectrum_blocks(window, fmt, sig, order.r))
         blocks = -(-13 // rows)
         # CSV: the header and one piece a block; JSON: the head, the blocks with a separator between two, the tail
@@ -901,7 +901,7 @@ def test_multi_block_commands_peak_below_the_estimate(tmp_path):
         finally:
             tracemalloc.stop()
 
-    # a JSON table of 201 x 61 K-types, formatted in blocks of 134 rows, at an integer order, whose rows hold four
+    # a JSON table of 201 x 61 K-types, formatted in blocks of 8 rows, at an integer order, whose rows hold four
     # float cells: written whole, it peaked near 14 MB
     table = ["spectrum", "--p", "2", "--q", "3", "--r", "2", "--jmax", "200", "--kmax", "60", "--format", "json",
              "--output", str(tmp_path / "table.json")]
@@ -916,3 +916,41 @@ def test_multi_block_commands_peak_below_the_estimate(tmp_path):
     large = ["spectrum", "--p", "2", "--q", "3", "--r", "2", "--jmax", "300", "--kmax", "300",
              "--output", str(tmp_path / "table.csv")]
     assert peak(lambda: _call(large)) < cli.window_peak_bytes(300, 300)
+    # small windows, where the block term outweighs the slope: verify --all, whose loop-consistency check holds
+    # about 0.53 MB over its window of at most 11 x 11 K-types, and a JSON table of 23 x 23 K-types, two blocks;
+    # and the seeded checks on a stack that fills one block of verify.BLOCK_KTYPES, four functions of 41 x 41
+    assert 4 * 41 * 41 <= verify.BLOCK_KTYPES < 5 * 41 * 41
+    for side, command in (("10", ["verify", "--all"]), ("22", ["spectrum", "--format", "json"]),
+                          ("40", ["verify", "--check", "lemma1", "--check", "intertwining"])):
+        small = [*command, "--p", "2", "--q", "3", "--r", "2", "--jmax", side, "--kmax", side]
+        _call(small)  # warm: first-use allocations are not the window's
+        assert peak(lambda: _call(small)) < cli.window_peak_bytes(int(side), int(side)), command
+
+
+def test_tables_and_seeded_stacks_have_their_own_blocks(monkeypatch):
+    # The benchmark's two 81 x 81 tables are written in several blocks of at most TABLE_BLOCK_KTYPES K-types,
+    # while the 5 x 33 x 33 seeded stack of verify --all at n = 32 stays one block of verify.BLOCK_KTYPES
+    sig = Signature(2, 3)
+    for r, fmt in ((0.37, "csv"), (2.0, "json")):
+        pieces = list(cli._spectrum_blocks(cli._spectrum_window(sig, SpectralOrder(r), 80, 80), fmt, sig, r))
+        blocks = len(pieces) - 1 if fmt == "csv" else len(pieces) // 2  # the JSON head, tail and separators
+        assert blocks == -(-81 // (cli.TABLE_BLOCK_KTYPES // 81)) > 1, fmt
+    stack, calls = verify.seeded_stack(sig, 32, 32, 0), []
+    banded = verify.apply_T_banded
+    monkeypatch.setattr(verify, "apply_T_banded", lambda g: calls.append(g.coeffs.shape) or banded(g))
+    assert verify.check_lemma1(stack).passed
+    assert calls == [(verify.SEEDED_FUNCTIONS, 33, 33)] and verify.SEEDED_FUNCTIONS * 33 * 33 > cli.TABLE_BLOCK_KTYPES
+
+
+def test_table_writer_peaks_below_a_megabyte():
+    # Writing the r = 2, 81 x 81 JSON table of the benchmark from its computed window holds one block of cells
+    # and text at a time: it peaks at 0.42 MB, and at 5.0 MB when the table was one block
+    sig = Signature(2, 3)
+    window = cli._spectrum_window(sig, SpectralOrder(2.0), 80, 80)
+    tracemalloc.start()
+    try:
+        assert cli._write_output(os.devnull, cli._spectrum_blocks(window, "json", sig, 2.0)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

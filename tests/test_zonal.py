@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from intertwinor.geometry import DIRECTIONS, KType, Signature, neighbor
+from intertwinor import spectrum
+from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, doubled_shifts, neighbor
 from intertwinor.verify import seeded_stack
 from intertwinor.zonal import (
     GRID_MARGIN,
@@ -459,6 +461,38 @@ class TestBandedConformalField:
             for step, x_coefficient, d_coefficient in ((1, x_up, d_up), (-1, x_down, d_down)):
                 commutator = half * (eigenvalue(m + step) - eigenvalue(m)) * x_coefficient
                 assert sympy.simplify(commutator - half * p * x_coefficient - d_coefficient) == 0, (m, step)
+
+    def test_certificate_transition_law(self):
+        import sympy
+
+        # The transition law from the code's operators.  With A diagonal (mu), the coefficient of phi_beta in
+        # A(T + (n/2 - r) varpi) phi_alpha = (T + (n/2 + r) varpi) A phi_alpha reads
+        # mu_beta C(n/2 - r) = C(n/2 + r) mu_alpha, C(s) the coefficient of phi_beta in (T + s varpi) phi_alpha,
+        # T's and varpi's from _axis_coefficients.  So mu_beta / mu_alpha = (h + r)/(h - r), with 2h from
+        # spectrum._two_h on geometry.doubled_shifts, compared cross-multiplied so that no h - r divides; in all
+        # four DIRECTIONS, p, q, j, k and r symbolic, and on the Chebyshev branch p = 1 at symbolic j >= 1 and j = 0
+        p, q, r = sympy.symbols("p q r", positive=True)
+        j, k = sympy.symbols("j k", positive=True, integer=True)
+
+        def exact(coefficients):
+            # the Chebyshev branch's floats (dyadic) and 0-d arrays as sympy rationals
+            return [sympy.nsimplify(c.item() if isinstance(c, np.ndarray) else c, rational=True)
+                    for pair in coefficients for c in pair]
+
+        for p_value, j_value in ((p, j), (1, j), (1, 0)):
+            sig = SimpleNamespace(p=p_value, q=q)
+            xj_up, xj_down, dj_up, dj_down = exact(_axis_coefficients(j_value, (p_value - 1) / 2))
+            xk_up, xk_down, dk_up, dk_down = exact(_axis_coefficients(k, (q - 1) / 2))
+            tj, tk = doubled_shifts(sig, SimpleNamespace(j=j_value, k=k))
+            for tag in DIRECTIONS:
+                dj, dk = STEPS[tag]
+                xj, dj_term = (xj_up, dj_up) if dj > 0 else (xj_down, dj_down)
+                xk, dk_term = (xk_up, dk_up) if dk > 0 else (xk_down, dk_down)
+                coefficient = lambda s: dj_term * xk + xj * dk_term + s * xj * xk
+                h = spectrum._two_h(tj, tk, dj, dk) / 2
+                n_half = (p_value + q) / 2
+                law = coefficient(n_half + r) * (h - r) - coefficient(n_half - r) * (h + r)
+                assert sympy.simplify(law) == 0, (p_value, j_value, tag)
 
 
 class TestTransformPair:

@@ -86,8 +86,9 @@ LEMMA1_CALLS = [
     ["verify", "--p", "2", "--q", "3", "--jmax", "2000", "--kmax", "1", "--check", "lemma1", "--check", "intertwining"],
 ]
 
-#: A seeded stack of 5 x 129 x 129 K-types and a table of 201 x 61 at a half-integer order, each more than one
-#: block of spectrum.BLOCK_KTYPES K-types; the table with --output in both formats, then to stdout.  After the others.
+#: A seeded stack of 5 x 129 x 129 K-types, more than one block of verify.BLOCK_KTYPES, and a table of 201 x 61 at a
+#: half-integer order, 24 blocks of cli.TABLE_BLOCK_KTYPES; the table with --output in both formats, then to stdout.
+#: After the others.
 BLOCK_VERIFY = ["verify", "--p", "2", "--q", "3", "--jmax", "128", "--kmax", "128", "--check", "lemma1",
                 "--check", "intertwining"]
 BLOCK_TABLE = ["spectrum", "--p", "1", "--q", "4", "--r", "0.5", "--jmax", "200", "--kmax", "60"]

@@ -75,8 +75,10 @@ MUTANTS = [
     Mutant("CACHED_WINDOW 256 -> 0", "geometry.py", "CACHED_WINDOW = 256", "CACHED_WINDOW = 0", (CLOSEDFORM,)),
     Mutant("WINDOW_BYTES_PER_KTYPE 320 -> 100", "cli.py", "WINDOW_BYTES_PER_KTYPE = 320",
            "WINDOW_BYTES_PER_KTYPE = 100", (CLI,)),
-    Mutant("BLOCK_BYTES_PER_KTYPE 480 -> 100", "cli.py", "BLOCK_BYTES_PER_KTYPE = 480",
+    Mutant("BLOCK_BYTES_PER_KTYPE 1000 -> 100", "cli.py", "BLOCK_BYTES_PER_KTYPE = 1000",
            "BLOCK_BYTES_PER_KTYPE = 100", (CLI,)),
+    Mutant("TABLE_BLOCK_KTYPES 512 -> 8192", "cli.py", "TABLE_BLOCK_KTYPES = 512", "TABLE_BLOCK_KTYPES = 8192",
+           (CLI,)),
     Mutant("JSON key texts of K and j swapped", "cli.py", "for key in _JSON_KEYS[1:])]",
            "for key in [_JSON_KEYS[2], _JSON_KEYS[1], *_JSON_KEYS[3:]])]", (CLI,)),
     Mutant("JSON row separator without its comma", "cli.py", '_JSON_ROW_SEPARATOR = "\\n    },\\n"',
@@ -139,6 +141,9 @@ MUTANTS = [
            (f"{SPECTRUM}::test_edge_arrays_equal_per_direction_reference",)),
     Mutant("2h with an offset", "spectrum.py", "return (dj * tj + 2) + dk * tk", "return (dj * tj + 3) + dk * tk",
            (f"{CLOSEDFORM}::test_certificate_gamma_ratio_steps_are_transition_ratios",)),
+    Mutant("doubled_shifts 2J = 2j + p + 1", "geometry.py", "return 2 * v.j + sig.p - 1, 2 * v.k + sig.q - 1",
+           "return 2 * v.j + sig.p + 1, 2 * v.k + sig.q - 1",
+           (f"{ZONAL}::TestBandedConformalField::test_certificate_transition_law",)),
     Mutant("the recursion calls z_gamma_grid for its base values", "spectrum.py",
            "    singular, ratio = edge_arrays(sig, order, jmax, kmax)\n",
            "    singular, ratio = edge_arrays(sig, order, jmax, kmax)\n"
