@@ -1,10 +1,14 @@
 """Command-line front end: spectrum tables and verification suites.
 
-Exit codes: 0 success / all checks pass, 1 failed check or unwritable
-output, 2 invalid configuration, including a sphere dimension beyond
-MAX_DIMENSION, an order beyond MAX_ABS_ORDER or too large for floating
-point, and a window too large for memory (see window_peak_bytes; refused
-before any allocation).  Output is byte-deterministic for a given flag set.
+Exit codes: 0 success / all checks pass; 1 a failed check, a check that
+cannot be evaluated, or an unwritable output, stdout included (a closed
+stdout, a full device, a reader that left the pipe), with one line
+"error: cannot write PATH: REASON" ("-" for stdout) and no traceback; 2
+invalid configuration, including a sphere dimension beyond MAX_DIMENSION,
+an order beyond MAX_ABS_ORDER or too large for floating point, and a
+window too large for memory (see window_peak_bytes; refused before any
+allocation).  Output is byte-deterministic for a given flag set, and
+_write_output writes every result byte: "-" is stdout for both commands.
 
 Each flag is defined once, in COMMANDS.  A well-formed command (exact flag
 names, every value one that argparse reads as given) is read from that table
@@ -31,6 +35,7 @@ form undefined) or "zero-denominator" (recursion blocked), never as NaN.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
@@ -145,7 +150,7 @@ COMMANDS = {
         Flag("seed", int, 0),
         Flag("all", bool, False, "run every check"),
         Flag("check", list, None, "run a named check (repeatable)", DEFAULT_CHECKS),
-        Flag("output", str, None, "write the JSON report bundle here"),
+        Flag("output", str, None, "write the JSON report bundle here, '-' for stdout after the status lines"),
     )),
 }
 
@@ -434,13 +439,32 @@ def _spectrum_blocks(window: SpectrumWindow, fmt: str, sig: Signature, r: float)
 
 
 def _write_output(path: str, pieces: Iterable[str]) -> int:
-    """Write ``pieces`` one after another to the file ``path``: 0, or 1 with an error line when it cannot be
-    written."""
+    """Write ``pieces`` one after another to ``path``, "-" for stdout, and flush them: 0, or 1 with an error line
+    when the destination cannot be written, a closed stdout included.  The one writer of every result byte.
+
+    Where stdout fails on the process's own descriptor 1, that descriptor is pointed at os.devnull, so the
+    interpreter's flush at exit finds nothing to fail on (the recipe of Python's note on SIGPIPE).
+    """
     try:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.writelines(pieces)
+        if path != "-":
+            with open(path, "w", encoding="ascii") as handle:
+                handle.writelines(pieces)
+        elif sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        if path == "-" and sys.stdout is not None:
+            try:
+                descriptor = sys.stdout.fileno()
+            except (OSError, ValueError):  # a stdout with no descriptor, as a StringIO, or a closed one
+                descriptor = None
+            if descriptor == 1:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, 1)
+                os.close(devnull)
         return 1
     return 0
 
@@ -448,11 +472,7 @@ def _write_output(path: str, pieces: Iterable[str]) -> int:
 def cmd_spectrum(args) -> int:
     sig, order, _ = _validate(args)
     window = _spectrum_window(sig, order, args.jmax, args.kmax)
-    pieces = _spectrum_blocks(window, args.format, sig, order.r)
-    if args.output != "-":
-        return _write_output(args.output, pieces)
-    sys.stdout.writelines(pieces)
-    return 0
+    return _write_output(args.output, _spectrum_blocks(window, args.format, sig, order.r))
 
 
 def cmd_verify(args) -> int:
@@ -463,13 +483,14 @@ def cmd_verify(args) -> int:
     except PoleAtKType as exc:
         print(f"error: check cannot be evaluated: {exc}", file=sys.stderr)
         return 1
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print("%s: max_residual=%.17g tol=%.17g %s" % (rep.name, rep.max_residual, rep.tolerance, status))
+    # The status lines go to stdout, and the report bundle after them, to stdout too for "--output -".
+    outputs = {"-": ["".join("%s: max_residual=%.17g tol=%.17g %s\n" % (
+        rep.name, rep.max_residual, rep.tolerance, "PASS" if rep.passed else "FAIL") for rep in reports)]}
     if args.output is not None:
         bundle = {"schema_version": SCHEMA_VERSION, "reports": [rep.to_dict() for rep in reports]}
-        if _write_output(args.output, [json.dumps(bundle, indent=2, sort_keys=True) + "\n"]):
-            return 1
+        outputs.setdefault(args.output, []).append(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+    if any([_write_output(path, pieces) for path, pieces in outputs.items()]):  # a list: every output is tried
+        return 1
     return 0 if all(rep.passed for rep in reports) else 1
 
 

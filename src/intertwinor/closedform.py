@@ -115,7 +115,7 @@ def _lines(sig: Signature, corner: KType, nj: int, nk: int):
     parities = np.array([corner.parity, 1 - corner.parity][: min(n, 2)])
     (first, s1), (second, s2), (third, s3), (fourth, s4) = \
         _gamma_pairs(sig, np.array([[tj], [tj + 2 * nj - 2]]), tk + 2 * np.arange(n), parities)
-    sides = np.array([[s1, s2, s3, s4], [-s1, -s2, -s3, -s4]])[:, index.pair]
+    sides = np.repeat([[s1, s2, s3, s4], [-s1, -s2, -s3, -s4]], [n, n, parities.size, parities.size], axis=1)
     return np.concatenate((first[0], second[1], third, fourth)), sides, parities, index
 
 

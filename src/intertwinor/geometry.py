@@ -138,8 +138,8 @@ class WindowIndex(NamedTuple):
     """Index arithmetic of an nj x nk window, for every signature and order; read-only arrays (see window_index).
 
     ``j``, ``k``: the index column and row; ``parity``: (j + k) % 2; ``inside[d]``: the edge in DIRECTIONS[d]
-    has its head in the window.  ``lines`` and ``pair`` lay out the closed form's lines (closedform._lines):
-    where each K-type reads each of the four Gamma pairs, and the pair of each entry of the concatenated lines.
+    has its head in the window, where _HEAD_SLICES[d] reads it.  ``lines`` says where each K-type reads each
+    of the closed form's four Gamma pairs on their concatenated lines (closedform._lines).
     """
 
     j: np.ndarray
@@ -147,7 +147,21 @@ class WindowIndex(NamedTuple):
     parity: np.ndarray
     inside: np.ndarray
     lines: np.ndarray
-    pair: np.ndarray
+
+
+#: (target, source) slices of a window grid under which each K-type reads its head in DIRECTIONS[d]: along an
+#: axis, entry i reads i + 1 for a step of +1 and i - 1 for a step of -1.  The one encoding of where an edge
+#: lands.
+_AXIS_SLICES = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1))}
+_HEAD_SLICES = [tuple(zip(*(_AXIS_SLICES[step] for step in STEPS[tag]))) for tag in DIRECTIONS]
+
+
+def _at_heads(grid: np.ndarray, fill=np.nan) -> np.ndarray:
+    """[d, j, k]: the entry of a window grid at (j, k) + STEPS[DIRECTIONS[d]], ``fill`` off the window."""
+    heads = np.full((4,) + grid.shape, fill, dtype=grid.dtype)
+    for head, (target, source) in zip(heads, _HEAD_SLICES):
+        head[target] = grid[source]
+    return heads
 
 
 #: Windows of at most this many K-types keep their index record in the cache of _index, whose 256 entries then
@@ -165,10 +179,8 @@ def _index(nj: int, nk: int) -> WindowIndex:
     parity = lines[0] & 1
     np.add(parity, 2 * n, out=lines[2])
     np.add(lines[2], min(n, 2), out=lines[3])
-    inside = np.ones((4, nj, nk), dtype=bool)  # a step of +1 leaves from the last row (column), -1 from the first
-    for d, (dj, dk) in enumerate(STEPS[tag] for tag in DIRECTIONS):
-        inside[d, -1 if dj > 0 else 0] = inside[d, :, -1 if dk > 0 else 0] = False
-    record = WindowIndex(j, k, parity, inside, lines, np.repeat(np.arange(4), [n, n, min(n, 2), min(n, 2)]))
+    inside = _at_heads(np.ones((nj, nk), dtype=bool), False)
+    record = WindowIndex(j, k, parity, inside, lines)
     for array in record:
         array.flags.writeable = False
     return record

@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .geometry import (DIRECTIONS, STEPS, KType, Signature, SpectralOrder, check_window, doubled_shifts, neighbor,
-                       window_index)
+from .geometry import (DIRECTIONS, STEPS, KType, Signature, SpectralOrder, _at_heads, check_window, doubled_shifts,
+                       neighbor, window_index)
 
 #: Relative tolerance of the edge recheck in recursion_spectrum.
 REL_TOL = 1e-10
@@ -167,20 +167,6 @@ def _tree_products(ratio: np.ndarray) -> np.ndarray:
         values[j, 0] = values[j - 1, 1] * down[j - 1, 1]
         np.multiply(values[j - 1, :-1], plus[j - 1, :-1], out=values[j, 1:])
     return values
-
-
-#: (target, source) slices of a window grid under which each K-type reads its head in DIRECTIONS[d]: along an
-#: axis, entry i reads i + 1 for a step of +1 and i - 1 for a step of -1.
-_AXIS_SLICES = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1))}
-_HEAD_SLICES = [tuple(zip(*(_AXIS_SLICES[step] for step in STEPS[tag]))) for tag in DIRECTIONS]
-
-
-def _at_heads(grid: np.ndarray, fill=np.nan) -> np.ndarray:
-    """[d, j, k]: the entry of a window grid at (j, k) + STEPS[DIRECTIONS[d]], ``fill`` off the window."""
-    heads = np.full((4,) + grid.shape, fill, dtype=grid.dtype)
-    for head, (target, source) in zip(heads, _HEAD_SLICES):
-        head[target] = grid[source]
-    return heads
 
 
 def recursion_spectrum(sig: Signature, r, jmax: int, kmax: int) -> SpectrumTable:

@@ -20,10 +20,10 @@ from .closedform import (
     z_spectral,
     z_spectral_grid,
 )
-from .geometry import KType, Signature, SpectralOrder, check_window, doubled_shifts, scalar_curvature, window_index
+from .geometry import (KType, Signature, SpectralOrder, _at_heads, check_window, doubled_shifts, scalar_curvature,
+                       window_index)
 from .spectrum import (
     MAX_LOOP_LENGTH,
-    _at_heads,
     at_class_base,
     max_loop_deviation,
     recursion_spectrum,
@@ -305,10 +305,12 @@ DEFAULT_CHECKS = tuple(CHECKS)
 
 def run_suite(sig: Signature, r, jmax: int = 8, kmax: int = 8, seed: int = 0,
               checks=DEFAULT_CHECKS) -> list[VerificationReport]:
-    """Run the named checks; random-function checks use the stack seeded_stack(sig, jmax, kmax, seed)."""
-    reports = []
-    for name in checks:
-        if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r}")
-        reports.append(CHECKS[name](sig, r, jmax, kmax, seed))
-    return reports
+    """Run the named checks; random-function checks use the stack seeded_stack(sig, jmax, kmax, seed).
+
+    Every name is resolved before any check runs: an unknown one raises ValueError at once.
+    """
+    checks = tuple(checks)
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}")
+    return [CHECKS[name](sig, r, jmax, kmax, seed) for name in checks]

@@ -139,9 +139,12 @@ class ZonalFunction:
 
 
 def basis_element(sig: Signature, j: int, k: int, jmax=None, kmax=None) -> ZonalFunction:
-    """The zonal basis function phi_{jk} as a coefficient array."""
+    """The zonal basis function phi_{jk} as a coefficient array over [0, jmax] x [0, kmax], by default (j, k)'s
+    own; a (j, k) outside that window raises ValueError."""
     jmax = j if jmax is None else jmax
     kmax = k if kmax is None else kmax
+    if not (0 <= j <= jmax and 0 <= k <= kmax):
+        raise ValueError(f"basis element ({j}, {k}) must lie in the window [0, {jmax}] x [0, {kmax}]")
     c = np.zeros((jmax + 1, kmax + 1))
     c[j, k] = 1.0
     return ZonalFunction(sig, c)

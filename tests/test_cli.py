@@ -445,6 +445,65 @@ def test_module_entry_point_streams_a_multi_block_table(fmt):
         assert len(json.loads(out)["rows"]) == 12261
 
 
+#: A table of 201 x 201 K-types, about 4 MB of CSV: more than a pipe holds, so its writer is still writing when
+#: the reader goes away.
+_LARGE_TABLE = ["spectrum", "--p", "2", "--q", "3", "--jmax", "200", "--kmax", "200"]
+
+
+def _child(argv, stdout):
+    """(exit code, stderr) of ``python -m intertwinor.cli argv`` with its stdout on "/dev/full", closed
+    ("closed") or a pipe read for one line and then closed ("pipe")."""
+    command = [sys.executable, "-m", "intertwinor.cli", *argv]
+    if stdout == "pipe":
+        child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env())
+        assert child.stdout.readline().startswith(b"j,k,J,K,")
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        return child.wait(timeout=120), err.decode()
+    redirect = {"/dev/full": "> /dev/full", "closed": ">&-"}[stdout]
+    done = subprocess.run(["sh", "-c", f'"$@" {redirect}', "sh", *command], capture_output=True, text=True,
+                          env=_package_env(), timeout=120)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (_LARGE_TABLE, "pipe"),
+    pytest.param(_LARGE_TABLE, "/dev/full",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    (_LARGE_TABLE, "closed"),
+    pytest.param(["verify", "--p", "2", "--q", "3", "--all"], "/dev/full",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    (["verify", "--p", "2", "--q", "3", "--all"], "closed"),
+], ids=["spectrum-pipe-closed-early", "spectrum-full", "spectrum-closed", "verify-full", "verify-closed"])
+def test_unwritable_stdout_exits_1(argv, stdout):
+    # stdout fails as --output does: one error line and exit 1, where a reader that left, a full device and a
+    # closed descriptor once ended in a traceback, or in exit 0 with nothing written; and no second error from
+    # the interpreter's flush at exit
+    code, err = _child(argv, stdout)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: cannot write -: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_verify_output_dash_is_stdout(tmp_path, monkeypatch):
+    # "-" is stdout for both commands: verify writes its report bundle after the status lines, and no file "-"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _call(["verify", "--p", "2", "--q", "3", "--check", "inversion", "--output", "-"])
+    assert (code, err) == (0, "") and not (tmp_path / "-").exists()
+    status, bundle = out.split("\n", 1)
+    assert status.startswith("inversion: ") and status.endswith(" PASS")
+    assert [report["check"] for report in json.loads(bundle)["reports"]] == ["inversion"]
+
+
+def test_closed_stdout_keeps_the_report_file(tmp_path):
+    # with stdout closed the status lines cannot be written, but the report bundle still goes to its file
+    path = tmp_path / "report.json"
+    code, err = _child(["verify", "--p", "2", "--q", "3", "--check", "inversion", "--output", str(path)], "closed")
+    assert code == 1 and err.startswith("error: cannot write -: ") and err.count("\n") == 1
+    assert json.loads(path.read_text())["reports"][0]["check"] == "inversion"
+
+
 def test_intertwining_reads_only_the_requested_window():
     # (2, 0), one degree beyond this window, is a Gamma pole at r = 0.5; the window itself has none, and the
     # check once refused it there

@@ -573,6 +573,28 @@ def test_certificate_gamma_ratio_steps_are_transition_ratios():
         assert sympy.simplify(sympy.combsimp(sympy.expand_func(ratio * (h - r) / (h + r)))) == 1, tag
 
 
+def test_certificate_swap_invariant():
+    # Certificate 7(c): Z_{p,q}(j, k) / Z_{q,p}(k, j), each the product of the Gamma pairs of _gamma_pairs, is
+    # unchanged by every move of DIRECTIONS, so it is one constant per parity class; p, q, r, 2J, 2K and the
+    # parity symbolic.  The recursion is swap-symmetric by construction, the Gamma route is not: its pair 2 reads
+    # k - j, and the two pair-2 factors differ by a ratio of sines of period 1 in (k - j)/2.
+    import sympy  # here, not at the top: the module's other tests load without it
+
+    p, q, r, tj, tk, eps = sympy.symbols("p q r tj tk eps")
+
+    def z(sig, tj, tk):
+        return sympy.Mul(*(sympy.gamma((fourc + 2 * sigma * r) / 4) / sympy.gamma((fourc - 2 * sigma * r) / 4)
+                           for fourc, sigma in closedform._gamma_pairs(sig, tj, tk, eps)))
+
+    def swap_ratio(tj, tk):  # (q, p) at (k, j) has 2J = tk and 2K = tj
+        return z(SimpleNamespace(p=p, q=q), tj, tk) / z(SimpleNamespace(p=q, q=p), tk, tj)
+
+    for tag in DIRECTIONS:
+        dj, dk = STEPS[tag]
+        moved = swap_ratio(tj + 2 * dj, tk + 2 * dk) / swap_ratio(tj, tk)
+        assert sympy.simplify(sympy.gammasimp(moved)) == 1, tag
+
+
 class TestSingularSet:
     def test_empty_for_generic_order(self):
         assert singular_ktypes(Signature(2, 3), 0.37, 0, 10, 10) == set()
@@ -757,7 +779,7 @@ def test_only_small_windows_keep_their_gather_index():
     assert geometry._index.cache_info()[:2] == (1, 2)  # (hits, misses): 13 x 13 and 1 x 1 only
     record = geometry.window_index(13, 13)
     assert geometry._index.cache_info()[:2] == (2, 2)
-    assert record._fields == ("j", "k", "parity", "inside", "lines", "pair")
+    assert record._fields == ("j", "k", "parity", "inside", "lines")
     assert not any(array.flags.writeable for array in record)
 
 

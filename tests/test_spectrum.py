@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intertwinor import spectrum
+from intertwinor import geometry, spectrum
 from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, SpectralOrder, neighbor
 from intertwinor.spectrum import (
     REL_TOL,
@@ -469,7 +469,7 @@ def test_recheck_ignores_heads_off_the_window():
     # the recheck compares each edge with the value at its head, nan off the window, so an edge
     # whose head is outside never disagrees, whatever its ratio
     grid = np.arange(6.0).reshape(2, 3)
-    heads = spectrum._at_heads(grid)
+    heads = geometry._at_heads(grid)
     for d, tag in enumerate(DIRECTIONS):
         dj, dk = STEPS[tag]
         for j, k in np.ndindex(grid.shape):

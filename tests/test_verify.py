@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intertwinor import closedform, verify
@@ -34,7 +34,7 @@ from intertwinor.verify import (
     run_suite,
     seeded_stack,
 )
-from intertwinor.zonal import ZonalFunction, basis_element
+from intertwinor.zonal import ZonalFunction, _bochner, _varpi, apply_T_banded, apply_T_via_lemma, basis_element
 
 
 def test_intertwining_r_zero_is_exact():
@@ -570,6 +570,68 @@ def test_check_table_calls_rebound_names(monkeypatch):
     assert tuple(verify.CHECKS) == DEFAULT_CHECKS == tuple(rep.name for rep in reports)
     with pytest.raises(ValueError, match="unknown check 'no-such-check'"):
         run_suite(Signature(2, 3), 0.37, checks=("inversion", "no-such-check"))
+
+
+def _probes(sig, jmax, kmax):
+    """The 9 probes of the window, 1 where j = a and k = b (mod 3): each stencil of T and varpi moves (j, k) by
+    +/- 1 in both, so each output coefficient of a probe comes from one input coefficient, along one edge."""
+    j, k = np.ogrid[:jmax + 1, :kmax + 1]
+    return ZonalFunction(sig, np.stack([(j % 3 == a) & (k % 3 == b) for a in range(3) for b in range(3)]))
+
+
+def _commutator_terms(f, shift):
+    """(1/2)(N varpi f - varpi N f) + shift varpi f, and per coefficient the largest of its three terms."""
+    varpi = _varpi(f)
+    vnf = varpi(f.coeffs * _bochner(f.sig, f.jmax + 1, f.kmax + 1))
+    vf = varpi(f.coeffs)
+    nvf = vf * _bochner(f.sig, f.jmax + 2, f.kmax + 2)
+    return 0.5 * (nvf - vnf) + shift * vf, np.maximum(np.maximum(abs(nvf), abs(vnf)), abs(shift * vf))
+
+
+#: Bounds of the per-edge residuals on the probes, set from measurement: over 2,000 seeded draws of the test's
+#: space (p, q <= 6, windows to 41 x 41), intertwining read at most 1.1e-15 at generic r and 2.8e-13 at 1.2e-3
+#: from a half-integer, where the Gamma route loses about ulp/delta (ROADMAP item 3): a margin of 3.5; lemma1
+#: read at most 2.7e-16, a margin of 37.
+PROBE_INTERTWINING_BOUND, PROBE_LEMMA1_BOUND = 1e-12, 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 6), q=st.integers(1, 6), jmax=st.integers(1, 40), kmax=st.integers(1, 40),
+       r=st.floats(-8, 8).filter(lambda r: abs(2 * r - round(2 * r)) >= 1e-3 or r == round(r)))
+# the five calls that FAIL the absolute intertwining gate (ROADMAP item 15)
+@example(p=2, q=3, r=2.0, jmax=32, kmax=32)
+@example(p=2, q=3, r=7.25, jmax=8, kmax=8)
+@example(p=2, q=3, r=0.37, jmax=500, kmax=1)
+@example(p=1, q=4, r=3.483, jmax=8, kmax=3)
+@example(p=1, q=5, r=7.25, jmax=6, kmax=6)
+# an integer order whose eigenvalues hold exact zeros, where a residual relative to the result alone reads 1
+@example(p=3, q=5, r=3.0, jmax=10, kmax=24)
+def test_identities_hold_per_edge_on_the_probes(p, q, r, jmax, kmax):
+    # Item 15(a): both identities applied to the 9 probes, each output coefficient one edge's term, its residual
+    # scaled by that edge's operands: the terms of the commutator route on either side, so an exact zero that
+    # rounding leaves at 1e-15 reads 1e-15.  The absolute gates of check_intertwining and check_lemma1 are
+    # unchanged; this shows that their standing FAILs are rounding on the scale of the operands.
+    sig = Signature(p, q)
+    mu, poles = z_spectral_grid(sig, r, jmax, kmax)
+    assume(not poles.any())
+    f = _probes(sig, jmax, kmax)
+    cut = (Ellipsis, slice(jmax), slice(kmax))  # the interior that check_intertwining reads
+    left, left_scale = _commutator_terms(f, -r)
+    right, right_scale = _commutator_terms(ZonalFunction(sig, f.coeffs * mu), r)
+    left, left_scale, right = left[cut] * mu[cut], left_scale[cut] * abs(mu[cut]), right[cut]
+    scale = np.maximum(np.maximum(abs(left), abs(right)), np.maximum(left_scale, right_scale[cut]))
+    assert (abs(left - right) <= PROBE_INTERTWINING_BOUND * scale).all()
+    _, lemma_scale = _commutator_terms(f, 0.0)  # |N varpi f| and |varpi N f|
+    assert (abs(apply_T_banded(f).coeffs - apply_T_via_lemma(f).coeffs) <= PROBE_LEMMA1_BOUND * lemma_scale).all()
+
+
+def test_run_suite_resolves_every_name_before_running(monkeypatch):
+    # an unknown name anywhere in the list is refused before the first check runs, where lemma1 once ran first
+    ran = []
+    monkeypatch.setitem(verify.CHECKS, "lemma1", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="^unknown check 'bogus'$"):
+        run_suite(Signature(2, 3), 0.37, checks=("lemma1", "bogus"))
+    assert ran == []
 
 
 def test_run_suite_all_checks():

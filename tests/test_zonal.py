@@ -49,6 +49,15 @@ def test_zonal_function_holds_a_float_array_and_compares_by_identity():
     assert f == f and f != ZonalFunction(Signature(2, 3), [1, 2])
 
 
+@pytest.mark.parametrize("j, k, jmax, kmax",
+                         [(-1, 0, 3, 3), (0, -1, 3, 3), (4, 0, 3, 3), (0, 4, 3, 3), (-1, -1, None, None)])
+def test_basis_element_outside_its_window_raises(j, k, jmax, kmax):
+    # (-1, 0) once wrapped round to phi_30 and (4, 0) raised a bare IndexError
+    with pytest.raises(ValueError, match=rf"^basis element \({j}, {k}\) must lie in the window "):
+        basis_element(Signature(2, 3), j, k, jmax=jmax, kmax=kmax)
+    assert basis_element(Signature(2, 3), 3, 0, jmax=3).coeffs.tolist() == [[0.0], [0.0], [0.0], [1.0]]
+
+
 def _eval_1d(lam, c, x):
     if lam == 0:
         return sum(cj * eval_chebyt(j, x) for j, cj in enumerate(c))

@@ -105,7 +105,7 @@ MUTANTS = [
     Mutant("MAX_DIMENSION 2**50 -> 2**62", "cli.py", "MAX_DIMENSION = 2**50", "MAX_DIMENSION = 2**62", (CLI,)),
     Mutant("edge_arrays minimum side 1 -> 0", "spectrum.py", "check_window(jmax, kmax, 1)",
            "check_window(jmax, kmax, 0)", (SPECTRUM,)),
-    Mutant("recheck heads padded with 0.0, not nan", "spectrum.py", "def _at_heads(grid: np.ndarray, fill=np.nan)",
+    Mutant("recheck heads padded with 0.0, not nan", "geometry.py", "def _at_heads(grid: np.ndarray, fill=np.nan)",
            "def _at_heads(grid: np.ndarray, fill=0.0)", (SPECTRUM,)),
     Mutant("REL_TOL 1e-10 -> 1e-6", "spectrum.py", "REL_TOL = 1e-10", "REL_TOL = 1e-6", (SPECTRUM,)),
     Mutant("mult_by_cos downward coefficient off by one", "zonal.py",
@@ -136,9 +136,12 @@ MUTANTS = [
     Mutant("log-Gamma sign rule on odd positive floors", "closedform.py", "np.fmod(floor, 2) == -1",
            "np.fmod(floor, 2) == 1",
            (f"{CLOSEDFORM}::test_log_gamma_batch_is_the_scalar_rule",)),
-    Mutant("edge mask of the index record off by one at the far side", "geometry.py",
-           "inside[d, -1 if dj > 0 else 0]", "inside[d, -2 if dj > 0 else 0]",
+    Mutant("edge mask of the index record counts heads off the window", "geometry.py",
+           "inside = _at_heads(np.ones((nj, nk), dtype=bool), False)",
+           "inside = _at_heads(np.ones((nj, nk), dtype=bool), True)",
            (f"{SPECTRUM}::test_edge_arrays_equal_per_direction_reference",)),
+    Mutant("Gamma pair 2 centred 1/2 higher", "closedform.py", "(tk - tj + 2, +1),", "(tk - tj + 4, +1),",
+           (f"{CLOSEDFORM}::test_certificate_swap_invariant",)),
     Mutant("2h with an offset", "spectrum.py", "return (dj * tj + 2) + dk * tk", "return (dj * tj + 3) + dk * tk",
            (f"{CLOSEDFORM}::test_certificate_gamma_ratio_steps_are_transition_ratios",)),
     Mutant("doubled_shifts 2J = 2j + p + 1", "geometry.py", "return 2 * v.j + sig.p - 1, 2 * v.k + sig.q - 1",
