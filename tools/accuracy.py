@@ -10,12 +10,11 @@ the oracle's sampled rows (``max_rel_disagreement``: its largest printed value).
 intertwining on thin windows and prints each residual against its gate.  Report only: it exits 0 whatever it
 finds, and 2 when it raises.
 
-    python tools/accuracy.py [--seed 0] [--calls 40]
+    python tools/accuracy.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import math
@@ -27,6 +26,9 @@ from decimal import Decimal
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Seed of the drawn calls, and calls per drawn regime: the counts of the baseline in CHANGES.md.
+SEED, CALLS = 0, 40
 
 #: Windows of the thin regime: jmax (kmax = 1), out to j = 2 x 10^5, where the Gamma pairs' logs are largest.
 THIN_JMAX = (200, 2_000, 20_000, 200_000)
@@ -41,7 +43,7 @@ def _exact(r: float) -> str:
     return str(Decimal(r))
 
 
-def _regimes(rng: random.Random, calls: int) -> dict[str, list[tuple[int, int, float, int, int]]]:
+def _regimes(rng: random.Random) -> dict[str, list[tuple[int, int, float, int, int]]]:
     """(p, q, r, jmax, kmax) of each call, by regime."""
     def small():
         return rng.randint(1, 6), rng.randint(1, 6)
@@ -57,10 +59,10 @@ def _regimes(rng: random.Random, calls: int) -> dict[str, list[tuple[int, int, f
         return rng.choice((-1, 1)) * 10 ** rng.uniform(3, 7)
 
     return {
-        "small generic: p, q <= 6, |r| <= 4": [(*small(), rng.uniform(-4, 4), 2, 2) for _ in range(calls)],
-        "p or q = 2^e (+0..3), e = 10..40": [(*power_of_two(), rng.uniform(-4, 4), 2, 2) for _ in range(calls)],
-        "r = n/2 + delta, 3e-9 <= |delta| <= 1e-4": [(*small(), near_half_integer(), 2, 2) for _ in range(calls)],
-        "1e3 <= |r| <= 1e7": [(*small(), large_order(), 2, 2) for _ in range(calls)],
+        "small generic: p, q <= 6, |r| <= 4": [(*small(), rng.uniform(-4, 4), 2, 2) for _ in range(CALLS)],
+        "p or q = 2^e (+0..3), e = 10..40": [(*power_of_two(), rng.uniform(-4, 4), 2, 2) for _ in range(CALLS)],
+        "r = n/2 + delta, 3e-9 <= |delta| <= 1e-4": [(*small(), near_half_integer(), 2, 2) for _ in range(CALLS)],
+        "1e3 <= |r| <= 1e7": [(*small(), large_order(), 2, 2) for _ in range(CALLS)],
         "thin windows: kmax = 1, jmax to 2e5": [(*small(), rng.uniform(-4, 4), jmax, 1) for jmax in THIN_JMAX],
     }
 
@@ -80,14 +82,14 @@ def _log10_error(printed, expected) -> float | None:
     return math.log10(max(error, 1e-17))
 
 
-def sweep_spectrum(main, oracle, check, seed: int, calls: int) -> None:
+def sweep_spectrum(main, oracle, check) -> None:
     index = 0
-    for regime, requests in _regimes(random.Random(seed), calls).items():
+    for regime, requests in _regimes(random.Random(SEED)).items():
         began, rejected, cells, worst = time.perf_counter(), 0, Counter(), {}
         for p, q, r, jmax, kmax in requests:
             argv = ["spectrum", "--p", str(p), "--q", str(q), "--r", _exact(r), "--jmax", str(jmax),
                     "--kmax", str(kmax)]
-            expectation = oracle.Expectation(argv, seed, index)
+            expectation = oracle.Expectation(argv, SEED, index)
             index += 1
             code, text = _call(main, argv)
             verdict = check.check_spectrum(expectation, text)
@@ -127,18 +129,14 @@ def sweep_verify(main) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="seed of the drawn calls (default 0)")
-    parser.add_argument("--calls", type=int, default=40, help="calls per drawn regime (default 40)")
-    args = parser.parse_args()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import check  # perfbench's, unedited
     import oracle
 
     from intertwinor import cli
 
-    print(f"oracle RTOL {oracle.RTOL:g}, max_rel_disagreement bound {oracle.MAX_DISAGREEMENT:g}, seed {args.seed}")
-    sweep_spectrum(cli.main, oracle, check, args.seed, args.calls)
+    print(f"oracle RTOL {oracle.RTOL:g}, max_rel_disagreement bound {oracle.MAX_DISAGREEMENT:g}, seed {SEED}")
+    sweep_spectrum(cli.main, oracle, check)
     sweep_verify(cli.main)
     return 0
 

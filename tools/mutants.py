@@ -136,9 +136,8 @@ MUTANTS = [
     Mutant("log-Gamma sign rule on odd positive floors", "closedform.py", "np.fmod(floor, 2) == -1",
            "np.fmod(floor, 2) == 1",
            (f"{CLOSEDFORM}::test_log_gamma_batch_is_the_scalar_rule",)),
-    Mutant("edge mask of the index record counts heads off the window", "geometry.py",
-           "inside = _at_heads(np.ones((nj, nk), dtype=bool), False)",
-           "inside = _at_heads(np.ones((nj, nk), dtype=bool), True)",
+    Mutant("head of a +1 step read one entry short at the far side", "geometry.py",
+           "{1: (slice(None, -1), slice(1, None))", "{1: (slice(None, -2), slice(1, -1))",
            (f"{SPECTRUM}::test_edge_arrays_equal_per_direction_reference",)),
     Mutant("Gamma pair 2 centred 1/2 higher", "closedform.py", "(tk - tj + 2, +1),", "(tk - tj + 4, +1),",
            (f"{CLOSEDFORM}::test_certificate_swap_invariant",)),
