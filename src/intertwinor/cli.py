@@ -5,9 +5,10 @@ cannot be evaluated, or an unwritable output, stdout included (a closed
 stdout, a full device, a reader that left the pipe), with one line
 "error: cannot write PATH: REASON" ("-" for stdout) and no traceback; 2
 invalid configuration, including a sphere dimension beyond MAX_DIMENSION,
-an order beyond MAX_ABS_ORDER or too large for floating point, and a
-window too large for memory (see window_peak_bytes; refused before any
-allocation).  Output is byte-deterministic for a given flag set, and
+an order beyond MAX_ABS_ORDER or too large for floating point, an integer
+order beyond geometry.MAX_INTEGER_ORDER (SpectralOrder.as_integer's text),
+and a window too large for memory (see window_peak_bytes; refused before
+any allocation).  Output is byte-deterministic for a given flag set, and
 _write_output writes every result byte: "-" is stdout for both commands.
 
 Each flag is defined once, in COMMANDS.  A well-formed command (exact flag
@@ -58,12 +59,6 @@ from .spectrum import at_class_base, recursion_spectrum, relative_difference
 from .verify import DEFAULT_CHECKS, run_suite
 
 SCHEMA_VERSION = 1
-
-#: Largest positive-integer order r accepted.  The integer-order route
-#: multiplies 2r exact linear factors per K-type, and no order above 98 gives
-#: a spectrum that fits a float (measured for p, q <= 6); every float above
-#: 2**53 is an integer, so without a bound those products need not end.
-MAX_INTEGER_ORDER = 100
 
 #: Largest |r| accepted, for every order.  4c +/- 2r is a whole multiple of
 #: g = min(1, the lowest set bit of 2r), so a Gamma argument (4c +/- 2r)/4 is
@@ -274,24 +269,19 @@ def _validate(args) -> tuple[Signature, SpectralOrder, tuple[str, ...]]:
     """The signature, the order and the checks verify runs (none for spectrum); invalid flags exit 2."""
     try:
         sig = Signature(args.p, args.q)
-    except ValueError as exc:
-        _error(str(exc))
-    if max(args.p, args.q) > MAX_DIMENSION:
-        _error(f"sphere dimensions must satisfy p, q <= 2**50 = {MAX_DIMENSION}, got ({args.p}, {args.q})")
-    try:
+        if max(args.p, args.q) > MAX_DIMENSION:
+            raise ValueError(f"sphere dimensions must satisfy p, q <= 2**50 = {MAX_DIMENSION}, "
+                             f"got ({args.p}, {args.q})")
         check_window(args.jmax, args.kmax, 1)
-    except ValueError as exc:
-        _error(str(exc))
-    if args.command == "verify" and args.seed < 0:
-        _error(f"seed must be >= 0, got {args.seed}")
-    try:
+        if args.command == "verify" and args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         order = SpectralOrder(args.r)
+        if order.is_positive_integer:
+            order.as_integer  # refuses an order beyond geometry.MAX_INTEGER_ORDER
+        if abs(order.r) > MAX_ABS_ORDER:
+            raise ValueError(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
     except ValueError as exc:
         _error(str(exc))
-    if order.is_positive_integer and order.as_integer > MAX_INTEGER_ORDER:
-        _error(f"integer order must satisfy r <= {MAX_INTEGER_ORDER}, got r = {args.r}")
-    if abs(order.r) > MAX_ABS_ORDER:
-        _error(f"order must satisfy |r| <= 2**51 = {MAX_ABS_ORDER}, got r = {args.r}")
     checks = () if args.command == "spectrum" else tuple(DEFAULT_CHECKS if args.all or not args.check else args.check)
     # Refused before any allocation: a window whose first arrays fit can still outgrow memory later.
     estimate, memory = window_peak_bytes(args.jmax, args.kmax), _physical_memory()

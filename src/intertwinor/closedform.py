@@ -177,9 +177,8 @@ def _pochhammer(fourx, r: int):
 
     At integer r, Gamma(x + r)/Gamma(x) = (x)_r (DLMF 5.2(iii)), so with
     N(4c) = _pochhammer(4c - 2r, r) a Gamma pair (4c, sigma) is (N / 4**r)**sigma.
+    Every r comes through SpectralOrder.as_integer.
     """
-    if r < 1:
-        raise ValueError(f"integer-order route requires a positive integer r, got {r}")
     out = 1
     for m in range(r):
         out = out * (fourx + 4 * m)

@@ -29,12 +29,26 @@ DIRECTIONS = ("++", "+-", "-+", "--")
 STEPS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 
 
+def direction_step(direction: str) -> tuple[int, int]:
+    """STEPS[direction]; ValueError for a tag not in DIRECTIONS."""
+    if direction not in STEPS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    return STEPS[direction]
+
+
+def _integers(a, b) -> bool:
+    """True when a and b are each an int or a numpy integer."""
+    return isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
+
+
 class Signature(NamedTuple("Signature", [("p", int), ("q", int)])):
     """Dimensions (p, q) of the two sphere factors."""
 
     __slots__ = ()
 
     def __new__(cls, p: int, q: int):
+        if not _integers(p, q):
+            raise ValueError(f"sphere dimensions must be integers, got ({p!r}, {q!r})")
         if p < 1 or q < 1:
             raise ValueError(f"sphere dimensions must satisfy p >= 1 and q >= 1, got ({p}, {q})")
         return super().__new__(cls, p, q)
@@ -51,6 +65,8 @@ class KType(NamedTuple("KType", [("j", int), ("k", int)])):
     __slots__ = ()
 
     def __new__(cls, j: int, k: int):
+        if not _integers(j, k):
+            raise ValueError(f"harmonic orders must be integers, got ({j!r}, {k!r})")
         if j < 0 or k < 0:
             raise ValueError(f"harmonic orders must be nonnegative, got ({j}, {k})")
         return super().__new__(cls, j, k)
@@ -69,7 +85,7 @@ def doubled_shifts(sig: Signature, v: KType | WindowIndex):
 
 def neighbor(v: KType, direction: str) -> KType | None:
     """The neighbor of ``v`` in the given quadrant, or None if off-lattice."""
-    dj, dk = STEPS[direction]
+    dj, dk = direction_step(direction)
     j, k = v.j + dj, v.k + dk
     if j < 0 or k < 0:
         return None
@@ -88,6 +104,11 @@ def scalar_curvature(sig: Signature) -> int:
 #: argument is more than 2.5e-10 from a pole.  Its float can still round onto
 #: one at a large p, q or |r|, and the closed form reads it as a pole.
 TWO_R_TOL = 1e-9
+
+#: Largest positive-integer order r of the integer-order route (SpectralOrder.as_integer).  That route multiplies
+#: 2r exact linear factors per K-type, and no order above 98 gives a spectrum that fits a float (measured for
+#: p, q <= 6); every float above 2**53 is an integer, so without a bound those products need not end.
+MAX_INTEGER_ORDER = 100
 
 
 class SpectralOrder(NamedTuple("SpectralOrder", [("r", float)])):
@@ -120,9 +141,13 @@ class SpectralOrder(NamedTuple("SpectralOrder", [("r", float)])):
 
     @property
     def as_integer(self) -> int:
+        """r as an int, the one door of the integer-order route: ValueError unless 1 <= r <= MAX_INTEGER_ORDER."""
         if not self.is_positive_integer:
             raise ValueError(f"r = {self.r} is not a positive integer")
-        return self.two_r // 2
+        r = self.two_r // 2
+        if r > MAX_INTEGER_ORDER:
+            raise ValueError(f"integer order must satisfy r <= {MAX_INTEGER_ORDER}, got r = {self.r}")
+        return r
 
     def __neg__(self) -> "SpectralOrder":
         return SpectralOrder(-self.r)

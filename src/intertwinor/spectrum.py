@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .geometry import (DIRECTIONS, STEPS, KType, Signature, SpectralOrder, _at_heads, check_window, doubled_shifts,
-                       neighbor, window_index)
+from .geometry import (DIRECTIONS, STEPS, KType, Signature, SpectralOrder, _at_heads, check_window, direction_step,
+                       doubled_shifts, neighbor, window_index)
 
 #: Relative tolerance of the edge recheck in recursion_spectrum.
 REL_TOL = 1e-10
@@ -98,7 +98,7 @@ def edge_arrays(sig: Signature, r, jmax: int, kmax: int) -> tuple[np.ndarray, np
 
 def is_singular_edge(sig: Signature, alpha: KType, direction: str, r) -> bool:
     """True when h - r = 0 on this edge, i.e. the transition ratio has a pole."""
-    two_h = _two_h(*doubled_shifts(sig, alpha), *STEPS[direction])
+    two_h = _two_h(*doubled_shifts(sig, alpha), *direction_step(direction))
     return bool(_singular(two_h, SpectralOrder.coerce(r)))
 
 
@@ -109,7 +109,7 @@ def transition_ratio(sig: Signature, alpha: KType, direction: str, r) -> float:
     order = SpectralOrder.coerce(r)
     if is_singular_edge(sig, alpha, direction, order):
         raise ZeroDenominator(f"transition ratio singular at edge {alpha} -> {direction}: h = r = {order.r}")
-    return _ratio(_two_h(*doubled_shifts(sig, alpha), *STEPS[direction]), order.r)
+    return _ratio(_two_h(*doubled_shifts(sig, alpha), *direction_step(direction)), order.r)
 
 
 def at_class_base(grid: np.ndarray) -> np.ndarray:

@@ -76,8 +76,9 @@ def _uniform_coefficients(seed: int, count: int, jmax: int, kmax: int) -> np.nda
     """Shape (count, jmax + 1, kmax + 1): slice i holds the row-major outputs of SplitMix64 seeded with seed + i.
 
     Output t for seed s is mix(s + (t + 1) * gamma) mod 2^64, seeds reduced mod 2^64 as Python integers.
-    Its top 53 bits u map to u / 2^52 - 1 in [-1, 1), exactly.
+    Its top 53 bits u map to u / 2^52 - 1 in [-1, 1), exactly.  A negative jmax or kmax raises ValueError.
     """
+    check_window(jmax, kmax, 0)
     state = np.arange(count, dtype=np.uint64) + np.uint64(seed % 2**64)
     steps = np.arange(1, (jmax + 1) * (kmax + 1) + 1, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA)
     z = state[:, None] + steps

@@ -349,6 +349,14 @@ class TestExitCodes:
         assert f"error: order must satisfy |r| <= 2**51 = {cli.MAX_ABS_ORDER}, got r = {float(r)}" in stderr
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("r", [-(2**51 + 2), 2**51 + 0.5])
+    def test_order_just_beyond_bound_exits_2(self, command, r):
+        # neither order is a positive integer, so the |r| bound alone refuses it, at its own value 2**51
+        code, out, err = _call([command, "--p", "2", "--q", "3", f"--r={float(r)!r}", "--jmax", "2", "--kmax", "2"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: order must satisfy |r| <= 2**51 = 2251799813685248, got r = {float(r)}\n")
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("p, q", [(1, 4), (2, 3)])
     def test_order_at_bound_prints_no_nan(self, capsys, command, p, q):
         r = -float(cli.MAX_ABS_ORDER)

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 from itertools import accumulate, count, product
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from intertwinor.closedform import (
 from intertwinor.geometry import DIRECTIONS, STEPS, KType, Signature, SpectralOrder, neighbor
 from intertwinor.geometry import doubled_shifts
 from intertwinor.spectrum import edge_arrays, recursion_spectrum, transition_ratio
+from intertwinor.verify import check_inversion
 
 
 def neighbors(v):
@@ -232,6 +234,25 @@ class TestFactorized:
         assert factorized_eigenvalue_exact(Signature(2, 3), 2 - 4e-10, KType(1, 1)) == Fraction(-135, 16)
         # the window route prints no factorized column at a nonpositive order
         assert _factorized_grid(Signature(1, 1), 0, 2, 2) is None
+
+    def test_integer_route_refuses_beyond_its_bound(self):
+        # SpectralOrder.as_integer is the integer route's one door: every route to the exact products refuses an
+        # order above MAX_INTEGER_ORDER at once, in the CLI's text, where the products took seconds or did not end
+        sig = Signature(2, 3)
+        calls = [(lambda: z_spectral_grid(sig, 2.0**52 + 2, 2, 2), 2.0**52 + 2),
+                 (lambda: z_spectral(sig, 1e5, KType(1, 1)), 1e5),
+                 (lambda: parity_constant(sig, 101, 0), 101),
+                 (lambda: factorized_eigenvalue_exact(sig, 150, KType(1, 1)), 150)]
+        for call, r in calls:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^integer order must satisfy r <= 100, got r = {float(r)}$"):
+                call()
+            assert time.perf_counter() - start < 0.1
+        assert geometry.MAX_INTEGER_ORDER == SpectralOrder(100).as_integer == 100
+        assert factorized_eigenvalue_exact(sig, 100, KType(1, 1)) != 0
+        # the Gamma route and the recursion keep every order they took: Z(2500) is a Gamma ratio
+        assert check_inversion(sig, -2500.0, 3, 3).passed
+        assert recursion_spectrum(sig, 150, 3, 3).values.shape == (4, 4)
 
     def test_neighbor_ratio_law_where_nonsingular(self):
         # integer-r coherence away from zero denominators

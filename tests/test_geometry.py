@@ -2,6 +2,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from intertwinor import closedform, spectrum
@@ -36,6 +37,34 @@ def test_ktype_validation():
     with pytest.raises(ValueError):
         KType(0, -1)
     assert KType(1, 2).parity == 1
+
+
+@pytest.mark.parametrize("record, fields, text", [
+    (Signature, (2.5, 3), "sphere dimensions must be integers, got (2.5, 3)"),
+    (Signature, (2, 3.0), "sphere dimensions must be integers, got (2, 3.0)"),
+    (KType, (1.5, 0), "harmonic orders must be integers, got (1.5, 0)"),
+    (KType, (0, np.float64(1.0)), "harmonic orders must be integers, got (0, np.float64(1.0))"),
+])
+def test_fields_must_be_integers(record, fields, text):
+    # a fractional dimension or harmonic order was accepted, and every route computed on it
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        record(*fields)
+    # numpy integers, as np.argwhere gives them, stay accepted as they are
+    assert record(np.int64(2), np.int32(3)) == (2, 3)
+    assert type(record(np.int64(2), 3)[0]) is np.int64
+
+
+@pytest.mark.parametrize("call", [
+    lambda tag: neighbor(KType(1, 1), tag),
+    lambda tag: spectrum.transition_ratio(Signature(2, 3), KType(1, 1), tag, 0.37),
+    lambda tag: spectrum.is_singular_edge(Signature(2, 3), KType(1, 1), tag, 0.37),
+], ids=["neighbor", "transition_ratio", "is_singular_edge"])
+def test_unknown_direction_names_the_directions(call):
+    # a bare KeyError: 'xx' before
+    text = "direction must be one of ('++', '+-', '-+', '--'), got 'xx'"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call("xx")
+    call("+-")
 
 
 @pytest.mark.parametrize("record, text", [(Signature(2, 3), "Signature(p=2, q=3)"), (KType(1, 0), "KType(j=1, k=0)"),

@@ -341,6 +341,16 @@ def test_random_zonal_is_splitmix64():
         assert np.array_equal(stack[i], random_zonal(sig, 3, 3, seed).coeffs)
 
 
+@pytest.mark.parametrize("jmax, kmax", [(-1, 2), (2, -1)])
+@pytest.mark.parametrize("build", [random_zonal, seeded_stack], ids=lambda build: build.__name__)
+def test_seeded_functions_refuse_a_negative_side(build, jmax, kmax):
+    # a 0 x 3 function before
+    message = f"truncation must satisfy jmax >= 0 and kmax >= 0, got ({jmax}, {kmax})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(Signature(2, 3), jmax, kmax, 0)
+    assert build(Signature(2, 3), 0, 0, 0).coeffs.shape[-2:] == (1, 1)
+
+
 def test_run_suite_stack_slices_are_seeded_functions(monkeypatch):
     # both seeded checks receive one stack whose slice i is random_zonal(..., seed + i)
     received = []

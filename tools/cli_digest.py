@@ -120,6 +120,17 @@ ROUNDED_POLE_CALLS = [
     ["spectrum", "--p", "2", "--q", "3", "--r", "2251799813685247.75", "--jmax", "12", "--kmax", "12"],
 ]
 
+#: Calls where the order of the refusals, or the route an order takes, decides the output; after the others.  The
+#: inversion check at r = -2500 builds Z(2500) through the Gamma route, which no integer-order bound may refuse.
+REFUSAL_ORDER_CALLS = [
+    ["verify", "--p", "2", "--q", "3", "--r", "-2500", "--jmax", "3", "--kmax", "3", "--check", "inversion"],
+    ["spectrum", "--p", "0", "--q", "2251799813685249", "--jmax", "2", "--kmax", "2"],
+    ["spectrum", "--p", "2", "--q", "3", "--jmax", "0", "--kmax", "2", "--r", "101"],
+    ["verify", "--p", "2", "--q", "3", "--seed", "-1", "--r=nan"],
+    ["spectrum", "--p", "2", "--q", "3", "--r=-2251799813685250", "--jmax", "2", "--kmax", "2"],
+    ["spectrum", "--p", "2", "--q", "3", "--r=2251799813685248.5", "--jmax", "2", "--kmax", "2"],
+]
+
 
 def calls(tmp: str) -> list[list[str]]:
     """The fixed argv list; ``tmp`` is the directory the --output files go to."""
@@ -144,7 +155,7 @@ def calls(tmp: str) -> list[list[str]]:
     blocks = [[*BLOCK_TABLE, "--format", fmt, "--output", f"{tmp}/block.{fmt}"] for fmt in ("csv", "json")]
     blocks += [[*BLOCK_TABLE, "--format", fmt] for fmt in ("csv", "json")]
     return (argvs + ERROR_CALLS + SEPARATE_ORDER_CALLS + DIMENSION_CALLS + LEMMA1_CALLS + [BLOCK_VERIFY, *blocks]
-            + POLE_CALLS + DOUBLE_DASH_CALLS + ROUNDED_POLE_CALLS)
+            + POLE_CALLS + DOUBLE_DASH_CALLS + ROUNDED_POLE_CALLS + REFUSAL_ORDER_CALLS)
 
 
 def run(main, argv: list[str], tmp: str) -> tuple[str, str | None]:

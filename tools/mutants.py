@@ -69,7 +69,8 @@ MUTANTS = [
            "max_residual=residual, tolerance=1e-6,", (CLI,)),
     Mutant("loop-consistency gate 1e-12 -> 1e-6", "verify.py", "max_residual=deviation, tolerance=1e-12,",
            "max_residual=deviation, tolerance=1e-6,", (CLI,)),
-    Mutant("MAX_INTEGER_ORDER 100 -> 98", "cli.py", "MAX_INTEGER_ORDER = 100", "MAX_INTEGER_ORDER = 98", (CLI,)),
+    Mutant("MAX_INTEGER_ORDER 100 -> 98", "geometry.py", "MAX_INTEGER_ORDER = 100", "MAX_INTEGER_ORDER = 98",
+           (CLI, f"{CLOSEDFORM}::TestFactorized::test_integer_route_refuses_beyond_its_bound")),
     Mutant("MAX_LOOP_LENGTH 8 -> 4", "spectrum.py", "MAX_LOOP_LENGTH = 8", "MAX_LOOP_LENGTH = 4", (VERIFY,)),
     Mutant("GRID_MARGIN 4 -> 1", "zonal.py", "GRID_MARGIN = 4", "GRID_MARGIN = 1", (ZONAL,)),
     Mutant("CACHED_WINDOW 256 -> 0", "geometry.py", "CACHED_WINDOW = 256", "CACHED_WINDOW = 0", (CLOSEDFORM,)),
@@ -103,6 +104,8 @@ MUTANTS = [
            "comparable = normalized & ~infinite & table.reached", "comparable = normalized & table.reached",
            (VERIFY,)),
     Mutant("MAX_DIMENSION 2**50 -> 2**62", "cli.py", "MAX_DIMENSION = 2**50", "MAX_DIMENSION = 2**62", (CLI,)),
+    Mutant("MAX_ABS_ORDER 2**51 -> 2**53", "cli.py", "MAX_ABS_ORDER = 2**51", "MAX_ABS_ORDER = 2**53",
+           (f"{CLI}::TestExitCodes::test_order_just_beyond_bound_exits_2",)),
     Mutant("edge_arrays minimum side 1 -> 0", "spectrum.py", "check_window(jmax, kmax, 1)",
            "check_window(jmax, kmax, 0)", (SPECTRUM,)),
     Mutant("recheck heads padded with 0.0, not nan", "geometry.py", "def _at_heads(grid: np.ndarray, fill=np.nan)",

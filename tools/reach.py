@@ -36,6 +36,8 @@ EXPECTED = {
     "spectrum.transition_ratio": TRACED,
     "spectrum.is_singular_edge": TRACED,
     "geometry.neighbor": TRACED,
+    "geometry.direction_step": "the direction check of geometry.neighbor, spectrum.transition_ratio and "
+                               "spectrum.is_singular_edge, library API that no CLI route calls",
     "closedform.singular_ktypes": TRACED,
     "closedform.conformal_laplacian_eigenvalue_exact": TRACED,
     "closedform.factorized_eigenvalue_exact": TRACED,
